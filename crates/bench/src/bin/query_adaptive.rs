@@ -77,7 +77,6 @@ fn pipeline_config(window_len: u64, seed: u64) -> PipelineConfig {
         device: Device::Gpu { batch: 10 },
         cost: CostModel::calibrated(),
         gate: GatePolicy::Off,
-        voi: tm_core::VoiMode::Reweight,
     }
 }
 

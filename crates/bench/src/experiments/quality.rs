@@ -32,7 +32,6 @@ fn pipeline_config(seed: u64) -> PipelineConfig {
         device: Device::Gpu { batch: 10 },
         cost: CostModel::calibrated(),
         gate: tm_reid::GatePolicy::Off,
-        voi: tm_core::VoiMode::Off,
     }
 }
 

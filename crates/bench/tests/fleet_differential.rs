@@ -12,12 +12,13 @@
 use std::sync::Mutex;
 use tm_chaos::{FaultPlan, FaultyModel};
 use tm_core::{
-    run_pipeline_with_backend, FleetIngester, PipelineConfig, RobustnessConfig, RobustnessReport,
-    SelectorKind, StreamConfig, StreamingMerger, TMerge, TMergeConfig, WindowDecision,
+    merge_mapping, run_pipeline_with_backend, FleetIngester, PipelineConfig, PipelineReport,
+    RobustnessConfig, RobustnessReport, SelectorKind, StreamConfig, StreamingMerger, TMerge,
+    TMergeConfig, WindowDecision,
 };
 use tm_reid::{
     AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchingBackend, CostModel,
-    Device, InferenceBackend,
+    Device, InferenceBackend, RetryPolicy,
 };
 use tm_types::{
     ids::classes, BBox, FrameIdx, GtObjectId, Track, TrackBox, TrackId, TrackPair, TrackSet,
@@ -254,21 +255,19 @@ fn hard_down_stream_matches_solo_and_spares_siblings() {
     assert_eq!(out.robustness.reverified_windows, 2, "{:?}", out.robustness);
 }
 
-/// Fault-free cross-check against the offline walk: the fleet's stream
-/// agrees with `run_pipeline_with_backend` on merges and clock. (Only
-/// asserted fault-free: the offline walk skips empty windows' epochs, so
-/// under faults the two paths can legitimately see different outages.)
-#[test]
-fn clean_fleet_stream_matches_offline_pipeline() {
-    let model = AppearanceModel::new(AppearanceConfig::default());
-    let tracks = stream_tracks(0);
-    let (outs, _) = fleet(&model, std::slice::from_ref(&tracks), &[FaultPlan::none()]);
-
-    let faulty = FaultyModel::new(&model, FaultPlan::none());
-    let offline = run_pipeline_with_backend(
-        &tracks,
+/// The offline pipeline over stream `0`'s feed: the harness's selector
+/// and stream config, with `plan` injected and `robustness` in force.
+fn offline_report(
+    model: &AppearanceModel,
+    tracks: &TrackSet,
+    plan: &FaultPlan,
+    robustness: &RobustnessConfig,
+) -> PipelineReport {
+    let faulty = FaultyModel::new(model, plan.clone());
+    run_pipeline_with_backend(
+        tracks,
         N_FRAMES,
-        &model,
+        model,
         &PipelineConfig {
             window_len: WINDOW_LEN,
             k: 0.2,
@@ -280,18 +279,84 @@ fn clean_fleet_stream_matches_offline_pipeline() {
             device: Device::Cpu,
             cost: CostModel::calibrated(),
             gate: tm_reid::GatePolicy::Off,
-            voi: tm_core::VoiMode::Off,
         },
         None,
         &faulty,
-        &RobustnessConfig::default(),
+        robustness,
     )
-    .unwrap();
+    .unwrap()
+}
 
-    let mut streaming: Vec<TrackPair> = outs[0].accepted.clone();
-    let mut batch: Vec<TrackPair> = offline.accepted.clone();
-    streaming.sort();
-    batch.sort();
-    assert_eq!(streaming, batch);
-    assert!((f64::from_bits(outs[0].elapsed_bits) - offline.elapsed_ms).abs() < 1e-6);
+/// Cross-check against the offline pipeline, clean and under the flaky
+/// and hard-down plans: the pipeline drives the same window walk as a
+/// fleet shard, so with the same fault backend it must commit the same
+/// pairs in the same order, count the same faults and charge the same
+/// clock, bit for bit.
+#[test]
+fn fleet_stream_matches_offline_pipeline() {
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let tracks = stream_tracks(0);
+    for plan in [
+        FaultPlan::none(),
+        FaultPlan::flaky(100),
+        FaultPlan::none().with_hard_down(2, 4),
+    ] {
+        let (outs, _) = fleet(
+            &model,
+            std::slice::from_ref(&tracks),
+            std::slice::from_ref(&plan),
+        );
+        let offline = offline_report(&model, &tracks, &plan, &RobustnessConfig::default());
+        assert_eq!(outs[0].accepted, offline.accepted, "{plan:?}");
+        assert_eq!(outs[0].robustness, offline.robustness, "{plan:?}");
+        assert_eq!(
+            outs[0].elapsed_bits,
+            offline.elapsed_ms.to_bits(),
+            "{plan:?}"
+        );
+    }
+}
+
+/// A non-default robustness config reaches the offline pipeline's merger:
+/// with one attempt per extraction and a breaker that trips on the first
+/// failed window, the pipeline matches a solo merger configured the same
+/// way, and differs from a run under the default config.
+#[test]
+fn offline_pipeline_forwards_the_robustness_config() {
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let tracks = stream_tracks(0);
+    let plan = FaultPlan::flaky(100);
+    let robustness = RobustnessConfig {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        breaker_threshold: 1,
+        ..RobustnessConfig::default()
+    };
+
+    let faulty = FaultyModel::new(&model, plan.clone());
+    let mut solo = StreamingMerger::new(
+        &model,
+        CostModel::calibrated(),
+        Device::Cpu,
+        selector(),
+        stream_config(),
+    )
+    .unwrap()
+    .with_backend(&faulty)
+    .with_robustness(robustness);
+    for f in SCHEDULE {
+        solo.advance(&tracks, f).unwrap();
+    }
+    solo.finish(&tracks, N_FRAMES).unwrap();
+
+    let custom = offline_report(&model, &tracks, &plan, &robustness);
+    assert_eq!(solo.robustness(), custom.robustness);
+    assert_eq!(solo.elapsed_ms().to_bits(), custom.elapsed_ms.to_bits());
+    assert_eq!(solo.mapping(), merge_mapping(&custom.accepted));
+    assert_eq!(custom.robustness.retries, 0, "{:?}", custom.robustness);
+
+    let default = offline_report(&model, &tracks, &plan, &RobustnessConfig::default());
+    assert!(default.robustness.retries > 0, "{:?}", default.robustness);
 }

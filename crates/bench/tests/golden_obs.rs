@@ -8,9 +8,9 @@
 //! histograms and log lines are order- and machine-dependent and are
 //! deliberately excluded from `snapshot()` (DESIGN.md §11).
 //!
-//! `run_selector` is the pinned entry point because its workers use
-//! private per-video ReID sessions; the shared-cache streaming pipeline's
-//! hit/miss split is scheduling-dependent by design and is not pinned.
+//! `run_selector` is the pinned entry point: its workers run one ReID
+//! session per video, so every counter — cache hits included — depends on
+//! the video alone, never on which worker ran it.
 //!
 //! The workload is real but quick-scale (two clipped videos), small
 //! enough to run in debug builds too — unlike determinism.rs.

@@ -1,14 +1,14 @@
 //! Shared window-execution plumbing.
 //!
-//! The three pipeline entry points — the serial fault-tolerant walk
-//! (`crate::run_pipeline_with_backend`), the per-window parallel walk
-//! (`crate::run_pipeline_parallel`) and the online
-//! [`crate::StreamingMerger`] — plus the multi-stream fleet
-//! (`crate::fleet`) all execute the same window protocol: build a session,
-//! select (or degrade behind the breaker), and emit the same observability
-//! signals. This module is the single home of that protocol so the paths
-//! cannot drift; `crates/core/tests/path_equivalence.rs` pins all of them
-//! equal on a fixture video.
+//! There is one window walk, [`crate::StreamingMerger`]: the offline
+//! pipeline (`crate::run_pipeline_with_backend`) and the multi-stream
+//! fleet (`crate::fleet`) drive it, and the cross-camera
+//! [`crate::GlobalMerger`] runs its rounds on the same helpers. This
+//! module is the single home of the window protocol — build a session,
+//! select (or degrade behind the breaker), re-verify after recovery, and
+//! emit the same observability signals;
+//! `crates/core/tests/path_equivalence.rs` pins the offline, streaming
+//! and fleet paths equal on fixture videos.
 //!
 //! Every helper preserves the exact counter/event emission order of the
 //! code it replaced — the recorder's aggregates are commutative, but the
@@ -17,38 +17,24 @@
 
 use crate::resilience::{degraded_candidates, Breaker, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput, SelectionResult};
-use std::sync::Arc;
 use tm_obs::{Obs, Value};
-use tm_reid::{
-    AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession, RetryPolicy,
-    SharedFeatureCache,
-};
+use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy, ReidSession, RetryPolicy};
 use tm_types::{Result, TrackPair, TrackSet};
 
-/// Builds the one true per-window/per-stream [`ReidSession`]: private or
-/// shared cache, optional fallible backend, optional retry override,
-/// extraction gate — the construction every execution path shares, so all
-/// four entry paths run one [`GatePolicy`].
+/// Builds the per-stream (or per-overlay) [`ReidSession`]: retry policy
+/// and extraction gate — the construction every execution path shares, so
+/// all of them run one [`GatePolicy`]. A fallible backend is installed
+/// afterwards with [`ReidSession::with_backend`].
 pub(crate) fn window_session<'m>(
     model: &'m AppearanceModel,
     cost: CostModel,
     device: Device,
-    cache: Option<Arc<SharedFeatureCache>>,
-    backend: Option<&'m dyn InferenceBackend>,
-    retry: Option<RetryPolicy>,
+    retry: RetryPolicy,
     gate: GatePolicy,
 ) -> ReidSession<'m> {
-    let mut session = match cache {
-        Some(cache) => ReidSession::with_shared_cache(model, cost, device, cache),
-        None => ReidSession::new(model, cost, device),
-    };
-    if let Some(backend) = backend {
-        session = session.with_backend(backend);
-    }
-    if let Some(retry) = retry {
-        session = session.with_retry_policy(retry);
-    }
-    session.with_gate(gate)
+    ReidSession::new(model, cost, device)
+        .with_retry_policy(retry)
+        .with_gate(gate)
 }
 
 /// Flushes the session's gate decision counters (once per decided window,
@@ -78,8 +64,8 @@ pub(crate) enum WindowVerdict {
 /// Selects a non-empty window's candidates, or degrades it: breaker open →
 /// degrade immediately; selector success → record it on the breaker;
 /// backend failure → count a possible trip, then degrade; any other error
-/// propagates. Emission order (trip counter/event before the degraded
-/// counter) matches the historical serial and streaming walks exactly.
+/// propagates. Emission order: the trip counter/event precede the
+/// degraded counter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_or_degrade(
     selector: &dyn CandidateSelector,
@@ -191,9 +177,6 @@ pub(crate) fn emit_window_obs(
 /// One stashed window queued for re-verification.
 #[derive(Clone, Copy)]
 pub(crate) struct ReverifyItem<'w> {
-    /// Caller-side handle handed back to `commit` (the offline walk's slot
-    /// position; the streaming merger ignores it).
-    pub(crate) slot: usize,
     /// The window's index, used for the `breaker_trip` event on renewed
     /// failure.
     pub(crate) window_index: u64,
@@ -202,11 +185,10 @@ pub(crate) struct ReverifyItem<'w> {
 }
 
 /// Re-scores degraded windows with the (recovered) backend, in window
-/// order. `commit` receives each successfully re-scored window's slot and
-/// result (emission order: commit, then the reverified counter — as both
-/// historical walks did). Returns how many windows were committed: on a
-/// renewed backend failure the caller re-stashes `pending[committed..]`;
-/// other errors propagate.
+/// order. `commit` receives each successfully re-scored window's result
+/// (emission order: commit, then the reverified counter). Returns how many
+/// windows were committed: on a renewed backend failure the caller
+/// re-stashes `pending[committed..]`; other errors propagate.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reverify_windows(
     pending: &[ReverifyItem<'_>],
@@ -217,7 +199,7 @@ pub(crate) fn reverify_windows(
     breaker: &mut Breaker,
     report: &mut RobustnessReport,
     obs: &Obs,
-    mut commit: impl FnMut(usize, SelectionResult),
+    mut commit: impl FnMut(SelectionResult),
 ) -> Result<usize> {
     for (i, item) in pending.iter().enumerate() {
         let input = SelectionInput {
@@ -230,7 +212,7 @@ pub(crate) fn reverify_windows(
         flush_gate_obs(session, obs, selector.obs_slug());
         match outcome {
             Ok(result) => {
-                commit(item.slot, result);
+                commit(result);
                 note_reverified(report, obs);
             }
             Err(e) if e.is_backend() => {

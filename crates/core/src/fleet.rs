@@ -24,7 +24,7 @@
 //! Each shard's clock is charged only for its own boxes plus the batching
 //! lane's amortized per-request overhead
 //! ([`tm_reid::BatchConfig::amortized_overhead_ms`]); fleet fan-out never
-//! charges simulated time, exactly as `run_pipeline_parallel` never does.
+//! charges simulated time.
 //!
 //! ## Restart
 //!

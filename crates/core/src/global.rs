@@ -368,9 +368,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 model,
                 session_cost,
                 device,
-                None,
-                None,
-                Some(robustness.retry),
+                robustness.retry,
                 GatePolicy::Off,
             ),
             topology: CameraTopology::new(),
@@ -701,7 +699,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             let counts = (self.pairs_total, self.pairs_admitted);
             let pairs = self.build_pairs(sr.lo, sr.hi, feeds);
             let item = exec::ReverifyItem {
-                slot: sr.round as usize,
                 window_index: sr.round,
                 pairs: &pairs,
             };
@@ -718,7 +715,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 &mut self.breaker,
                 &mut self.counters,
                 &self.obs,
-                |_, result| {
+                |result| {
                     let mut kept = result.candidates;
                     if let Some(threshold) = config.accept_threshold {
                         kept.retain(|p| result.scores.get(p).is_some_and(|&s| s <= threshold));

@@ -35,7 +35,6 @@
 
 pub mod baseline;
 pub mod checkpoint;
-pub mod egreedy;
 mod exec;
 pub mod fleet;
 pub mod global;
@@ -56,7 +55,6 @@ pub mod voi;
 pub mod window;
 
 pub use baseline::Baseline;
-pub use egreedy::{EGreedyConfig, EpsilonGreedy};
 pub use fleet::FleetIngester;
 pub use global::{
     compose_global_mapping, CameraTopology, GlobalConfig, GlobalDecision, GlobalMerger,
@@ -65,8 +63,7 @@ pub use global::{
 pub use lcb::{LcbConfig, LowerConfidenceBound};
 pub use pairs::{all_pairs, build_window_pairs, WindowPairs};
 pub use pipeline::{
-    run_pipeline, run_pipeline_parallel, run_pipeline_with_backend, run_pipeline_with_backend_voi,
-    PipelineConfig, PipelineReport, SelectorKind,
+    run_pipeline, run_pipeline_with_backend, PipelineConfig, PipelineReport, SelectorKind,
 };
 pub use ps::{ProportionalSampling, PsConfig};
 pub use resilience::{

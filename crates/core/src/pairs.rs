@@ -40,6 +40,47 @@ pub fn tracks_in_first_half(tracks: &TrackSet, w: &Window) -> Vec<TrackId> {
     ids
 }
 
+/// `P_c` from `T_c` (`cur_ids`) and `T_{c−1}` (`prev_ids`): every
+/// same-class pair inside `T_c` or across `T_c × T_{c−1}` that `seen` does
+/// not hold yet, in ascending order. The new pairs are added to `seen`, so
+/// no pair is ever examined twice. Shared by [`build_window_pairs`] and
+/// the streaming merger; each finds `T_c` its own way.
+pub(crate) fn window_pair_set(
+    tracks: &TrackSet,
+    cur_ids: &[TrackId],
+    prev_ids: &[TrackId],
+    seen: &mut BTreeSet<TrackPair>,
+) -> Vec<TrackPair> {
+    let mut pairs = Vec::new();
+    let mut push = |a: TrackId, b: TrackId| {
+        let (Some(ta), Some(tb)) = (tracks.get(a), tracks.get(b)) else {
+            return;
+        };
+        if ta.class != tb.class {
+            return;
+        }
+        if let Some(p) = TrackPair::new(a, b) {
+            if seen.insert(p) {
+                pairs.push(p);
+            }
+        }
+    };
+    // Pairs inside T_c.
+    for (i, &a) in cur_ids.iter().enumerate() {
+        for &b in &cur_ids[i + 1..] {
+            push(a, b);
+        }
+    }
+    // Pairs across T_c × T_{c−1}.
+    for &a in cur_ids {
+        for &b in prev_ids {
+            push(a, b);
+        }
+    }
+    pairs.sort();
+    pairs
+}
+
 /// Builds `P_c` for every window of a video.
 ///
 /// Only tracks of equal class are paired — a pedestrian track and a car
@@ -60,33 +101,7 @@ pub fn build_window_pairs(
         idx.overlapping_positions(w.start, w.half_end, &mut positions);
         let mut cur_ids: Vec<TrackId> = positions.iter().map(|&p| idx.track(p).id).collect();
         cur_ids.sort();
-        let mut pairs: Vec<TrackPair> = Vec::new();
-        let mut push = |a: TrackId, b: TrackId, pairs: &mut Vec<TrackPair>| {
-            let (Some(ta), Some(tb)) = (tracks.get(a), tracks.get(b)) else {
-                return;
-            };
-            if ta.class != tb.class {
-                return;
-            }
-            if let Some(p) = TrackPair::new(a, b) {
-                if seen.insert(p) {
-                    pairs.push(p);
-                }
-            }
-        };
-        // Pairs inside T_c.
-        for (i, &a) in cur_ids.iter().enumerate() {
-            for &b in &cur_ids[i + 1..] {
-                push(a, b, &mut pairs);
-            }
-        }
-        // Pairs across T_c × T_{c−1}.
-        for &a in &cur_ids {
-            for &b in &prev_ids {
-                push(a, b, &mut pairs);
-            }
-        }
-        pairs.sort();
+        let pairs = window_pair_set(tracks, &cur_ids, &prev_ids, &mut seen);
         out.push(WindowPairs { window: w, pairs });
         prev_ids = cur_ids;
     }

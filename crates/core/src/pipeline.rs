@@ -1,35 +1,33 @@
-//! The end-to-end ingestion pipeline: window → select candidates → merge.
+//! The offline ingestion pipeline: window → select candidates → merge.
 //!
 //! This is TMerge as deployed (§I, §V-H): a pre-processing step between the
-//! tracker and downstream query processing. The pipeline walks the video's
-//! half-overlapping windows, runs a candidate selector on each window's
-//! pair set (sharing one ReID session per video so features are reused
-//! across windows), optionally verifies candidates (the paper's "further
-//! human inspection" — supplied as a callback), and applies the accepted
-//! merges via union-find.
+//! tracker and downstream query processing. The whole video is known up
+//! front, so the pipeline is a thin wrapper around the one window walk,
+//! [`StreamingMerger`]: a single [`StreamingMerger::finish`] call decides
+//! the video's half-overlapping windows in order of succession (one ReID
+//! session shared across windows, so features are reused), the candidates
+//! are optionally verified (the paper's "further human inspection" —
+//! supplied as a callback), and the accepted merges are applied via
+//! union-find.
 //!
-//! [`run_pipeline_with_backend`] is the fault-tolerant entry point: the
-//! ReID model is reached through an [`InferenceBackend`], failed windows
-//! fall back to degraded spatio-temporal selection behind a circuit
-//! breaker, and degraded windows are re-scored with real ReID once the
-//! backend recovers. [`run_pipeline`] is the same machinery with the model
-//! itself as the (never-failing) backend.
+//! [`run_pipeline_with_backend`] reaches the ReID model through an
+//! [`InferenceBackend`]: failed windows fall back to degraded
+//! spatio-temporal selection behind a circuit breaker and are re-scored
+//! with real ReID once the backend recovers, exactly as on a live stream.
+//! [`run_pipeline`] does the same with the model itself as the
+//! (never-failing) backend.
 
 use crate::baseline::Baseline;
-use crate::exec::{self, ReverifyItem, WindowVerdict};
 use crate::lcb::{LcbConfig, LowerConfidenceBound};
-use crate::pairs::{build_window_pairs, WindowPairs};
 use crate::ps::{ProportionalSampling, PsConfig};
-use crate::resilience::{Breaker, RobustnessConfig, RobustnessReport};
-use crate::selector::{CandidateSelector, SelectionInput};
+use crate::resilience::{RobustnessConfig, RobustnessReport};
+use crate::selector::{CandidateSelector, SelectionInput, SelectionResult};
+use crate::stream::{StreamConfig, StreamingMerger};
 use crate::tmerge::{TMerge, TMergeConfig};
 use crate::union::merge_mapping;
-use crate::voi::{VoiHints, VoiMode};
-use std::sync::Arc;
-use tm_obs::Obs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tm_reid::{
-    AppearanceModel, CostModel, Device, GatePlan, GatePolicy, InferenceBackend, ReidSession,
-    ReidStats, SharedFeatureCache,
+    AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession, ReidStats,
 };
 use tm_types::{Result, TrackPair, TrackSet};
 
@@ -101,10 +99,6 @@ pub struct PipelineConfig {
     /// Selective feature extraction (DESIGN.md §14). `Off` (the default)
     /// is bit-identical to the pre-gating pipeline.
     pub gate: GatePolicy,
-    /// Query-driven value-of-information mode (DESIGN.md §17). `Off` (the
-    /// default) is bit-identical to the query-agnostic pipeline; `Reweight`
-    /// consumes attached [`VoiHints`] in the selectors.
-    pub voi: VoiMode,
 }
 
 impl Default for PipelineConfig {
@@ -117,7 +111,6 @@ impl Default for PipelineConfig {
             device: Device::Cpu,
             cost: CostModel::calibrated(),
             gate: GatePolicy::Off,
-            voi: VoiMode::Off,
         }
     }
 }
@@ -127,7 +120,9 @@ impl Default for PipelineConfig {
 pub struct PipelineReport {
     /// The corrected track set (candidates merged).
     pub merged: TrackSet,
-    /// Every candidate pair the selector proposed, across windows.
+    /// Every candidate pair the selector proposed: the committed pairs in
+    /// commit order, then the pairs of windows still provisional (degraded
+    /// and never re-verified). On a fault-free run that is window order.
     pub candidates: Vec<TrackPair>,
     /// Candidates that survived verification and were merged.
     pub accepted: Vec<TrackPair>,
@@ -179,72 +174,49 @@ pub fn run_pipeline(
     )
 }
 
-/// Re-scores still-degraded windows with the (recovered) backend, in window
-/// order, at the session's current epoch (the window walk shared with the
-/// streaming merger lives in `crate::exec`). A window that fails again —
-/// along with every window after it — stays provisional in `stash`.
-#[allow(clippy::too_many_arguments)]
-fn reverify_pending(
-    stash: &mut Vec<usize>,
-    windows: &[WindowPairs],
-    tracks: &TrackSet,
-    k: f64,
-    selector: &dyn CandidateSelector,
-    session: &mut ReidSession<'_>,
-    breaker: &mut Breaker,
-    slots: &mut [Vec<TrackPair>],
-    distance_evals: &mut u64,
-    report: &mut RobustnessReport,
-    obs: &Obs,
-) -> Result<()> {
-    let pending: Vec<ReverifyItem<'_>> = std::mem::take(stash)
-        .into_iter()
-        .map(|wi| ReverifyItem {
-            slot: wi,
-            window_index: windows[wi].window.index as u64,
-            pairs: &windows[wi].pairs,
-        })
-        .collect();
-    let committed = exec::reverify_windows(
-        &pending,
-        tracks,
-        k,
-        selector,
-        session,
-        breaker,
-        report,
-        obs,
-        |slot, r| {
-            *distance_evals += r.distance_evals;
-            slots[slot] = r.candidates;
-        },
-    )?;
-    // Whatever the renewed failure left unverified keeps its provisional
-    // degraded candidates.
-    stash.extend(pending[committed..].iter().map(|item| item.slot));
-    Ok(())
+/// Counts the distance evaluations of successful selections — the
+/// report's `distance_evals`, which the merger itself does not keep.
+struct CountingSelector {
+    inner: Box<dyn CandidateSelector>,
+    distance_evals: AtomicU64,
+}
+
+impl CandidateSelector for CountingSelector {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn obs_slug(&self) -> &'static str {
+        self.inner.obs_slug()
+    }
+
+    fn select(
+        &self,
+        input: &SelectionInput<'_>,
+        session: &mut ReidSession<'_>,
+    ) -> Result<SelectionResult> {
+        let result = self.inner.select(input, session)?;
+        self.distance_evals
+            .fetch_add(result.distance_evals, Ordering::Relaxed);
+        Ok(result)
+    }
 }
 
 /// Runs the merging pipeline against a fallible [`InferenceBackend`].
 ///
-/// Per window the session's fault epoch is set to the window index, so a
-/// deterministic fault plan (see `tm-chaos`) addresses faults to specific
-/// windows. When a window's selection fails on the backend even after the
-/// session's retry budget:
-///
-/// 1. the window falls back to [`degraded_candidates`] (spatio-temporal
-///    evidence only) and is stashed,
-/// 2. after `robustness.breaker_threshold` consecutive such failures the
-///    circuit breaker opens and later windows skip straight to the degraded
-///    path (no retry storms against a dead backend),
-/// 3. each subsequent window probes availability; on recovery the stashed
-///    windows are re-scored with real ReID — selectors are stateless and
-///    seeded per window, so re-scoring reproduces exactly what the healthy
-///    run would have chosen — before the walk continues.
-///
-/// Still-degraded windows at end of video get one final recovery attempt;
-/// whatever remains provisional is merged on degraded evidence (and counted
-/// in [`RobustnessReport::degraded_windows`] minus `reverified_windows`).
+/// The whole video goes through one [`StreamingMerger`], so faults are
+/// handled exactly as on a live stream: the window index is the session's
+/// fault epoch (a deterministic `tm-chaos` fault plan addresses faults to
+/// specific windows); a window whose selection fails even after the
+/// session's retry budget falls back to spatio-temporal candidates and is
+/// stashed; after `robustness.breaker_threshold` consecutive failures the
+/// circuit breaker opens and later windows skip straight to the degraded
+/// path; once the backend answers again the stashed windows are re-scored
+/// with real ReID — selectors are stateless and seeded per window, so
+/// re-scoring reproduces what a healthy run would have chosen. Windows
+/// still degraded at the end of the video get one final recovery attempt;
+/// whatever remains provisional is merged on degraded evidence (counted in
+/// [`RobustnessReport::degraded_windows`] minus `reverified_windows`).
 pub fn run_pipeline_with_backend<'m>(
     tracks: &TrackSet,
     n_frames: u64,
@@ -254,316 +226,44 @@ pub fn run_pipeline_with_backend<'m>(
     backend: &'m dyn InferenceBackend,
     robustness: &RobustnessConfig,
 ) -> Result<PipelineReport> {
-    run_pipeline_with_backend_voi(
-        tracks, n_frames, model, config, verifier, backend, robustness, None,
-    )
-}
-
-/// [`run_pipeline_with_backend`] with query-driven [`VoiHints`] attached.
-///
-/// The hints reweight (and defer) bandit arms only when `config.voi` is
-/// [`VoiMode::Reweight`]; with `VoiMode::Off` they are ignored entirely, so
-/// a caller can always attach them unconditionally. Degraded-window
-/// re-verification stays hint-free: recovered windows are re-scored at full
-/// fidelity, exactly as a healthy query-agnostic run would have.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_with_backend_voi<'m>(
-    tracks: &TrackSet,
-    n_frames: u64,
-    model: &'m AppearanceModel,
-    config: &PipelineConfig,
-    verifier: Option<&dyn Fn(&TrackPair) -> bool>,
-    backend: &'m dyn InferenceBackend,
-    robustness: &RobustnessConfig,
-    voi_hints: Option<&VoiHints>,
-) -> Result<PipelineReport> {
-    tracks.validate()?;
-    let voi_active = match config.voi {
-        VoiMode::Reweight => voi_hints,
-        VoiMode::Off => None,
+    let run_span = tm_obs::current().span("pipeline.run", 0.0);
+    let selector = CountingSelector {
+        inner: config.selector.build(),
+        distance_evals: AtomicU64::new(0),
     };
-    let obs = tm_obs::current();
-    let run_span = obs.span("pipeline.run", 0.0);
-    let windows = build_window_pairs(tracks, n_frames, config.window_len)?;
-    let selector = config.selector.build();
-    let mut session = exec::window_session(
-        model,
-        config.cost,
-        config.device,
-        None,
-        Some(backend),
-        Some(robustness.retry),
-        config.gate,
-    );
-    // The whole video is known up front, so the gate plans every box once
-    // (free: planning charges nothing).
-    session.gate_update_plan(tracks);
+    let stream_config = StreamConfig {
+        window_len: config.window_len,
+        k: config.k,
+        gate: config.gate,
+        ..StreamConfig::default()
+    };
+    let mut merger =
+        StreamingMerger::new(model, config.cost, config.device, selector, stream_config)?
+            .with_backend(backend)
+            .with_robustness(*robustness);
+    merger.finish(tracks, n_frames)?;
 
-    let mut breaker = Breaker::new(robustness.breaker_threshold);
-    let mut report = RobustnessReport::default();
-    // One candidate slot per window: late re-verification can replace a
-    // degraded decision without disturbing candidate order.
-    let mut slots: Vec<Vec<TrackPair>> = vec![Vec::new(); windows.len()];
-    let mut stash: Vec<usize> = Vec::new();
-    let mut n_pairs = 0usize;
-    let mut distance_evals = 0u64;
-
-    for (wi, wp) in windows.iter().enumerate() {
-        if wp.pairs.is_empty() {
-            continue;
-        }
-        let wspan = obs.span("pipeline.window", session.elapsed_ms());
-        n_pairs += wp.pairs.len();
-        session.set_epoch(wp.window.index as u64);
-        if breaker.is_open() && session.backend_available() {
-            breaker.close();
-            exec::emit_breaker_recovery(&obs, wp.window.index as u64);
-            reverify_pending(
-                &mut stash,
-                &windows,
-                tracks,
-                config.k,
-                selector.as_ref(),
-                &mut session,
-                &mut breaker,
-                &mut slots,
-                &mut distance_evals,
-                &mut report,
-                &obs,
-            )?;
-        }
-        let input = SelectionInput {
-            pairs: &wp.pairs,
-            tracks,
-            k: config.k,
-            voi: voi_active,
-        };
-        let degraded = match exec::select_or_degrade(
-            selector.as_ref(),
-            &input,
-            &mut session,
-            &mut breaker,
-            &mut report,
-            robustness,
-            &obs,
-            wp.window.index as u64,
-        )? {
-            WindowVerdict::Normal(r) => {
-                distance_evals += r.distance_evals;
-                slots[wi] = r.candidates;
-                false
-            }
-            WindowVerdict::Degraded(provisional) => {
-                slots[wi] = provisional;
-                stash.push(wi);
-                true
-            }
-        };
-        exec::emit_window_obs(
-            &obs,
-            wp.window.index as u64,
-            wp.pairs.len(),
-            &slots[wi],
-            degraded,
-        );
-        wspan.finish(session.elapsed_ms());
-    }
-
-    // End-of-video recovery attempt for whatever is still provisional.
-    if !stash.is_empty() {
-        session.set_epoch(windows.len() as u64);
-        if session.backend_available() {
-            if breaker.is_open() {
-                exec::emit_breaker_recovery(&obs, windows.len() as u64);
-            }
-            breaker.close();
-            reverify_pending(
-                &mut stash,
-                &windows,
-                tracks,
-                config.k,
-                selector.as_ref(),
-                &mut session,
-                &mut breaker,
-                &mut slots,
-                &mut distance_evals,
-                &mut report,
-                &obs,
-            )?;
-        }
-    }
-
-    let candidates: Vec<TrackPair> = slots.into_iter().flatten().collect();
+    let candidates: Vec<TrackPair> = merger
+        .accepted()
+        .iter()
+        .chain(merger.provisional())
+        .copied()
+        .collect();
     let accepted: Vec<TrackPair> = match verifier {
         Some(v) => candidates.iter().filter(|p| v(p)).copied().collect(),
         None => candidates.clone(),
     };
-    let mapping = merge_mapping(&accepted);
-    let merged = tracks.relabeled(&mapping);
-
-    let stats = session.stats();
-    report.retries = stats.retries;
-    report.backend_faults = stats.backend_faults;
-    run_span.finish(session.elapsed_ms());
+    let merged = tracks.relabeled(&merge_mapping(&accepted));
+    run_span.finish(merger.elapsed_ms());
     Ok(PipelineReport {
         merged,
         candidates,
         accepted,
-        n_pairs,
-        distance_evals,
-        elapsed_ms: session.elapsed_ms(),
-        stats,
-        robustness: report,
-    })
-}
-
-/// What one window's worker produced (folded in window order afterwards).
-struct WindowOutcome {
-    candidates: Vec<TrackPair>,
-    n_pairs: usize,
-    distance_evals: u64,
-    elapsed_ms: f64,
-    stats: ReidStats,
-}
-
-/// Runs the merging pipeline with the windows fanned out over threads
-/// (`TMERGE_THREADS`, see `tm_par`).
-///
-/// Each window gets its own [`ReidSession`], all reading through one
-/// [`SharedFeatureCache`] — the parallel analogue of the serial pipeline's
-/// single cross-window session. Results are folded in **window order**, so
-/// candidate order matches [`run_pipeline`] exactly.
-///
-/// ## Cost-accounting semantics
-///
-/// Every window runs against its own simulated clock; the report's
-/// `elapsed_ms` is the **sum** of the per-window clocks — i.e. total
-/// simulated work, directly comparable to the serial pipeline's clock, not
-/// a parallel wall-clock estimate. Each distinct box is inferred (and
-/// charged) exactly once across all windows — the first session to request
-/// it pays, racers reuse it for free — so on CPU, where inference cost is
-/// linear per item, the summed clock is identical to the serial run's. On
-/// GPU, *which* window's round a feature lands in depends on scheduling,
-/// so the round count (and the summed per-round launch overhead) can
-/// differ from the serial run by at most one overhead per window.
-/// Candidates, distance evaluations and total inference counts are
-/// scheduling-independent: features are deterministic in (actor, frame),
-/// so every selector sees the same distances regardless of which session
-/// computed the underlying features.
-pub fn run_pipeline_parallel(
-    tracks: &TrackSet,
-    n_frames: u64,
-    model: &AppearanceModel,
-    config: &PipelineConfig,
-    verifier: Option<&dyn Fn(&TrackPair) -> bool>,
-) -> Result<PipelineReport> {
-    tracks.validate()?;
-    let obs = tm_obs::current();
-    let run_span = obs.span("pipeline.run", 0.0);
-    let windows = build_window_pairs(tracks, n_frames, config.window_len)?;
-    let selector = config.selector.build();
-    // Sized for the worker fan-out: each thread runs one window session
-    // against the shared cache at a time.
-    let cache = Arc::new(SharedFeatureCache::for_fleet_width(tm_par::max_threads()));
-    // Plan the whole video once; every window worker gets a copy, so gated
-    // decisions are identical to the serial walk's regardless of thread
-    // count or window order.
-    let gate_plan = config.gate.config().map(|cfg| {
-        let mut plan = GatePlan::default();
-        plan.update(tracks, cfg);
-        plan
-    });
-
-    // Per-window counters fan out with the windows; the recorder's
-    // aggregates are commutative, so these counts (windows, pairs,
-    // candidates) are identical at any thread count. The *session* cache
-    // counters are not: which racer scores a shared-cache hit is
-    // scheduling-dependent, which is why deterministic snapshot tests pin
-    // private-session runs, not this entry point.
-    let outcomes = tm_par::par_map(&windows, |wp| {
-        if wp.pairs.is_empty() {
-            return None;
-        }
-        let obs = tm_obs::current();
-        let wspan = obs.span("pipeline.window", 0.0);
-        let mut session = exec::window_session(
-            model,
-            config.cost,
-            config.device,
-            Some(Arc::clone(&cache)),
-            None,
-            None,
-            config.gate,
-        );
-        if let Some(plan) = &gate_plan {
-            session.set_gate_plan(plan);
-        }
-        let input = SelectionInput {
-            pairs: &wp.pairs,
-            tracks,
-            k: config.k,
-            voi: None,
-        };
-        let outcome = selector.select(&input, &mut session);
-        exec::flush_gate_obs(&mut session, &obs, selector.obs_slug());
-        Some(outcome.map(|result| {
-            if obs.enabled() {
-                obs.counter("pipeline.windows", 1);
-                obs.counter("pipeline.pairs", wp.pairs.len() as u64);
-                obs.counter("pipeline.candidates", result.candidates.len() as u64);
-            }
-            wspan.finish(session.elapsed_ms());
-            WindowOutcome {
-                candidates: result.candidates,
-                n_pairs: wp.pairs.len(),
-                distance_evals: result.distance_evals,
-                elapsed_ms: session.elapsed_ms(),
-                stats: session.stats(),
-            }
-        }))
-    });
-
-    // Window-ordered fold: identical aggregation order to the serial walk.
-    let mut candidates = Vec::new();
-    let mut n_pairs = 0usize;
-    let mut distance_evals = 0u64;
-    let mut elapsed_ms = 0.0f64;
-    let mut stats = ReidStats::default();
-    for outcome in outcomes.into_iter().flatten() {
-        let outcome = outcome?;
-        candidates.extend(outcome.candidates);
-        n_pairs += outcome.n_pairs;
-        distance_evals += outcome.distance_evals;
-        elapsed_ms += outcome.elapsed_ms;
-        stats.inferences += outcome.stats.inferences;
-        stats.cache_hits += outcome.stats.cache_hits;
-        stats.distances += outcome.stats.distances;
-        stats.gpu_rounds += outcome.stats.gpu_rounds;
-        stats.retries += outcome.stats.retries;
-        stats.backend_faults += outcome.stats.backend_faults;
-    }
-
-    let accepted: Vec<TrackPair> = match verifier {
-        Some(v) => candidates.iter().filter(|p| v(p)).copied().collect(),
-        None => candidates.clone(),
-    };
-    let mapping = merge_mapping(&accepted);
-    let merged = tracks.relabeled(&mapping);
-
-    run_span.finish(elapsed_ms);
-    Ok(PipelineReport {
-        merged,
-        candidates,
-        accepted,
-        n_pairs,
-        distance_evals,
-        elapsed_ms,
-        stats,
-        robustness: RobustnessReport {
-            retries: stats.retries,
-            backend_faults: stats.backend_faults,
-            ..RobustnessReport::default()
-        },
+        n_pairs: merger.decisions().iter().map(|d| d.n_pairs).sum(),
+        distance_evals: merger.selector.distance_evals.load(Ordering::Relaxed),
+        elapsed_ms: merger.elapsed_ms(),
+        stats: merger.reid_stats(),
+        robustness: merger.robustness(),
     })
 }
 
@@ -612,7 +312,6 @@ mod tests {
             device: Device::Cpu,
             cost: CostModel::calibrated(),
             gate: GatePolicy::Off,
-            voi: VoiMode::Off,
         }
     }
 
@@ -672,34 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pipeline_matches_serial() {
-        let (model, tracks) = fixture();
-        let mut cfg = config();
-        cfg.window_len = 100; // several half-overlapping windows
-        let serial = run_pipeline(&tracks, 200, &model, &cfg, None).unwrap();
-        std::env::set_var(tm_par::THREADS_ENV, "4");
-        let parallel = run_pipeline_parallel(&tracks, 200, &model, &cfg, None).unwrap();
-        std::env::remove_var(tm_par::THREADS_ENV);
-        assert_eq!(serial.candidates, parallel.candidates);
-        assert_eq!(serial.accepted, parallel.accepted);
-        assert_eq!(serial.n_pairs, parallel.n_pairs);
-        assert_eq!(serial.distance_evals, parallel.distance_evals);
-        // The shared cache charges each distinct box exactly once globally,
-        // like the serial session's cross-window reuse.
-        assert_eq!(serial.stats.inferences, parallel.stats.inferences);
-        assert_eq!(serial.stats.distances, parallel.stats.distances);
-        // CPU inference cost is linear per item, so the summed per-window
-        // clocks reproduce the serial clock (up to float association).
-        assert!(
-            (serial.elapsed_ms - parallel.elapsed_ms).abs() < 1e-6,
-            "serial {} vs parallel {}",
-            serial.elapsed_ms,
-            parallel.elapsed_ms
-        );
-        assert_eq!(serial.merged.len(), parallel.merged.len());
-    }
-
-    #[test]
     fn gated_pipeline_keeps_candidates_and_cuts_inferences() {
         let (model, tracks) = fixture();
         let ungated = run_pipeline(&tracks, 200, &model, &config(), None).unwrap();
@@ -719,39 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn gated_parallel_pipeline_matches_gated_serial() {
-        let (model, tracks) = fixture();
-        let mut cfg = config();
-        cfg.window_len = 100;
-        cfg.gate = GatePolicy::On(tm_reid::GateConfig::default());
-        let serial = run_pipeline(&tracks, 200, &model, &cfg, None).unwrap();
-        std::env::set_var(tm_par::THREADS_ENV, "4");
-        let parallel = run_pipeline_parallel(&tracks, 200, &model, &cfg, None).unwrap();
-        std::env::remove_var(tm_par::THREADS_ENV);
-        assert_eq!(serial.candidates, parallel.candidates);
-        assert_eq!(serial.n_pairs, parallel.n_pairs);
-        assert_eq!(serial.distance_evals, parallel.distance_evals);
-        // Anchors are charged exactly once globally either way.
-        assert_eq!(serial.stats.inferences, parallel.stats.inferences);
-        assert!(
-            (serial.elapsed_ms - parallel.elapsed_ms).abs() < 1e-6,
-            "serial {} vs parallel {}",
-            serial.elapsed_ms,
-            parallel.elapsed_ms
-        );
-    }
-
-    #[test]
-    fn parallel_pipeline_applies_verifier() {
-        let (model, tracks) = fixture();
-        let reject_all = |_: &TrackPair| false;
-        let report =
-            run_pipeline_parallel(&tracks, 200, &model, &config(), Some(&reject_all)).unwrap();
-        assert!(report.accepted.is_empty());
-        assert_eq!(report.merged.len(), tracks.len());
-    }
-
-    #[test]
     fn empty_track_set_is_fine() {
         let (model, _) = fixture();
         let report = run_pipeline(&TrackSet::new(), 200, &model, &config(), None).unwrap();
@@ -768,8 +406,6 @@ mod tests {
             vec![TrackBox::new(FrameIdx(0), BBox::new(0.0, 0.0, -5.0, 10.0))],
         )]);
         let err = run_pipeline(&bad, 200, &model, &config(), None);
-        assert!(matches!(err, Err(tm_types::TmError::InvalidTrack { .. })));
-        let err = run_pipeline_parallel(&bad, 200, &model, &config(), None);
         assert!(matches!(err, Err(tm_types::TmError::InvalidTrack { .. })));
     }
 }

@@ -235,9 +235,8 @@ fn stage_group<'t, 'ar>(
 /// Packs every not-yet-stored group track's features into `store`, reading
 /// the session cache warmed by the ensure step. `strict` marks the
 /// reference path, where a cache miss after an infallible ensure is a bug;
-/// the optimized path falls back to a charged single extraction so the
-/// scorer total stays correct even if a shared cache was drained between
-/// the ensure and this read.
+/// the optimized path falls back to a charged single extraction, so the
+/// scorer total stays correct even on such a miss.
 fn pack_group(
     resolved: &[PairBoxes<'_>],
     store: &mut DenseStore,

@@ -54,8 +54,9 @@ pub struct SelectionResult {
 /// and carries all cost accounting; selectors must route every model
 /// invocation through it.
 ///
-/// Selectors are `Send + Sync` so the parallel pipeline and the experiment
-/// engine can share one boxed selector across worker threads. All mutable
+/// Selectors are `Send + Sync` so the experiment engine can share one
+/// selector across its per-video workers and a fleet can advance its
+/// shards, selectors included, on worker threads. All mutable
 /// per-run state (RNGs, posteriors) lives inside `select`, which seeds a
 /// fresh RNG from the configured seed per call — so a shared selector is
 /// indistinguishable from a per-thread instance. That statelessness is also

@@ -1,12 +1,14 @@
 //! Streaming ingestion: process an unbounded video feed window by window.
 //!
 //! §II frames the video as potentially unbounded, with windows processed
-//! "in order of succession" during metadata extraction. The offline
-//! [`crate::run_pipeline`] needs the whole video; [`StreamingMerger`] is
-//! the online counterpart: feed it the tracker's output as frames arrive,
-//! and it runs candidate selection for each window as soon as that window
-//! has fully elapsed, maintaining the cross-window pair deduplication and a
-//! running union-find of accepted merges.
+//! "in order of succession" during metadata extraction. [`StreamingMerger`]
+//! is the one window walk of the crate: feed it the tracker's output as
+//! frames arrive, and it runs candidate selection for each window as soon
+//! as that window has fully elapsed, maintaining the cross-window pair
+//! deduplication and a running union-find of accepted merges. The offline
+//! [`crate::run_pipeline`] hands it a whole video in one
+//! [`StreamingMerger::finish`] call, and [`crate::FleetIngester`] runs one
+//! merger per stream.
 //!
 //! The decisions are *incremental*: after any `advance` call you can ask
 //! for the current id [`StreamingMerger::mapping`] and relabel the metadata
@@ -25,7 +27,7 @@
 //! ingester at the last completed window with byte-identical results.
 
 use crate::exec::{self, ReverifyItem, WindowVerdict};
-use crate::pairs::tracks_in_first_half;
+use crate::pairs::{tracks_in_first_half, window_pair_set};
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
 use crate::union::UnionFind;
@@ -36,9 +38,8 @@ use tm_obs::Obs;
 use tm_reid::{AppearanceModel, GatePolicy, InferenceBackend, ReidSession};
 use tm_types::{FrameIdx, Result, TmError, TrackId, TrackPair, TrackSet};
 
-/// Configuration of the streaming merger (mirrors
-/// [`crate::PipelineConfig`] minus the device/cost, which live on the
-/// session).
+/// Configuration of the streaming merger (the selector, device and cost
+/// model are [`StreamingMerger::new`] arguments).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
     /// Window length `L` (frames, even, ≥ 2·L_max).
@@ -203,9 +204,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 model,
                 session_cost,
                 device,
-                None,
-                None,
-                Some(robustness.retry),
+                robustness.retry,
                 config.gate,
             ),
             next_window: 0,
@@ -312,12 +311,17 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         Ok(out)
     }
 
-    /// Flushes the final (possibly partial) window at end of stream, then
-    /// makes one last recovery attempt for any still-degraded windows.
+    /// Decides every window that starts before `total_frames` at end of
+    /// stream — the windows still open are clipped to the stream (with
+    /// half-overlapping windows there can be two) — then makes one last
+    /// recovery attempt for any still-degraded windows.
     pub fn finish(&mut self, tracks: &TrackSet, total_frames: u64) -> Result<Vec<WindowDecision>> {
         let mut out = self.advance(tracks, total_frames)?;
-        let w = self.window(self.next_window);
-        if w.start.get() < total_frames {
+        loop {
+            let w = self.window(self.next_window);
+            if w.start.get() >= total_frames {
+                break;
+            }
             let clipped = Window {
                 end: FrameIdx(total_frames.min(w.end.get())),
                 half_end: FrameIdx(total_frames.min(w.half_end.get())),
@@ -365,33 +369,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             }
         }
         let cur_ids = tracks_in_first_half(tracks, &w);
-        let mut pairs: Vec<TrackPair> = Vec::new();
-        {
-            let mut push = |a: TrackId, b: TrackId| {
-                let (Some(ta), Some(tb)) = (tracks.get(a), tracks.get(b)) else {
-                    return;
-                };
-                if ta.class != tb.class {
-                    return;
-                }
-                if let Some(p) = TrackPair::new(a, b) {
-                    if self.seen.insert(p) {
-                        pairs.push(p);
-                    }
-                }
-            };
-            for (i, &a) in cur_ids.iter().enumerate() {
-                for &b in &cur_ids[i + 1..] {
-                    push(a, b);
-                }
-            }
-            for &a in &cur_ids {
-                for &b in &self.prev_ids {
-                    push(a, b);
-                }
-            }
-        }
-        pairs.sort();
+        let pairs = window_pair_set(tracks, &cur_ids, &self.prev_ids, &mut self.seen);
         self.prev_ids = cur_ids;
 
         let (candidates, mode) = if pairs.is_empty() {
@@ -481,7 +459,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         let items: Vec<ReverifyItem<'_>> = pending
             .iter()
             .map(|sw| ReverifyItem {
-                slot: sw.window.index,
                 window_index: sw.window.index as u64,
                 pairs: &sw.pairs,
             })
@@ -497,7 +474,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             &mut self.breaker,
             &mut self.counters,
             &self.obs,
-            |_, r| {
+            |r| {
                 for p in &r.candidates {
                     uf.union(p.lo(), p.hi());
                     merged_ids.push(*p);
@@ -517,9 +494,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             return crate::union::merge_mapping(&self.merged_ids);
         }
         let mut all = self.merged_ids.clone();
-        for sw in &self.stash {
-            all.extend_from_slice(&sw.provisional);
-        }
+        all.extend(self.provisional());
         crate::union::merge_mapping(&all)
     }
 
@@ -527,6 +502,12 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     /// merges awaiting re-verification).
     pub fn accepted(&self) -> &[TrackPair] {
         &self.merged_ids
+    }
+
+    /// The provisional candidates of the stashed (degraded, not yet
+    /// re-verified) windows, in stash order.
+    pub(crate) fn provisional(&self) -> impl Iterator<Item = &TrackPair> {
+        self.stash.iter().flat_map(|sw| &sw.provisional)
     }
 
     /// Every decision emitted so far, in window order.
@@ -1028,7 +1009,6 @@ mod tests {
                 device: Device::Cpu,
                 cost: CostModel::calibrated(),
                 gate: GatePolicy::Off,
-                voi: VoiMode::Off,
             },
             None,
         )
@@ -1078,7 +1058,6 @@ mod tests {
                 device: Device::Cpu,
                 cost: CostModel::calibrated(),
                 gate,
-                voi: VoiMode::Off,
             },
             None,
         )

@@ -165,7 +165,6 @@ fn pipeline_survives_track_set_of_one() {
             device: Device::Cpu,
             cost: CostModel::calibrated(),
             gate: tm_reid::GatePolicy::Off,
-            voi: tm_core::VoiMode::Off,
         },
         None,
     )

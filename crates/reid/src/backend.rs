@@ -93,12 +93,13 @@ impl BackendReply {
 
 /// A (possibly unreliable) feature-extraction service.
 ///
-/// `Sync` because the parallel pipeline shares one backend across
-/// per-window sessions, exactly as it shares the appearance model.
+/// `Sync` because fleet shards hold a `&dyn InferenceBackend` while they
+/// advance on worker threads, and streams may share one backend exactly as
+/// they share the appearance model.
 pub trait InferenceBackend: std::fmt::Debug + Sync {
     /// Runs the model on one box. Implementations must be deterministic in
     /// `(tb, at)` — same attempt, same reply — or cross-run reproducibility
-    /// guarantees (serial/parallel identity, checkpoint resume) break.
+    /// guarantees (thread-count identity, checkpoint resume) break.
     fn try_observe(&self, tb: &TrackBox, at: &Attempt) -> BackendReply;
 
     /// Whether the backend is accepting work during `epoch`. The merging

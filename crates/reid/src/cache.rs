@@ -1,13 +1,12 @@
-//! A sharded, read-through feature cache shared by concurrent sessions.
+//! A sharded, read-through feature cache shared by concurrent threads.
 //!
-//! The parallel pipeline (`tm_core::run_pipeline_parallel`) gives every
-//! window its own [`crate::ReidSession`] but lets all of them share one
-//! `SharedFeatureCache`, mirroring the serial pipeline's cross-window
-//! feature reuse (§IV-B). Each in-flight slot is a once-cell: the first
-//! session to miss a key computes (and is charged for) the feature while
-//! concurrent requesters for the same key block briefly and then reuse it
-//! for free — so every distinct box is inferred, and charged, exactly once
-//! per cache, just as in the serial run.
+//! The fleet's cross-stream [`crate::BatchScheduler`] keeps one
+//! `SharedFeatureCache` behind all of its lanes, so a box that several
+//! streams miss is inferred once fleet-wide — the cross-stream analogue of
+//! a session's own feature reuse (§IV-B). Each in-flight slot is a
+//! once-cell: the first requester of a key computes the feature while
+//! concurrent requesters for the same key block briefly and then reuse it,
+//! so every distinct key is computed exactly once per cache.
 //!
 //! ## Two tiers: frozen and live
 //!

@@ -7,23 +7,15 @@
 //! simulated clock for every inference, distance and GPU round, so the
 //! experiment harness can report Runtime/FPS deterministically.
 //!
-//! ## Cache backends and cost semantics
+//! ## Cache and cost semantics
 //!
-//! A session caches features either **privately** (the default: one
-//! `HashMap` owned by the session, exactly the serial semantics the
-//! experiments are calibrated against) or through a **shared**
-//! [`SharedFeatureCache`] (`ReidSession::with_shared_cache`), which is how
-//! `tm_core::run_pipeline_parallel` gives concurrent per-window sessions
-//! the serial pipeline's cross-window reuse. With a shared cache, each
-//! distinct box is inferred — and its inference cost charged — exactly
-//! once across *all* participating sessions (the computing session pays;
-//! racers block on the slot and then reuse for free, counted as cache
-//! hits). Summing the per-window clocks therefore reproduces the serial
-//! pipeline's total inference cost on CPU exactly; on GPU, *which* window
-//! pays a round's launch overhead (and hence the round count) can shift
-//! with scheduling, bounding the total's wobble by one launch overhead per
-//! window.
-
+//! A session owns its feature cache: one `HashMap` per session, the
+//! serial semantics the experiments are calibrated against. Each distinct
+//! box is inferred — and its inference cost charged — once per session;
+//! every later request for it is a free cache hit. Sharing features
+//! *across* sessions is the batching layer's job ([`crate::batch`]), which
+//! sits behind the [`InferenceBackend`]: a session still charges every
+//! extraction it requests.
 //!
 //! ## Fallible extraction
 //!
@@ -39,7 +31,6 @@
 
 use crate::appearance::AppearanceModel;
 use crate::backend::{Attempt, InferenceBackend, RetryPolicy};
-use crate::cache::SharedFeatureCache;
 use crate::cost::{CostModel, Device, ReidStats, SimClock};
 use crate::feature::Feature;
 use crate::gate::{GateConfig, GateDecision, GatePlan, GatePolicy, GateStats, TrackPlan};
@@ -120,15 +111,6 @@ struct GateBatch {
     deferred: Vec<(TrackBox, BoxKey)>,
 }
 
-/// Where a session's features live (see the module docs).
-#[derive(Debug, Clone)]
-enum CacheBackend {
-    /// Session-owned map; `Arc` so cache hits are allocation-free.
-    Private(HashMap<BoxKey, Arc<Feature>>),
-    /// A cache shared with other sessions (cloning the session shares it).
-    Shared(Arc<SharedFeatureCache>),
-}
-
 /// A stateful ReID session over one processing unit (typically one window).
 #[derive(Debug, Clone)]
 pub struct ReidSession<'m> {
@@ -139,7 +121,9 @@ pub struct ReidSession<'m> {
     cost: CostModel,
     device: Device,
     clock: SimClock,
-    cache: CacheBackend,
+    /// Session-owned feature cache; `Arc` so cache hits are
+    /// allocation-free.
+    cache: HashMap<BoxKey, Arc<Feature>>,
     stats: ReidStats,
     obs: Obs,
     /// Reused dedup set for the miss-collection paths, so steady-state
@@ -152,7 +136,7 @@ pub struct ReidSession<'m> {
 }
 
 impl<'m> ReidSession<'m> {
-    /// Opens a session with a private feature cache. The backend defaults
+    /// Opens a session with an empty feature cache. The backend defaults
     /// to the model itself (infallible); see [`ReidSession::with_backend`].
     pub fn new(model: &'m AppearanceModel, cost: CostModel, device: Device) -> Self {
         Self {
@@ -163,32 +147,7 @@ impl<'m> ReidSession<'m> {
             cost,
             device,
             clock: SimClock::new(),
-            cache: CacheBackend::Private(HashMap::new()),
-            stats: ReidStats::default(),
-            obs: tm_obs::current(),
-            scratch_seen: HashSet::new(),
-            gate: None,
-        }
-    }
-
-    /// Opens a session whose features are read through (and published to)
-    /// a cache shared with other sessions. See the module docs for the
-    /// cost-accounting semantics.
-    pub fn with_shared_cache(
-        model: &'m AppearanceModel,
-        cost: CostModel,
-        device: Device,
-        cache: Arc<SharedFeatureCache>,
-    ) -> Self {
-        Self {
-            model,
-            backend: model,
-            retry: RetryPolicy::default(),
-            epoch: 0,
-            cost,
-            device,
-            clock: SimClock::new(),
-            cache: CacheBackend::Shared(cache),
+            cache: HashMap::new(),
             stats: ReidStats::default(),
             obs: tm_obs::current(),
             scratch_seen: HashSet::new(),
@@ -241,15 +200,6 @@ impl<'m> ReidSession<'m> {
     pub fn gate_update_plan(&mut self, tracks: &TrackSet) {
         if let Some(rt) = &mut self.gate {
             rt.plan.update(tracks, &rt.config);
-        }
-    }
-
-    /// Replaces the gate's plan with a pre-built one (no-op when the gate
-    /// is off). The parallel pipeline plans the video once and hands each
-    /// window worker a copy instead of re-planning per window.
-    pub fn set_gate_plan(&mut self, plan: &GatePlan) {
-        if let Some(rt) = &mut self.gate {
-            rt.plan = plan.clone();
         }
     }
 
@@ -379,10 +329,7 @@ impl<'m> ReidSession<'m> {
 
     /// Cache lookup without any charging.
     fn cache_get(&self, key: &BoxKey) -> Option<Arc<Feature>> {
-        match &self.cache {
-            CacheBackend::Private(map) => map.get(key).cloned(),
-            CacheBackend::Shared(cache) => cache.get(key),
-        }
+        self.cache.get(key).cloned()
     }
 
     /// Extracts (or reuses) the feature for one box, charging inference cost
@@ -400,26 +347,10 @@ impl<'m> ReidSession<'m> {
             self.gate_infer(batch);
             return self.cached_or_recompute(key, tb);
         }
-        match &mut self.cache {
-            CacheBackend::Private(map) => {
-                let f = Arc::new(self.model.observe_track_box(tb));
-                map.insert(key, Arc::clone(&f));
-                self.charge_inference_round(1);
-                f
-            }
-            CacheBackend::Shared(cache) => {
-                let model = self.model;
-                let (f, computed) = cache.get_or_compute(key, || model.observe_track_box(tb));
-                if computed {
-                    self.charge_inference_round(1);
-                } else {
-                    // Another session computed it while we raced: free reuse.
-                    self.stats.cache_hits += 1;
-                    self.obs.counter("reid.cache_hits", 1);
-                }
-                f
-            }
-        }
+        let f = Arc::new(self.model.observe_track_box(tb));
+        self.cache.insert(key, Arc::clone(&f));
+        self.charge_inference_round(1);
+        f
     }
 
     /// Charges one inference call of `n_new` items and counts it.
@@ -440,39 +371,18 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// Makes sure every key in `misses` (pre-deduplicated cache misses) is
-    /// cached, charging **one** inference call for however many features
-    /// this session ends up computing itself.
+    /// Caches every key in `misses` (pre-deduplicated cache misses),
+    /// charging **one** inference call for all of them.
     fn infer_misses(&mut self, misses: Vec<(BoxKey, &TrackBox)>) {
         if misses.is_empty() {
             return;
         }
-        match &mut self.cache {
-            CacheBackend::Private(map) => {
-                let n = misses.len();
-                for (key, b) in misses {
-                    map.insert(key, Arc::new(self.model.observe_track_box(b)));
-                }
-                self.charge_inference_round(n);
-            }
-            CacheBackend::Shared(cache) => {
-                let cache = Arc::clone(cache);
-                let mut n_mine = 0usize;
-                let mut n_reused = 0u64;
-                for (key, b) in misses {
-                    let model = self.model;
-                    let (_, computed) = cache.get_or_compute(key, || model.observe_track_box(b));
-                    if computed {
-                        n_mine += 1;
-                    } else {
-                        n_reused += 1;
-                    }
-                }
-                self.stats.cache_hits += n_reused;
-                self.obs.counter("reid.cache_hits", n_reused);
-                self.charge_inference_round(n_mine);
-            }
+        let n = misses.len();
+        for (key, b) in misses {
+            self.cache
+                .insert(key, Arc::new(self.model.observe_track_box(b)));
         }
+        self.charge_inference_round(n);
     }
 
     // ------------------------------------------------------------------
@@ -538,33 +448,12 @@ impl<'m> ReidSession<'m> {
     /// inference call), then apply the propagations.
     fn gate_infer(&mut self, batch: GateBatch) {
         if !batch.misses.is_empty() {
-            match &mut self.cache {
-                CacheBackend::Private(map) => {
-                    let n = batch.misses.len();
-                    for (key, b) in &batch.misses {
-                        map.insert(*key, Arc::new(self.model.observe_track_box(b)));
-                    }
-                    self.charge_inference_round(n);
-                }
-                CacheBackend::Shared(cache) => {
-                    let cache = Arc::clone(cache);
-                    let mut n_mine = 0usize;
-                    let mut n_reused = 0u64;
-                    for (key, b) in &batch.misses {
-                        let model = self.model;
-                        let (_, computed) =
-                            cache.get_or_compute(*key, || model.observe_track_box(b));
-                        if computed {
-                            n_mine += 1;
-                        } else {
-                            n_reused += 1;
-                        }
-                    }
-                    self.stats.cache_hits += n_reused;
-                    self.obs.counter("reid.cache_hits", n_reused);
-                    self.charge_inference_round(n_mine);
-                }
+            let n = batch.misses.len();
+            for (key, b) in &batch.misses {
+                self.cache
+                    .insert(*key, Arc::new(self.model.observe_track_box(b)));
             }
+            self.charge_inference_round(n);
         }
         self.apply_propagations(&batch.propagations);
     }
@@ -607,42 +496,14 @@ impl<'m> ReidSession<'m> {
         }
         drop(hints);
         if !batch.misses.is_empty() {
-            let shared = match &self.cache {
-                CacheBackend::Shared(cache) => Some(Arc::clone(cache)),
-                CacheBackend::Private(_) => None,
-            };
-            match shared {
-                None => {
-                    let n = batch.misses.len();
-                    let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
-                    for (key, b) in &batch.misses {
-                        let f = self.try_observe_retry(*key, b)?;
-                        computed.push((*key, Arc::new(f)));
-                    }
-                    if let CacheBackend::Private(map) = &mut self.cache {
-                        for (key, f) in computed {
-                            map.insert(key, f);
-                        }
-                    }
-                    self.charge_inference_round(n);
-                }
-                Some(cache) => {
-                    let mut n_mine = 0usize;
-                    let mut n_reused = 0u64;
-                    for (key, b) in &batch.misses {
-                        let f = self.try_observe_retry(*key, b)?;
-                        let (_, computed) = cache.get_or_compute(*key, move || f);
-                        if computed {
-                            n_mine += 1;
-                        } else {
-                            n_reused += 1;
-                        }
-                    }
-                    self.stats.cache_hits += n_reused;
-                    self.obs.counter("reid.cache_hits", n_reused);
-                    self.charge_inference_round(n_mine);
-                }
+            let n = batch.misses.len();
+            let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
+            for (key, b) in &batch.misses {
+                let f = self.try_observe_retry(*key, b)?;
+                computed.push((*key, Arc::new(f)));
             }
+            self.cache.extend(computed);
+            self.charge_inference_round(n);
         }
         self.apply_propagations(&batch.propagations);
         Ok(())
@@ -660,15 +521,7 @@ impl<'m> ReidSession<'m> {
                 // to the pure model, uncharged, like phase 3.
                 None => Arc::new(self.model.observe_track_box(&p.donor)),
             };
-            match &mut self.cache {
-                CacheBackend::Private(map) => {
-                    map.insert(p.target, f);
-                }
-                CacheBackend::Shared(cache) => {
-                    let cache = Arc::clone(cache);
-                    cache.get_or_compute(p.target, || (*f).clone());
-                }
-            }
+            self.cache.insert(p.target, f);
             if let Some(rt) = &mut self.gate {
                 rt.provenance.insert(
                     p.target,
@@ -776,43 +629,24 @@ impl<'m> ReidSession<'m> {
             return f;
         }
         let f = Arc::new(self.model.observe_track_box(tb));
-        match &mut self.cache {
-            CacheBackend::Private(map) => {
-                map.insert(key, Arc::clone(&f));
-                f
-            }
-            CacheBackend::Shared(cache) => {
-                let (g, _) = cache.get_or_compute(key, || (*f).clone());
-                g
-            }
-        }
+        self.cache.insert(key, Arc::clone(&f));
+        f
     }
 
-    /// Number of distinct features currently cached (shared backend: the
-    /// whole shared cache, not just this session's contributions).
+    /// Number of distinct features currently cached.
     pub fn cached_features(&self) -> usize {
-        match &self.cache {
-            CacheBackend::Private(map) => map.len(),
-            CacheBackend::Shared(cache) => cache.len(),
-        }
+        self.cache.len()
     }
 
-    /// Evicts private-cache features for boxes strictly before `frame`,
-    /// returning how many were dropped. The serve layer's retention
-    /// compactor calls this with the horizon start: the model is pure, so
-    /// re-deriving an evicted feature later yields the identical vector —
-    /// eviction changes memory and clock charges, never decisions. A
-    /// shared cache is fleet-owned with its own tiered eviction, so this
-    /// is a no-op there.
+    /// Evicts cached features for boxes strictly before `frame`, returning
+    /// how many were dropped. The serve layer's retention compactor calls
+    /// this with the horizon start: the model is pure, so re-deriving an
+    /// evicted feature later yields the identical vector — eviction
+    /// changes memory and clock charges, never decisions.
     pub fn evict_cached_before(&mut self, frame: FrameIdx) -> usize {
-        match &mut self.cache {
-            CacheBackend::Private(map) => {
-                let before = map.len();
-                map.retain(|key, _| key.frame.get() >= frame.get());
-                before - map.len()
-            }
-            CacheBackend::Shared(_) => 0,
-        }
+        let before = self.cache.len();
+        self.cache.retain(|key, _| key.frame.get() >= frame.get());
+        before - self.cache.len()
     }
 
     /// Ensures every listed box has a cached feature, inferring all misses
@@ -929,31 +763,15 @@ impl<'m> ReidSession<'m> {
             self.try_gate_infer(batch)?;
             return Ok(self.cached_or_recompute(key, tb));
         }
-        let f = self.try_observe_retry(key, tb)?;
-        match &mut self.cache {
-            CacheBackend::Private(map) => {
-                let f = Arc::new(f);
-                map.insert(key, Arc::clone(&f));
-                self.charge_inference_round(1);
-                Ok(f)
-            }
-            CacheBackend::Shared(cache) => {
-                let cache = Arc::clone(cache);
-                let (g, computed) = cache.get_or_compute(key, move || f);
-                if computed {
-                    self.charge_inference_round(1);
-                } else {
-                    self.stats.cache_hits += 1;
-                    self.obs.counter("reid.cache_hits", 1);
-                }
-                Ok(g)
-            }
-        }
+        let f = Arc::new(self.try_observe_retry(key, tb)?);
+        self.cache.insert(key, Arc::clone(&f));
+        self.charge_inference_round(1);
+        Ok(f)
     }
 
     /// Fallible mirror of `infer_misses`: extracts every miss through the
-    /// backend (with retries), then charges **one** inference call for the
-    /// features this session computed itself. An exhausted retry ladder
+    /// backend (with retries), then charges **one** inference call for all
+    /// of them. An exhausted retry ladder
     /// aborts the round; attempt/backoff charges already on the clock stay
     /// (failed work still costs time), but no inference round is charged.
     fn try_infer_misses(&mut self, misses: Vec<(BoxKey, &TrackBox)>) -> Result<()> {
@@ -979,43 +797,14 @@ impl<'m> ReidSession<'m> {
             .collect();
         self.backend.prefetch(&hints);
         drop(hints);
-        let shared = match &self.cache {
-            CacheBackend::Shared(cache) => Some(Arc::clone(cache)),
-            CacheBackend::Private(_) => None,
-        };
-        match shared {
-            None => {
-                let n = misses.len();
-                let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
-                for (key, b) in misses {
-                    let f = self.try_observe_retry(key, b)?;
-                    computed.push((key, Arc::new(f)));
-                }
-                if let CacheBackend::Private(map) = &mut self.cache {
-                    for (key, f) in computed {
-                        map.insert(key, f);
-                    }
-                }
-                self.charge_inference_round(n);
-            }
-            Some(cache) => {
-                let mut n_mine = 0usize;
-                let mut n_reused = 0u64;
-                for (key, b) in misses {
-                    let f = self.try_observe_retry(key, b)?;
-                    let (_, computed) = cache.get_or_compute(key, move || f);
-                    if computed {
-                        n_mine += 1;
-                    } else {
-                        // Another session computed it while we raced.
-                        n_reused += 1;
-                    }
-                }
-                self.stats.cache_hits += n_reused;
-                self.obs.counter("reid.cache_hits", n_reused);
-                self.charge_inference_round(n_mine);
-            }
+        let n = misses.len();
+        let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
+        for (key, b) in misses {
+            let f = self.try_observe_retry(key, b)?;
+            computed.push((key, Arc::new(f)));
         }
+        self.cache.extend(computed);
+        self.charge_inference_round(n);
         Ok(())
     }
 
@@ -1067,18 +856,14 @@ impl<'m> ReidSession<'m> {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Captures the session's mutable state (clock, counters and — for a
-    /// private cache — every cached feature, in canonical key order).
-    /// Shared caches belong to the parallel coordinator, not to any one
-    /// session, so they are not captured here.
+    /// Captures the session's mutable state (clock, counters and every
+    /// cached feature, in canonical key order).
     pub fn snapshot(&self) -> SessionSnapshot {
-        let mut cache: Vec<(BoxKey, Vec<f64>)> = match &self.cache {
-            CacheBackend::Private(map) => map
-                .iter()
-                .map(|(k, f)| (*k, f.as_slice().to_vec()))
-                .collect(),
-            CacheBackend::Shared(_) => Vec::new(),
-        };
+        let mut cache: Vec<(BoxKey, Vec<f64>)> = self
+            .cache
+            .iter()
+            .map(|(k, f)| (*k, f.as_slice().to_vec()))
+            .collect();
         cache.sort_by_key(|(k, _)| *k);
         let gate = self.gate.as_ref().map(|rt| {
             let mut provenance: Vec<(BoxKey, FeatureProvenance)> =
@@ -1101,17 +886,16 @@ impl<'m> ReidSession<'m> {
     }
 
     /// Restores a snapshot taken by [`ReidSession::snapshot`]: the clock
-    /// and counters are set (not re-charged) and a private cache is
-    /// rebuilt verbatim, so the resumed session is indistinguishable from
-    /// the one that was checkpointed.
+    /// and counters are set (not re-charged) and the cache is rebuilt
+    /// verbatim, so the resumed session is indistinguishable from the one
+    /// that was checkpointed.
     pub fn restore_snapshot(&mut self, snap: &SessionSnapshot) {
         self.clock.set_elapsed_ms(snap.elapsed_ms);
         self.stats = snap.stats;
-        if let CacheBackend::Private(map) = &mut self.cache {
-            map.clear();
-            for (k, comps) in &snap.cache {
-                map.insert(*k, Arc::new(Feature::from_raw(comps.clone())));
-            }
+        self.cache.clear();
+        for (k, comps) in &snap.cache {
+            self.cache
+                .insert(*k, Arc::new(Feature::from_raw(comps.clone())));
         }
         self.gate = snap.gate.as_ref().map(|g| {
             Box::new(GateRuntime {
@@ -1135,7 +919,7 @@ pub struct SessionSnapshot {
     pub elapsed_ms: f64,
     /// Work counters at snapshot time.
     pub stats: ReidStats,
-    /// Private-cache contents in ascending key order.
+    /// Cache contents in ascending key order.
     pub cache: Vec<(BoxKey, Vec<f64>)>,
     /// Gate runtime state; `None` for ungated sessions, so pre-gating
     /// snapshots compare (and serialize) exactly as before.
@@ -1320,26 +1104,6 @@ mod tests {
         let mut gpu = ReidSession::new(&m, cost, Device::Gpu { batch: 10 });
         gpu.charge_thompson_scan(400);
         assert!(gpu.elapsed_ms() < cpu.elapsed_ms());
-    }
-
-    #[test]
-    fn shared_cache_charges_each_feature_once_across_sessions() {
-        let m = model();
-        let cost = CostModel::calibrated();
-        let cache = Arc::new(SharedFeatureCache::new());
-        let mut s1 = ReidSession::with_shared_cache(&m, cost, Device::Cpu, Arc::clone(&cache));
-        let mut s2 = ReidSession::with_shared_cache(&m, cost, Device::Cpu, Arc::clone(&cache));
-        let b = tb(3, 1);
-        let f1 = s1.feature(TrackId(1), &b);
-        // Session 2 reuses session 1's work for free.
-        let f2 = s2.feature(TrackId(1), &b);
-        assert_eq!(f1, f2);
-        assert_eq!(s1.stats().inferences, 1);
-        assert_eq!(s2.stats().inferences, 0);
-        assert_eq!(s2.stats().cache_hits, 1);
-        assert_eq!(s2.elapsed_ms(), 0.0);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(s1.cached_features(), 1);
     }
 
     /// A backend that fails the first `fail_first` attempts of every
@@ -1680,18 +1444,5 @@ mod tests {
         assert!(err.is_backend());
         s.set_epoch(2);
         assert!(s.try_feature(TrackId(1), &tb(9, 1)).is_ok());
-    }
-
-    #[test]
-    fn shared_cache_matches_private_distances() {
-        let m = model();
-        let cache = Arc::new(SharedFeatureCache::new());
-        let mut shared = ReidSession::with_shared_cache(&m, CostModel::zero(), Device::Cpu, cache);
-        let mut private = ReidSession::new(&m, CostModel::zero(), Device::Cpu);
-        let a = tb(0, 1);
-        let b = tb(7, 2);
-        let d_shared = shared.pair_distance((TrackId(1), &a), (TrackId(2), &b));
-        let d_private = private.pair_distance((TrackId(1), &a), (TrackId(2), &b));
-        assert_eq!(d_shared, d_private);
     }
 }

@@ -36,7 +36,6 @@ fn main() {
             device,
             cost: CostModel::calibrated(),
             gate: tm_reid::GatePolicy::Off,
-            voi: tmerge::core::VoiMode::Off,
         };
         let report = run_pipeline(&video.tracks, video.n_frames, &model, &config, None)
             .expect("valid pipeline configuration");

@@ -162,7 +162,6 @@ fn cmd_pipeline(args: &Args) {
         },
         cost: CostModel::calibrated(),
         gate,
-        voi: tm_core::VoiMode::Off,
     };
     let model = video.model();
     let report = run_pipeline(&video.tracks, video.n_frames, &model, &config, None)

@@ -91,7 +91,6 @@ fn pipeline_config() -> PipelineConfig {
         device: Device::Cpu,
         cost: CostModel::calibrated(),
         gate: tm_reid::GatePolicy::Off,
-        voi: tmerge::core::VoiMode::Off,
     }
 }
 
