@@ -74,12 +74,6 @@ fn bench_sampling(c: &mut Criterion) {
         let mut sampler = WithoutReplacement::new(u64::MAX / 2);
         b.iter(|| black_box(sampler.draw(&mut rng)))
     });
-    c.bench_function("beta_posterior_draw", |b| {
-        use rand_distr::{Beta, Distribution};
-        let mut rng = StdRng::seed_from_u64(3);
-        let beta = Beta::new(12.0, 30.0).unwrap();
-        b.iter(|| black_box(beta.sample(&mut rng)))
-    });
 }
 
 fn bench_union_find(c: &mut Criterion) {

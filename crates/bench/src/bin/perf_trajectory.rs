@@ -9,7 +9,8 @@
 //! * **kernels** — the dense scoring dot product (SIMD vs the pinned
 //!   scalar reference — the ≥ 1.5× speedup gate lives here), the blocked
 //!   pairwise-distance kernel, the end-to-end exact scorer on a warm
-//!   scratch, and the IoU gating/assignment kernels.
+//!   scratch, one TMerge selection at the offline shape (105 pairs,
+//!   τ_max = 10 000), and the IoU gating/assignment kernels.
 //! * **cache** — [`tm_reid::SharedFeatureCache`] hit and miss storms at
 //!   1/4/8 shards under 4 threads.
 //! * **ingest** — a reduced `FleetIngester` multi-stream window loop
@@ -25,7 +26,7 @@ use tm_bench::perf::{
     collect_meta, repo_root, speedup, time_iters, BenchCase, BenchReport, CountingAlloc, Timing,
 };
 use tm_core::score::{exact_scores_with, ScoreScratch};
-use tm_core::selector::SelectionInput;
+use tm_core::selector::{CandidateSelector, SelectionInput};
 use tm_core::{FleetIngester, StreamConfig, TMerge, TMergeConfig};
 use tm_reid::{
     AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchingBackend, BoxKey,
@@ -184,6 +185,48 @@ fn kernels_suite(quick: bool) -> Vec<BenchCase> {
         pairs_v.len() as u64 * 400,
         inferences,
         bench_bytes,
+    ));
+
+    // One TMerge selection at the offline workload's shape: 105 pairs
+    // (15 tracks of 40 boxes, 7 of them fragments of another), K = 5%,
+    // τ_max = 10 000 on CPU, ULB on. Every round draws a Beta posterior for
+    // each live pair, so a round costs Σ(S+F) uniforms and the run grows
+    // as τ_max².
+    let sel_tracks = TrackSet::from_tracks(
+        (0..15u64)
+            .map(|i| track(i + 1, 20 + i % 8, (i / 8) * 50, 40, i as f64 * 150.0))
+            .collect(),
+    );
+    let mut sel_pairs = Vec::new();
+    for a in 1..=15u64 {
+        for b in (a + 1)..=15 {
+            sel_pairs.push(TrackPair::new(TrackId(a), TrackId(b)).unwrap());
+        }
+    }
+    let sel_input = SelectionInput {
+        pairs: &sel_pairs,
+        tracks: &sel_tracks,
+        k: 0.05,
+        voi: None,
+    };
+    let tmerge = TMerge::new(TMergeConfig {
+        seed: 1,
+        ..TMergeConfig::default()
+    });
+    let (mut pulls, mut sel_inferences) = (0, 0);
+    let alloc = CountingAlloc::snapshot();
+    let t_select = time_iters(if quick { 2 } else { 10 }, || {
+        let mut session = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
+        let r = tmerge.select(&sel_input, &mut session).expect("select");
+        pulls = r.distance_evals;
+        sel_inferences = session.stats().inferences;
+    });
+    cases.push(BenchCase::from_timing(
+        &format!("tmerge_select_{}x{}_cpu", sel_pairs.len(), pulls),
+        t_select,
+        pulls,
+        sel_inferences,
+        alloc.delta().bytes,
     ));
 
     // IoU gating: dense mask-and-solve and grid-gated sparse paths.

@@ -4,7 +4,9 @@
 //! normalized score. Each iteration:
 //!
 //! 1. draws `θ_{i,j} ~ Be(S_{i,j}, F_{i,j})` for every live pair and picks
-//!    the arg-min (Thompson sampling for *minimization*),
+//!    the arg-min (Thompson sampling for *minimization*) — certified draws
+//!    (`sampling::ThompsonDraws`) that reach the exact sampler's decisions
+//!    while computing few draws exactly,
 //! 2. samples one of that pair's BBox pairs **without replacement**,
 //!    computes its normalized ReID distance `d̃`,
 //! 3. flips a Bernoulli coin with success probability `d̃`; success
@@ -25,12 +27,11 @@
 //! results. `τ` counts BBox-pair evaluations, so a CPU run and a `-B` run
 //! with the same `τ_max` do the same amount of ReID work.
 
-use crate::sampling::WithoutReplacement;
+use crate::sampling::{ThompsonDraws, WithoutReplacement};
 use crate::score::PairBoxes;
 use crate::selector::{CandidateSelector, SelectionInput, SelectionResult};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rand_distr::{Beta, Distribution};
 use tm_reid::{ReidSession, NORMALIZER};
 use tm_types::{Result, TmError, TrackPair};
 
@@ -206,62 +207,51 @@ impl CandidateSelector for TMerge {
         let mut round = 0u64;
         let mut history = Vec::new();
         let batch = session.device().batch();
+        // Round buffers, reused across rounds.
+        let mut live: Vec<usize> = Vec::with_capacity(arms.len());
+        let mut draws = ThompsonDraws::default();
+        let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(batch);
+        let mut ulb = UlbScratch::default();
 
         // --- Main sampling loop (Algorithm 2 lines 3–14). ---
         while tau < self.config.tau_max {
-            let live: Vec<usize> = (0..arms.len()).filter(|&i| arms[i].live()).collect();
+            live.clear();
+            live.extend((0..arms.len()).filter(|&i| arms[i].live()));
             if live.is_empty() {
                 break;
             }
             round += 1;
-            // Line 4–5: Thompson draws over all live arms.
+            // Line 4–5: Thompson draws over all live arms. The VoI bias (0
+            // without hints) handicaps low-weight arms: they only win a
+            // round when every high-weight arm drew badly.
             session.charge_thompson_scan(live.len());
             let budget_left = (self.config.tau_max - tau) as usize;
             let take = batch.min(live.len()).min(budget_left).max(1);
-            let mut draws: Vec<(usize, f64)> = Vec::with_capacity(live.len());
+            draws.clear();
             for &i in &live {
-                // Shape params start at 1 and only ever increment, so the
-                // constructor can only fail on NaN corruption upstream —
-                // surfaced as an error instead of a panic.
-                let beta = Beta::new(arms[i].s, arms[i].f).map_err(|_| {
-                    TmError::invalid(
-                        "beta_shape",
-                        format!(
-                            "Beta({}, {}) is not a valid posterior",
-                            arms[i].s, arms[i].f
-                        ),
-                    )
-                })?;
-                // VoI bias (0 without hints) handicaps low-weight arms:
-                // they only win a round when every high-weight arm drew
-                // badly.
-                draws.push((i, beta.sample(&mut rng) + arms[i].bias));
+                draws.push(&mut rng, arms[i].s, arms[i].f, arms[i].bias)?;
             }
-            // Line 6: the arg-min draw; TMerge-B takes the B smallest.
-            draws.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            draws.truncate(take);
+            // Line 6: the arg-min draw; TMerge-B takes the B smallest
+            // (positions in `live`).
+            let chosen = draws.smallest(take);
 
             // Line 7: sample a BBox pair (without replacement) from each
             // chosen arm; evaluate as one (GPU) round.
-            let mut chosen: Vec<usize> = Vec::with_capacity(take);
-            let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(take);
-            for &(i, _) in &draws {
-                let flat = arms[i]
+            items.clear();
+            for &pos in chosen {
+                let arm = &mut arms[live[pos]];
+                let flat = arm
                     .sampler
                     .draw(&mut rng)
                     .ok_or(TmError::Empty("live arm bbox-pair pool"))?;
-                // `arms[i].boxes` borrows from `input.tracks`, which outlives
-                // the arms — re-borrow through a fresh binding for the batch.
-                let (a, b) = arms[i].boxes.bbox_pair(flat);
-                chosen.push(i);
-                items.push((a, b));
+                items.push(arm.boxes.bbox_pair(flat));
             }
             let distances = session.try_pair_distances_batch(&items)?;
 
             // Lines 8–13: Bernoulli trials and posterior updates.
-            for (&i, d) in chosen.iter().zip(&distances) {
+            for (&pos, d) in chosen.iter().zip(&distances) {
                 let d_norm = (d / NORMALIZER).clamp(0.0, 1.0);
-                let arm = &mut arms[i];
+                let arm = &mut arms[live[pos]];
                 if rng.random_bool(d_norm) {
                     arm.s += 1.0;
                 } else {
@@ -277,7 +267,7 @@ impl CandidateSelector for TMerge {
 
             // Line 14: ULB pruning (Algorithm 4).
             if self.config.use_ulb && round.is_multiple_of(self.config.ulb_every.max(1)) {
-                ulb_prune(&mut arms, tau, m);
+                ulb_prune(&mut arms, tau, m, &mut ulb);
             }
         }
 
@@ -369,45 +359,95 @@ const ULB_MIN_SAMPLES: u64 = 2;
 
 /// Algorithm 4 (ULB): lock arms provably inside the top-m and prune arms
 /// provably outside, using Hoeffding radii `U = √(2·ln τ / n)`.
-fn ulb_prune(arms: &mut [Arm<'_>], tau: u64, m: usize) {
+fn ulb_prune(arms: &mut [Arm<'_>], tau: u64, m: usize, scratch: &mut UlbScratch) {
     if tau < ULB_MIN_TAU {
         return;
     }
     let log_term = 2.0 * (tau as f64).ln();
     // Bounds for every arm (pruned ones included — the counts in Algorithm
     // 4 line 6 quantify over all of P_c).
-    let bounds: Vec<(f64, f64)> = arms
-        .iter()
-        .map(|a| {
-            if a.n < ULB_MIN_SAMPLES {
-                (f64::NEG_INFINITY, f64::INFINITY)
-            } else {
-                let u = (log_term / a.n as f64).sqrt();
-                let s = a.sample_mean();
-                (s - u, s + u)
-            }
-        })
-        .collect();
-    let mut lbs: Vec<f64> = bounds.iter().map(|b| b.0).collect();
-    let mut ubs: Vec<f64> = bounds.iter().map(|b| b.1).collect();
-    lbs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    ubs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-
-    for (i, arm) in arms.iter_mut().enumerate() {
+    scratch.bounds.clear();
+    scratch.bounds.extend(arms.iter().map(|a| {
+        if a.n < ULB_MIN_SAMPLES {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        } else {
+            let u = (log_term / a.n as f64).sqrt();
+            let s = a.sample_mean();
+            (s - u, s + u)
+        }
+    }));
+    let cut = UlbCut::new(&scratch.bounds, m, &mut scratch.order_stat);
+    for (arm, &bounds) in arms.iter_mut().zip(&scratch.bounds) {
         if arm.locked_in || arm.pruned_out || arm.n < ULB_MIN_SAMPLES {
             continue;
         }
-        let (lb, ub) = bounds[i];
-        // |{p' : lb' < ub}| ≤ m−1  →  provably in the top-m.
-        let n_lb_below = lbs.partition_point(|&x| x < ub);
-        if n_lb_below < m {
-            arm.locked_in = true;
-            continue;
+        match cut.verdict(bounds) {
+            Some(UlbVerdict::Inside) => arm.locked_in = true,
+            Some(UlbVerdict::Outside) => arm.pruned_out = true,
+            None => {}
         }
-        // |{p' : ub' < lb}| ≥ m  →  provably outside the top-m.
-        let n_ub_below = ubs.partition_point(|&x| x < lb);
-        if n_ub_below >= m {
-            arm.pruned_out = true;
+    }
+}
+
+/// ULB's buffers, reused across rounds.
+#[derive(Default)]
+struct UlbScratch {
+    bounds: Vec<(f64, f64)>,
+    order_stat: Vec<f64>,
+}
+
+/// What ULB proves about one arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UlbVerdict {
+    /// Provably inside the top-m: locked into the candidates.
+    Inside,
+    /// Provably outside the top-m: pruned.
+    Outside,
+}
+
+/// The m-th smallest lower and upper bound over all arms, which decide
+/// every arm's ULB verdict.
+#[derive(Debug, Clone, Copy)]
+struct UlbCut {
+    lb_m: f64,
+    ub_m: f64,
+}
+
+impl UlbCut {
+    /// Two O(n) selections over `bounds` (`m ≥ 1`), using `buf` as
+    /// scratch. With fewer than m arms, +∞ stands in for both: every arm
+    /// is then inside the top-m and none outside, as the counts say.
+    fn new(bounds: &[(f64, f64)], m: usize, buf: &mut Vec<f64>) -> Self {
+        debug_assert!(m >= 1, "ULB needs m ≥ 1");
+        if m > bounds.len() {
+            return Self {
+                lb_m: f64::INFINITY,
+                ub_m: f64::INFINITY,
+            };
+        }
+        let mut mth = |side: fn(&(f64, f64)) -> f64| {
+            buf.clear();
+            buf.extend(bounds.iter().map(side));
+            *buf.select_nth_unstable_by(m - 1, f64::total_cmp).1
+        };
+        Self {
+            lb_m: mth(|b| b.0),
+            ub_m: mth(|b| b.1),
+        }
+    }
+
+    /// The verdict for an arm with bounds `(lb, ub)`. The bounds below a
+    /// value form a prefix of the sorted bounds, so "at least m bounds lie
+    /// below x" is "the m-th smallest lies below x".
+    fn verdict(&self, (lb, ub): (f64, f64)) -> Option<UlbVerdict> {
+        if ub <= self.lb_m {
+            // |{p' : lb' < ub}| ≤ m−1  →  provably in the top-m.
+            Some(UlbVerdict::Inside)
+        } else if self.ub_m < lb {
+            // |{p' : ub' < lb}| ≥ m  →  provably outside the top-m.
+            Some(UlbVerdict::Outside)
+        } else {
+            None
         }
     }
 }
@@ -768,6 +808,65 @@ mod tests {
         a.sort_by_key(|(p, _)| **p);
         b.sort_by_key(|(p, _)| **p);
         assert_eq!(a, b);
+    }
+
+    /// ULB's verdicts as the selector used to reach them: both bound lists
+    /// fully sorted, then two binary searches per arm.
+    fn ulb_reference(bounds: &[(f64, f64)], m: usize) -> Vec<Option<UlbVerdict>> {
+        let order = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+        let mut lbs: Vec<f64> = bounds.iter().map(|b| b.0).collect();
+        let mut ubs: Vec<f64> = bounds.iter().map(|b| b.1).collect();
+        lbs.sort_by(order);
+        ubs.sort_by(order);
+        bounds
+            .iter()
+            .map(|&(lb, ub)| {
+                if lbs.partition_point(|&x| x < ub) < m {
+                    Some(UlbVerdict::Inside)
+                } else if ubs.partition_point(|&x| x < lb) >= m {
+                    Some(UlbVerdict::Outside)
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_statistic_ulb_matches_the_sorted_reference() {
+        use rand::RngExt;
+        // Bounds from a small pool, so ties (±0.0 included) are common,
+        // and (−∞, +∞) for arms with fewer than two samples.
+        let pool: [f64; 9] = [-0.5, -0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5];
+        let mut g = StdRng::seed_from_u64(13);
+        let mut buf = Vec::new();
+        for case in 0..2000 {
+            let n = g.random_range(1..=40usize);
+            let bounds: Vec<(f64, f64)> = (0..n)
+                .map(|_| match g.random_range(0..4u32) {
+                    0 => (f64::NEG_INFINITY, f64::INFINITY),
+                    1 => {
+                        let s: f64 = g.random_range(0.0..1.0);
+                        let u: f64 = g.random_range(0.0..0.6);
+                        (s - u, s + u)
+                    }
+                    _ => {
+                        let a = pool[g.random_range(0..pool.len())];
+                        let b = pool[g.random_range(0..pool.len())];
+                        (a.min(b), a.max(b))
+                    }
+                })
+                .collect();
+            for m in [1, n, n + 1, g.random_range(1..=n)] {
+                let cut = UlbCut::new(&bounds, m, &mut buf);
+                let got: Vec<_> = bounds.iter().map(|&b| cut.verdict(b)).collect();
+                assert_eq!(
+                    got,
+                    ulb_reference(&bounds, m),
+                    "case {case}, m {m}: {bounds:?}"
+                );
+            }
+        }
     }
 
     #[test]
