@@ -7,9 +7,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use tm_core::sampling::WithoutReplacement;
-use tm_core::score::{
-    exact_scores, exact_scores_reference, sum_pairwise_distances_naive, sum_pairwise_unit_distances,
-};
+use tm_core::score::{exact_scores, sum_pairwise_distances_naive, sum_pairwise_unit_distances};
 use tm_core::{merge_mapping, SelectionInput, UnionFind};
 use tm_reid::{AppearanceConfig, AppearanceModel, CostModel, Device, Feature, ReidSession};
 use tm_track::hungarian::min_cost_assignment;
@@ -130,7 +128,9 @@ fn bench_dense_score_kernel(c: &mut Criterion) {
 }
 
 /// End-to-end exact scoring of a synthetic window (12 tracks × 40 boxes,
-/// all 66 pairs): the parallel dense rewrite vs the serial reference.
+/// all 66 pairs) through the parallel dense scorer. (The serial reference
+/// scorer is built for `tm-core`'s tests only; its kernel is timed against
+/// the dense one in `pairwise_distance_sum`.)
 fn bench_exact_scores(c: &mut Criterion) {
     let model = AppearanceModel::new(AppearanceConfig::default());
     let tracks = TrackSet::from_tracks(
@@ -169,12 +169,6 @@ fn bench_exact_scores(c: &mut Criterion) {
         b.iter(|| {
             let mut session = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
             black_box(exact_scores(&input, &mut session).unwrap())
-        })
-    });
-    group.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut session = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-            black_box(exact_scores_reference(&input, &mut session).unwrap())
         })
     });
     group.finish();

@@ -11,16 +11,19 @@
 //!   stay within 1.1× of the dense path (acceptance bound).
 //!
 //! Both solver benches measure the full per-frame work from box lists:
-//! the dense arm builds the IoU cost matrix and thresholds it through the
-//! reference solver (the pre-gating production path); the gated arm runs
-//! `iou_threshold_matches` with a reused scratch.
+//! the dense arm builds the masked IoU cost matrix and solves it whole with
+//! the flat Kuhn–Munkres solver (the pre-gating production path, minus its
+//! per-call allocations); the gated arm runs `iou_threshold_matches` with a
+//! reused scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use tm_track::assign::{iou_threshold_matches, BoxMatchScratch};
-use tm_track::hungarian::assign_with_threshold_reference;
+use tm_track::assign::{
+    iou_threshold_matches, min_cost_assignment_flat, AssignmentScratch, BoxMatchScratch,
+};
+use tm_track::hungarian::FORBIDDEN;
 use tm_track::{
     track_video, ByteTrack, ByteTrackConfig, Sort, SortConfig, Tracker, TracktorLike,
     TracktorLikeConfig,
@@ -72,15 +75,22 @@ fn bench_solver(c: &mut Criterion) {
             let max_cost = 0.7;
 
             group.bench_with_input(
-                BenchmarkId::new(format!("dense_reference/{geom}"), n),
+                BenchmarkId::new(format!("dense/{geom}"), n),
                 &(&rows, &cols),
                 |b, (rows, cols)| {
+                    let mut scratch = AssignmentScratch::new();
                     b.iter(|| {
-                        let cost: Vec<Vec<f64>> = rows
+                        let cost: Vec<f64> = rows
                             .iter()
-                            .map(|r| cols.iter().map(|c| 1.0 - r.iou(c)).collect())
+                            .flat_map(|r| cols.iter().map(move |c| 1.0 - r.iou(c)))
+                            .map(|c| if c > max_cost { FORBIDDEN } else { c })
                             .collect();
-                        black_box(assign_with_threshold_reference(&cost, max_cost))
+                        let matched = min_cost_assignment_flat(&cost, n, n, &mut scratch)
+                            .into_iter()
+                            .enumerate()
+                            .filter(|&(i, j)| j.is_some_and(|j| cost[i * n + j] <= max_cost))
+                            .count();
+                        black_box(matched)
                     })
                 },
             );

@@ -193,7 +193,9 @@ pub struct BenchMeta {
     pub git_sha: String,
     /// `tm_par::max_threads()` at measurement time.
     pub threads: u64,
-    /// Runtime-detected CPU features relevant to the kernels.
+    /// Runtime-detected CPU features relevant to the kernels (`avx512f`
+    /// and `avx512dq` say which build of the Thompson draws' products ran,
+    /// unless `TMERGE_SIMD=0` forced the portable one).
     pub cpu: Vec<String>,
     /// Active kernel dispatch: `"avx2+fma"` or `"scalar-fallback"`.
     pub simd: String,
@@ -228,6 +230,8 @@ pub fn collect_meta(quick: bool) -> BenchMeta {
             ("avx2", std::arch::is_x86_feature_detected!("avx2")),
             ("fma", std::arch::is_x86_feature_detected!("fma")),
             ("sse4.2", std::arch::is_x86_feature_detected!("sse4.2")),
+            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+            ("avx512dq", std::arch::is_x86_feature_detected!("avx512dq")),
         ] {
             if present {
                 cpu.push(flag.to_string());

@@ -18,6 +18,7 @@
 //!
 //! Real (quick-scale) tracker runs → release-only, like determinism.rs.
 
+use reference_solver::{assign_with_threshold_reference, min_cost_assignment_reference};
 use std::collections::HashMap;
 use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::DatasetRun;
@@ -25,7 +26,6 @@ use tm_datasets::mot17;
 use tm_metrics::{
     clear_mot, hota, identity_metrics, ClearMot, ClearMotConfig, Hota, IdentityMetrics,
 };
-use tm_track::hungarian::{assign_with_threshold_reference, min_cost_assignment_reference};
 use tm_track::TrackerKind;
 use tm_types::{BBox, FrameIdx, GtObjectId, Track, TrackId, TrackSet};
 
@@ -38,6 +38,123 @@ fn assert_bits(a: f64, b: f64, what: &str) {
         a.to_bits(),
         b.to_bits()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Reference solvers: the original allocating Kuhn–Munkres solver and its
+// clone-and-mask thresholded form, frozen here as they stood before the
+// flat and gated solvers replaced them in `tm-track`.
+// ---------------------------------------------------------------------------
+
+mod reference_solver {
+    use tm_track::hungarian::FORBIDDEN;
+
+    pub fn min_cost_assignment_reference(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
+        let n = cost.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let m = cost[0].len();
+        debug_assert!(cost.iter().all(|r| r.len() == m), "ragged cost matrix");
+        if m == 0 {
+            return vec![None; n];
+        }
+        if n > m {
+            // Transpose so that rows ≤ cols, then invert the result.
+            let t: Vec<Vec<f64>> = (0..m)
+                .map(|j| (0..n).map(|i| cost[i][j]).collect())
+                .collect();
+            let col_to_row = min_cost_assignment_reference(&t);
+            let mut out = vec![None; n];
+            for (j, row) in col_to_row.iter().enumerate() {
+                if let Some(i) = row {
+                    out[*i] = Some(j);
+                }
+            }
+            return out;
+        }
+
+        // Potentials formulation, 1-indexed (index 0 is the virtual source).
+        let mut u = vec![0.0f64; n + 1];
+        let mut v = vec![0.0f64; m + 1];
+        let mut matched_row = vec![0usize; m + 1]; // matched_row[j]: row using column j
+        let mut way = vec![0usize; m + 1];
+        for i in 1..=n {
+            matched_row[0] = i;
+            let mut j0 = 0usize;
+            let mut min_slack = vec![f64::INFINITY; m + 1];
+            let mut used = vec![false; m + 1];
+            loop {
+                used[j0] = true;
+                let i0 = matched_row[j0];
+                let mut delta = f64::INFINITY;
+                let mut j1 = 0usize;
+                for j in 1..=m {
+                    if used[j] {
+                        continue;
+                    }
+                    let slack = cost[i0 - 1][j - 1] - u[i0] - v[j];
+                    if slack < min_slack[j] {
+                        min_slack[j] = slack;
+                        way[j] = j0;
+                    }
+                    if min_slack[j] < delta {
+                        delta = min_slack[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=m {
+                    if used[j] {
+                        u[matched_row[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        min_slack[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if matched_row[j0] == 0 {
+                    break;
+                }
+            }
+            // Augment along the alternating path.
+            loop {
+                let j1 = way[j0];
+                matched_row[j0] = matched_row[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        let mut out = vec![None; n];
+        for j in 1..=m {
+            if matched_row[j] != 0 {
+                out[matched_row[j] - 1] = Some(j - 1);
+            }
+        }
+        out
+    }
+
+    pub fn assign_with_threshold_reference(
+        cost: &[Vec<f64>],
+        max_cost: f64,
+    ) -> Vec<(usize, usize)> {
+        let masked: Vec<Vec<f64>> = cost
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&c| if c > max_cost { FORBIDDEN } else { c })
+                    .collect()
+            })
+            .collect();
+        min_cost_assignment_reference(&masked)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, j)| j.map(|j| (i, j)))
+            .filter(|&(i, j)| cost[i][j] <= max_cost)
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------------

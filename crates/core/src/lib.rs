@@ -70,8 +70,7 @@ pub use resilience::{
     degraded_candidates, DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport,
 };
 pub use score::{
-    exact_scores, exact_scores_reference, exact_scores_with, sum_pairwise_unit_distances,
-    with_score_scratch, ScoreScratch,
+    exact_scores, exact_scores_with, sum_pairwise_unit_distances, with_score_scratch, ScoreScratch,
 };
 pub use scratch::{Arena, DenseStore};
 pub use selector::{CandidateSelector, SelectionInput, SelectionResult};

@@ -17,9 +17,9 @@
 //! before the square root so identical features cannot produce `NaN` from
 //! a slightly negative rounding residue.
 //!
-//! The pre-rewrite scorer is kept as [`exact_scores_reference`]; a property
-//! test below pins the two to within `1e-9` and the `kernels` Criterion
-//! bench in `tm-bench` measures the speedup.
+//! The pre-rewrite scorer is kept, in test builds only, as
+//! `exact_scores_reference`; a property test below pins the two to within
+//! `1e-9`.
 //!
 //! ## Scratch reuse
 //!
@@ -343,11 +343,11 @@ pub fn exact_scores_with(
 }
 
 /// The pre-rewrite exact scorer (naive coordinate-difference kernel, fully
-/// serial). Kept as ground truth for the kernel property test and the
-/// `kernels` Criterion bench; production callers use [`exact_scores`].
-/// Staging goes through the same `stage_group`/`pack_group` helpers as the
-/// optimized path — only the kernel and the fan-out differ.
-pub fn exact_scores_reference(
+/// serial), built for tests only: the ground truth of the kernel property
+/// test. Staging goes through the same `stage_group`/`pack_group` helpers
+/// as the optimized path — only the kernel and the fan-out differ.
+#[cfg(test)]
+fn exact_scores_reference(
     input: &SelectionInput<'_>,
     session: &mut ReidSession<'_>,
 ) -> Result<Vec<(TrackPair, f64)>> {

@@ -5,8 +5,10 @@
 //!
 //! 1. draws `θ_{i,j} ~ Be(S_{i,j}, F_{i,j})` for every live pair and picks
 //!    the arg-min (Thompson sampling for *minimization*) — certified draws
-//!    (`sampling::ThompsonDraws`) that reach the exact sampler's decisions
-//!    while computing few draws exactly,
+//!    (`sampling::ThompsonDraws`, built once per selection for the CPU's
+//!    product build) that reach the exact sampler's decisions from
+//!    brackets: most draws need no `ln`, few need two, and almost none is
+//!    computed exactly,
 //! 2. samples one of that pair's BBox pairs **without replacement**,
 //!    computes its normalized ReID distance `d̃`,
 //! 3. flips a Bernoulli coin with success probability `d̃`; success
@@ -209,7 +211,7 @@ impl CandidateSelector for TMerge {
         let batch = session.device().batch();
         // Round buffers, reused across rounds.
         let mut live: Vec<usize> = Vec::with_capacity(arms.len());
-        let mut draws = ThompsonDraws::default();
+        let mut draws = ThompsonDraws::new();
         let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(batch);
         let mut ulb = UlbScratch::default();
 

@@ -23,9 +23,9 @@
 //!    equals the dense reference (`assign_with_threshold_reference`) —
 //!    pinned by proptests in this module and in `hungarian.rs`.
 //!
-//! The original allocating solver survives as
-//! [`crate::hungarian::min_cost_assignment_reference`] and is the oracle for
-//! every equivalence test.
+//! The original allocating solver survives, in test builds only, as
+//! `hungarian::min_cost_assignment_reference` and is the oracle for every
+//! equivalence test.
 
 use crate::hungarian::FORBIDDEN;
 use tm_types::BBox;
@@ -289,10 +289,10 @@ fn solve_dense(n: usize, m: usize, cost: &[f64], s: &mut AssignmentScratch) {
 /// `n_rows × n_cols` matrix `cost` (so `cost[i * n_cols + j]` is entry
 /// `(i, j)`) and returns, for each row, the assigned column.
 ///
-/// Identical results to [`crate::hungarian::min_cost_assignment_reference`]
-/// — same arithmetic, same tie-breaking — but with no per-call matrix
-/// allocation; the `n_rows > n_cols` transpose is staged in the reused
-/// scratch.
+/// Identical results to the test-only
+/// `hungarian::min_cost_assignment_reference` — same arithmetic, same
+/// tie-breaking — but with no per-call matrix allocation; the
+/// `n_rows > n_cols` transpose is staged in the reused scratch.
 pub fn min_cost_assignment_flat(
     cost: &[f64],
     n_rows: usize,

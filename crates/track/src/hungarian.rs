@@ -4,12 +4,13 @@
 //! detections to tracks and by `tm-metrics` for the CLEAR-MOT / identity
 //! correspondences.
 //!
-//! The allocating solver here is the *reference*: the production paths run
-//! on [`crate::assign`] (flat storage, reusable scratch, spatial gating and
-//! connected-component decomposition), which is proptest-pinned to produce
-//! bit-identical assignments. The convenience wrappers
-//! [`min_cost_assignment`] and [`assign_with_threshold`] delegate to the
-//! fast core.
+//! The production paths run on [`crate::assign`] (flat storage, reusable
+//! scratch, spatial gating and connected-component decomposition). The
+//! original allocating solver is kept in test builds only, as
+//! `min_cost_assignment_reference` and `assign_with_threshold_reference`,
+//! the oracles that pin the fast core to bit-identical assignments by
+//! proptest. The convenience wrappers [`min_cost_assignment`] and
+//! [`assign_with_threshold`] delegate to the fast core.
 
 use crate::assign::{assign_sparse, min_cost_assignment_flat, AssignmentScratch, Edge};
 
@@ -31,8 +32,8 @@ pub const FORBIDDEN: f64 = 1e9;
 ///
 /// `cost[i][j]` must be finite; use [`FORBIDDEN`] for disallowed pairs.
 ///
-/// Delegates to the flat solver (identical results, see
-/// [`min_cost_assignment_reference`]); per-frame loops should call
+/// Delegates to the flat solver (identical results to the test-only
+/// `min_cost_assignment_reference`); per-frame loops should call
 /// [`crate::assign::min_cost_assignment_flat`] directly with a reused
 /// [`AssignmentScratch`] to avoid the flattening copy.
 ///
@@ -55,9 +56,10 @@ pub fn min_cost_assignment(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
     min_cost_assignment_flat(&flat, n, m, &mut AssignmentScratch::new())
 }
 
-/// The original allocating solver, kept verbatim as the equivalence oracle
-/// for the flat/gated paths in [`crate::assign`].
-pub fn min_cost_assignment_reference(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
+/// The original allocating solver, kept verbatim (in test builds) as the
+/// equivalence oracle for the flat/gated paths in [`crate::assign`].
+#[cfg(test)]
+pub(crate) fn min_cost_assignment_reference(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
     let n = cost.len();
     if n == 0 {
         return Vec::new();
@@ -152,7 +154,7 @@ pub fn min_cost_assignment_reference(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
 /// accept an IoU below the gate". The threshold is folded into the solver
 /// as a gate — admissible pairs become [`Edge`]s and the component solver
 /// runs on those alone; no masked matrix copy is allocated. Results are
-/// identical to [`assign_with_threshold_reference`].
+/// identical to the test-only `assign_with_threshold_reference`.
 pub fn assign_with_threshold(cost: &[Vec<f64>], max_cost: f64) -> Vec<(usize, usize)> {
     let n = cost.len();
     let m = cost.first().map_or(0, |r| r.len());
@@ -176,8 +178,13 @@ pub fn assign_with_threshold(cost: &[Vec<f64>], max_cost: f64) -> Vec<(usize, us
 }
 
 /// The original clone-and-mask thresholded assignment over
-/// [`min_cost_assignment_reference`]; the oracle for the gated path.
-pub fn assign_with_threshold_reference(cost: &[Vec<f64>], max_cost: f64) -> Vec<(usize, usize)> {
+/// [`min_cost_assignment_reference`] (test builds); the oracle for the
+/// gated path.
+#[cfg(test)]
+pub(crate) fn assign_with_threshold_reference(
+    cost: &[Vec<f64>],
+    max_cost: f64,
+) -> Vec<(usize, usize)> {
     let masked: Vec<Vec<f64>> = cost
         .iter()
         .map(|row| {

@@ -52,6 +52,32 @@ pub fn simd_enabled() -> bool {
     })
 }
 
+/// True when this CPU has the AVX-512 subsets (F, DQ, VL) that the AVX-512
+/// build of `tm-core`'s certified Thompson draws is compiled for, whatever
+/// [`SIMD_ENV`] says.
+pub fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when [`avx512_detected`] holds and [`SIMD_ENV`] does not veto the
+/// AVX-512 build. Cached after the first call.
+pub fn avx512_enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| {
+        let vetoed = std::env::var_os(SIMD_ENV).is_some_and(|v| v == *"0");
+        !vetoed && avx512_detected()
+    })
+}
+
 /// The live dispatch path, as recorded in bench metadata:
 /// `"avx2+fma"` or `"scalar-fallback"`.
 pub fn dispatch_name() -> &'static str {

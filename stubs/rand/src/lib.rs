@@ -105,7 +105,7 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// SplitMix64 stand-in for the real StdRng.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         state: u64,
     }
