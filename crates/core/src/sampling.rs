@@ -10,13 +10,16 @@
 //! **Certified Thompson draws** (lines 4–6). `ThompsonDraws` draws
 //! `θ ~ Be(S, F)` for every live arm and returns the `take` smallest, with
 //! the same decisions and the same RNG consumption as sampling each arm
-//! through `rand_distr::Beta`, at a fraction of the cost. A round's
-//! uniforms are read in one pass and folded into two lane-parallel
-//! products per draw, in one body compiled twice (portable, and AVX-512
-//! chosen at run time). The products' exponents alone bracket every draw
-//! without an `ln`; only arms whose bracket meets the cut are refined, to
-//! a bracket from two `ln`s, and only if that still meets it, to an exact
-//! replay.
+//! through `rand_distr::Beta`, at a fraction of the cost. A round arrives
+//! in one call: the live list and the arms' integer counts and VoI biases.
+//! Its uniforms are read in one pass and folded into two products per
+//! draw (sequential for a short side, lane-parallel for a long one), in
+//! one body compiled twice (portable, and AVX-512 chosen at run time). The
+//! products' exponents alone bracket every draw without an `ln`; only arms
+//! whose bracket meets the cut are refined, to a bracket from two `ln`s,
+//! and only if that still meets it, to an exact replay. A round that takes
+//! one arm chooses it among a shortlist: the arms whose bracket reaches
+//! the smallest upper end.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
@@ -92,10 +95,10 @@ const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 /// Safety factor of a bracket's radius over the proven error bound.
 const BRACKET_MARGIN: f64 = 4.0;
 
-/// Largest shape drawn through a bracket. `k ≤ 2²⁰` uniforms keep
+/// Largest count drawn through a bracket. `k ≤ 2²⁰` uniforms keep
 /// `k·u ≤ 2⁻³³`, so the bounds' second-order terms stay negligible;
-/// larger shapes take the exact draw.
-const MAX_BRACKET_SHAPE: f64 = (1u64 << 19) as f64;
+/// larger counts take the exact draw.
+const MAX_BRACKET_COUNT: u64 = 1 << 19;
 
 /// Smallest `x̂ + ŷ` a fine bracket is trusted at (its bound grows as
 /// `k/(x̂ + ŷ)`); below it the draw is replayed exactly. A Gamma(k ≥ 2)
@@ -172,14 +175,36 @@ fn renormalise(lanes: &mut [f64; LANES], exp: &mut i64) {
     }
 }
 
-/// The product of the `count` scaled uniforms at `us[..count]`, uniform
-/// `i` into lane `i mod 8`; `us` holds at least `count + 7` values (the
-/// last row reads past `count` and multiplies exact ones in their place).
-/// A lane's first factor multiplies 1 exactly and the exponents move out
-/// exactly, so the `count − 1` roundings are those of one running
+/// Sides of at most this many uniforms take a sequential product: 194 of
+/// ~210 sides of an offline round, where the masked last row and the fold
+/// of eight lanes cost more than the multiplies they spread.
+const SHORT_SIDE: usize = 2 * LANES;
+
+/// The product of the `count ∈ [1, 16]` scaled uniforms at `us[..count]`,
+/// multiplied in turn: 16 factors stay inside `[2⁻¹⁶, 2⁸⁴⁸]`, and the
+/// `count − 1` roundings are the count the tier bounds assume.
+#[inline(always)]
+fn short_product(us: &[f64], count: usize) -> Product {
+    let mut p = us[0];
+    for &u in &us[1..count] {
+        p *= u;
+    }
+    let (m, e) = split_exponent(p);
+    // Product of the uniforms = m·2^(e − 53·count).
+    Product {
+        m,
+        e: 53 * count as i64 - e,
+    }
+}
+
+/// The product of the `count ≥ 1` scaled uniforms at `us[..count]`,
+/// uniform `i` into lane `i mod 8`; `us` holds at least `count + 7` values
+/// (the last row reads past `count` and multiplies exact ones in their
+/// place). A lane's first factor multiplies 1 exactly and the exponents
+/// move out exactly, so the `count − 1` roundings are those of one running
 /// product: each lane's later factors and the fold of the lanes.
 #[inline(always)]
-fn product(us: &[f64], count: usize) -> Product {
+fn lane_product(us: &[f64], count: usize) -> Product {
     let mut lanes = [1.0f64; LANES];
     // The product of the scaled uniforms is Π lanes · 2^exp.
     let mut exp = 0i64;
@@ -197,10 +222,7 @@ fn product(us: &[f64], count: usize) -> Product {
     let tail: &[f64; LANES] = us[full..full + LANES].try_into().expect("a row");
     let last: [f64; LANES] = std::array::from_fn(|l| if l < count % LANES { tail[l] } else { 1.0 });
     multiply(&mut lanes, &last);
-    // At most 16 factors in all fold to at most 2⁸⁴⁸ without help.
-    if count > 2 * LANES {
-        renormalise(&mut lanes, &mut exp);
-    }
+    renormalise(&mut lanes, &mut exp);
     let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
     let (m, e) = split_exponent(((l0 * l1) * (l2 * l3)) * ((l4 * l5) * (l6 * l7)));
     // Product of the uniforms = m·2^(exp + e − 53·count).
@@ -213,9 +235,9 @@ fn product(us: &[f64], count: usize) -> Product {
 /// Draws the products of a run of slots whose uniforms follow each other
 /// in the stream: the run's `total` uniforms are read from a clone of the
 /// first slot's RNG state into `buf`, then every slot takes its `x` (the
-/// first `a`) and `y` (the next `k − a`). This is the one body of both
-/// builds (see [`ProductBuild`]); its floating-point operations and their
-/// order do not depend on the build.
+/// first `S`) and `y` (the next `F`). This is the one body of both builds
+/// (see [`ProductBuild`]); its floating-point operations and their order
+/// do not depend on the build.
 #[inline(always)]
 fn run_body<const VECTOR: bool>(slots: &mut [Slot], total: usize, buf: &mut Vec<f64>) {
     if buf.len() < total + LANES {
@@ -235,12 +257,30 @@ fn run_body<const VECTOR: bool>(slots: &mut [Slot], total: usize, buf: &mut Vec<
         }
         *u = scaled_unit(z);
     }
+    // Short sides, then long ones: in one loop with the sequential
+    // products, LLVM multiplied the AVX-512 build's lane rows two wide
+    // instead of eight.
     let mut at = 0;
-    for slot in slots {
-        let (a, k) = (slot.a as usize, slot.k as usize);
-        slot.x = product(&buf[at..], a);
-        slot.y = product(&buf[at + a..], k - a);
-        at += k;
+    for slot in slots.iter_mut() {
+        let (a, b) = (slot.s as usize, slot.f as usize);
+        if a <= SHORT_SIDE {
+            slot.x = short_product(&buf[at..], a);
+        }
+        if b <= SHORT_SIDE {
+            slot.y = short_product(&buf[at + a..], b);
+        }
+        at += a + b;
+    }
+    let mut at = 0;
+    for slot in slots.iter_mut() {
+        let (a, b) = (slot.s as usize, slot.f as usize);
+        if a > SHORT_SIDE {
+            slot.x = lane_product(&buf[at..], a);
+        }
+        if b > SHORT_SIDE {
+            slot.y = lane_product(&buf[at + a..], b);
+        }
+        at += a + b;
     }
 }
 
@@ -289,11 +329,11 @@ impl ProductBuild {
     }
 }
 
-/// The number of uniforms `rand_distr::Beta` spends on a shape, when the
-/// shape is a whole number a bracket can take.
-fn bracket_uniforms(shape: f64) -> Option<u64> {
-    let k = shape as u64;
-    (k as f64 == shape && shape <= MAX_BRACKET_SHAPE).then_some(k)
+/// The exact `Be(s, f)` draw, as `rand_distr::Beta` makes it from `rng`.
+fn exact_draw(rng: &mut StdRng, s: u64, f: u64) -> f64 {
+    Beta::new(s as f64, f as f64)
+        .expect("counts ≥ 1 are valid shapes")
+        .sample(rng)
 }
 
 /// Tier 0: a bracket `(lo, mid, hi)` around the `Be(a, b)` draw made from
@@ -383,20 +423,15 @@ enum Tier {
 /// One arm's draw: its bracket, and what refining it needs.
 #[derive(Debug, Clone)]
 struct Slot {
-    beta: Beta,
-    bias: f64,
     /// The RNG state before this arm's draw.
     start: StdRng,
-    /// The draw's two products, over its first `a = S` and its other
-    /// `k − a = F` uniforms; `k = 0` for a draw that is exact from the
-    /// start (or whose bracket is set by hand in a test).
+    /// The counts of `Be(S, F)`: the draw's first `S` uniforms make `x`,
+    /// its next `F` make `y`.
+    s: u64,
+    f: u64,
+    bias: f64,
     x: Product,
     y: Product,
-    a: u64,
-    k: u64,
-    /// The draw's uniforms directly follow the previous slot's, so the two
-    /// can be read in one run.
-    joins: bool,
     /// Bracket of the biased draw and the point estimate inside it; all
     /// three equal the draw once `Exact`.
     lo: f64,
@@ -416,7 +451,7 @@ impl Slot {
     /// the fine bound does not apply), fine to exact.
     fn refine(&mut self) {
         match self.tier {
-            Tier::Coarse => match fine_bracket(self.x, self.y, self.k) {
+            Tier::Coarse => match fine_bracket(self.x, self.y, self.s + self.f) {
                 Some((theta, r)) => self.set((theta - r, theta, theta + r), Tier::Fine),
                 None => self.replay(),
             },
@@ -427,44 +462,44 @@ impl Slot {
 
     /// Replays the draw exactly, on a clone of its starting RNG state.
     fn replay(&mut self) {
-        let d = self.beta.sample(&mut self.start.clone()) + self.bias;
+        let d = exact_draw(&mut self.start.clone(), self.s, self.f) + self.bias;
         (self.lo, self.mid, self.hi, self.tier) = (d, d, d, Tier::Exact);
     }
 }
 
 /// Certified Thompson draws over one round's live arms (Algorithm 2,
-/// lines 4–6): [`push`](Self::push) each arm's `Be(S, F)` and VoI bias in
-/// index order, then [`smallest`](Self::smallest) gives the positions of
-/// the `take` smallest biased draws. Arms, order and RNG consumption are
-/// exactly those of drawing every arm with `rand_distr::Beta`, stable
-/// sorting and truncating; ties go to the earlier push.
+/// lines 4–6): [`draw`](Self::draw) takes every live arm's counts `S`, `F`
+/// and VoI bias in one call, then [`smallest`](Self::smallest) gives the
+/// positions (in the live list) of the `take` smallest biased draws. Arms,
+/// order and RNG consumption are exactly those of drawing every live arm
+/// with `rand_distr::Beta` in list order, stable sorting and truncating;
+/// ties go to the earlier arm.
 ///
-/// A push saves the RNG state and skips the uniforms the exact sampler
-/// would consume, so the main RNG ends every round where the exact loop
-/// would. `smallest` then reads each run of consecutive draws' uniforms in
-/// one pass and folds every draw's into two products (lane-parallel, see
-/// [`run_body`]). Each draw holds a bracket of one of three tiers: coarse
-/// (the products' exponents, no `ln`), fine (one `ln` per product) or
-/// exact (a replay through `rand_distr::Beta` on a clone of the RNG state
-/// saved before the draw).
-/// The `take` smallest centres are chosen in O(n) and the choice is
-/// certified from the brackets: the chosen brackets must lie below all
-/// others and must not overlap each other. When they do not, the arms on
-/// the open boundaries that hold the coarsest brackets are refined one
-/// tier, and the choice is made again. Non-integer shapes, shapes above
-/// 2¹⁹ and the rare draws the bounds exclude take the exact draw at once.
-/// Buffers are kept across rounds.
+/// `draw` saves the RNG state before each arm and skips the uniforms the
+/// exact sampler would consume, so the main RNG ends every round where the
+/// exact loop would. It then reads each run of consecutive draws' uniforms
+/// in one pass and folds every draw's into two products (sequential for a
+/// short side, lane-parallel otherwise, see [`run_body`]). Each draw holds
+/// a bracket of one of three tiers: coarse (the products' exponents, no
+/// `ln`), fine (one `ln` per product) or exact (a replay through
+/// `rand_distr::Beta` on a clone of the RNG state saved before the draw).
+///
+/// `smallest` chooses the `take` smallest centres and certifies the choice
+/// from the brackets: the chosen brackets must lie below all others and
+/// must not overlap each other. When they do not, the arms on the open
+/// boundaries that hold the coarsest brackets are refined one tier, and the
+/// choice is made again. For `take = 1` all of this runs over a shortlist:
+/// the arms whose lower end reaches the smallest upper end, usually two or
+/// three. Counts above 2¹⁹ and the rare draws the bounds exclude take the
+/// exact draw at once. Buffers are kept across rounds.
 #[derive(Debug)]
 pub(crate) struct ThompsonDraws {
     build: ProductBuild,
     slots: Vec<Slot>,
+    /// The arms a pick runs over, then the pick in its first `take`.
     order: Vec<usize>,
     /// Arms on an open boundary of the last attempt.
     open: Vec<usize>,
-    /// Slots whose products are drawn (a prefix of `slots`).
-    drawn: usize,
-    /// The RNG state after the last bracketed push.
-    end: Option<StdRng>,
     /// A run's scaled uniforms.
     buf: Vec<f64>,
 }
@@ -482,84 +517,85 @@ impl ThompsonDraws {
             slots: Vec::new(),
             order: Vec::new(),
             open: Vec::new(),
-            drawn: 0,
-            end: None,
             buf: Vec::new(),
         }
     }
 
-    /// Starts a new round (capacity is kept).
-    pub fn clear(&mut self) {
+    /// Draws a round: `θ ~ Be(s[i], f[i])` for every arm `i` of `live`, in
+    /// order, to be ranked as `θ + bias[i]`, consuming `rng` exactly as
+    /// `Beta::new(s[i], f[i])?.sample(rng)` in that order does. Replaces the
+    /// previous round. A zero count is a typed `beta_shape` error, and leaves
+    /// no round drawn.
+    pub fn draw(
+        &mut self,
+        rng: &mut StdRng,
+        live: &[usize],
+        s: &[u64],
+        f: &[u64],
+        bias: &[f64],
+    ) -> Result<()> {
         self.slots.clear();
-        self.drawn = 0;
-        self.end = None;
-    }
-
-    /// Draws `θ ~ Be(s, f)` for the next arm, to be ranked as `θ + bias`,
-    /// consuming `rng` exactly as `Beta::new(s, f)?.sample(rng)` does (a
-    /// bracketed draw's products are computed in `smallest`). An invalid
-    /// shape is a typed `beta_shape` error.
-    pub fn push(&mut self, rng: &mut StdRng, s: f64, f: f64, bias: f64) -> Result<()> {
-        // Shapes start at 1 and only ever increment, so this can only fail
-        // on NaN corruption upstream — surfaced as an error, not a panic.
-        let beta = Beta::new(s, f).map_err(|_| {
-            TmError::invalid(
-                "beta_shape",
-                format!("Beta({s}, {f}) is not a valid posterior"),
-            )
-        })?;
-        let mut slot = Slot {
-            beta,
-            bias,
-            start: rng.clone(),
-            x: Product::ONE,
-            y: Product::ONE,
-            a: 0,
-            k: 0,
-            joins: false,
-            lo: 0.0,
-            mid: 0.0,
-            hi: 0.0,
-            tier: Tier::Exact,
-        };
-        if let (Some(a), Some(b)) = (bracket_uniforms(s), bracket_uniforms(f)) {
-            // The products are drawn in `smallest`; skip their uniforms.
-            // SplitMix64's state steps by a constant, so the compiler folds
-            // this loop into one multiply-add.
-            (slot.a, slot.k, slot.tier) = (a, a + b, Tier::Coarse);
-            slot.joins = self.end.as_ref() == Some(&*rng);
-            for _ in 0..a + b {
-                rng.next_u64();
+        self.slots.reserve(live.len());
+        for &i in live {
+            let (s, f, bias) = (s[i], f[i], bias[i]);
+            // Counts start at 1 and only ever increment, so this can only
+            // fail on corruption upstream — an error, not a panic.
+            if s == 0 || f == 0 {
+                self.slots.clear();
+                return Err(TmError::invalid(
+                    "beta_shape",
+                    format!("Be({s}, {f}) is not a valid posterior"),
+                ));
             }
-            self.end = Some(rng.clone());
-        } else {
-            let d = beta.sample(rng) + bias;
-            (slot.lo, slot.mid, slot.hi) = (d, d, d);
+            let mut slot = Slot {
+                start: rng.clone(),
+                s,
+                f,
+                bias,
+                x: Product::ONE,
+                y: Product::ONE,
+                lo: 0.0,
+                mid: 0.0,
+                hi: 0.0,
+                tier: Tier::Coarse,
+            };
+            if s <= MAX_BRACKET_COUNT && f <= MAX_BRACKET_COUNT {
+                // The products are drawn below, from the saved state; skip
+                // their uniforms. SplitMix64's state steps by a constant, so
+                // the compiler folds this loop into one multiply-add.
+                for _ in 0..s + f {
+                    rng.next_u64();
+                }
+            } else {
+                let d = exact_draw(rng, s, f) + bias;
+                (slot.lo, slot.mid, slot.hi, slot.tier) = (d, d, d, Tier::Exact);
+            }
+            self.slots.push(slot);
         }
-        self.slots.push(slot);
+        self.fill();
         Ok(())
     }
 
-    /// Draws the products of the slots pushed since the last call, one run
-    /// of consecutive bracketed slots at a time, and sets their coarse
-    /// brackets.
-    fn draw(&mut self) {
-        let mut i = self.drawn;
+    /// Draws the products of the bracketed slots, one run of consecutive
+    /// ones at a time (their uniforms follow each other in the stream; an
+    /// exact draw breaks a run), and sets their coarse brackets.
+    fn fill(&mut self) {
         let n = self.slots.len();
+        let mut i = 0;
         while i < n {
-            if self.slots[i].k == 0 {
+            if self.slots[i].tier != Tier::Coarse {
                 i += 1;
                 continue;
             }
-            let mut total = self.slots[i].k as usize;
+            let mut total = (self.slots[i].s + self.slots[i].f) as usize;
             let mut j = i + 1;
-            while j < n && self.slots[j].joins && total < MAX_RUN {
-                total += self.slots[j].k as usize;
+            while j < n && self.slots[j].tier == Tier::Coarse && total < MAX_RUN {
+                total += (self.slots[j].s + self.slots[j].f) as usize;
                 j += 1;
             }
             self.build.run(&mut self.slots[i..j], total, &mut self.buf);
             for slot in &mut self.slots[i..j] {
-                match coarse_bracket(slot.x, slot.y, slot.k) {
+                match coarse_bracket(slot.x, slot.y, slot.s + slot.f) {
                     Some(bracket) => slot.set(bracket, Tier::Coarse),
                     // A product of exact ones: straight to the next tier.
                     None => slot.refine(),
@@ -567,20 +603,34 @@ impl ThompsonDraws {
             }
             i = j;
         }
-        self.drawn = n;
     }
 
-    /// Positions (in push order) of the `take` smallest draws, ascending,
-    /// ties to the earlier push. Refines only the brackets that leave the
-    /// answer open, coarsest first.
+    /// Positions (in the live list) of the `take` smallest draws,
+    /// ascending, ties to the earlier arm. Refines only the brackets that
+    /// leave the answer open, coarsest first.
     pub fn smallest(&mut self, take: usize) -> &[usize] {
-        self.draw();
+        self.pick(take, take == 1)
+    }
+
+    /// [`smallest`](Self::smallest) without the shortlist: chosen and
+    /// certified among every arm for any `take`, the pick the selector's
+    /// frozen reference loop makes.
+    #[cfg(test)]
+    pub fn smallest_among_all(&mut self, take: usize) -> &[usize] {
+        self.pick(take, false)
+    }
+
+    fn pick(&mut self, take: usize, shortlist: bool) -> &[usize] {
         let n = self.slots.len();
         let take = take.min(n);
         self.order.clear();
-        self.order.extend(0..n);
         if take == 0 {
             return &[];
+        }
+        if shortlist {
+            self.shortlist();
+        } else {
+            self.order.extend(0..n);
         }
         let mut failed = 0;
         while !self.certify(take) {
@@ -593,7 +643,26 @@ impl ThompsonDraws {
         &self.order[..take]
     }
 
-    /// One attempt: chooses the `take` smallest centres into
+    /// Puts into `order` the arms that can hold the smallest draw: those
+    /// whose `(lo, index)` does not exceed the smallest `(hi, index)`. Any
+    /// other arm's draw lies above that arm's, so a pick certified among
+    /// the shortlist is certified among all arms, and it stays so as
+    /// refinement moves the brackets.
+    fn shortlist(&mut self) {
+        let slots = &self.slots;
+        let mut cut = (slots[0].hi, 0);
+        for (i, slot) in slots.iter().enumerate().skip(1) {
+            // Scanned in index order, so a tie keeps the earlier arm.
+            if slot.hi < cut.0 {
+                cut = (slot.hi, i);
+            }
+        }
+        self.order.extend(
+            (0..slots.len()).filter(|&j| key_order((slots[j].lo, j), cut) != Ordering::Greater),
+        );
+    }
+
+    /// One attempt: chooses the `take` smallest centres among `order` into
     /// `order[..take]`, sorted, and returns true when the brackets prove
     /// the choice and its order. Otherwise refines the coarsest of the
     /// brackets on the open boundaries and returns false. Each failed
@@ -735,30 +804,33 @@ mod tests {
             }
         }
 
-        /// The `take` smallest of `arms` (`(s, f, bias)`) as the selection
-        /// loop used to find them: one exact `Beta` draw per arm, a stable
-        /// sort, a truncation.
-        fn reference(rng: &mut StdRng, arms: &[(f64, f64, f64)], take: usize) -> Vec<usize> {
-            let mut draws: Vec<(usize, f64)> = Vec::with_capacity(arms.len());
-            for (i, &(s, f, bias)) in arms.iter().enumerate() {
-                draws.push((i, Beta::new(s, f).unwrap().sample(rng) + bias));
+        /// The `take` smallest of the `live` arms (`(s, f, bias)`) as the
+        /// selection loop used to find them: one exact `Beta` draw per live
+        /// arm in list order, a stable sort, a truncation.
+        fn reference(
+            rng: &mut StdRng,
+            arms: &[(u64, u64, f64)],
+            live: &[usize],
+            take: usize,
+        ) -> Vec<usize> {
+            let mut draws: Vec<(usize, f64)> = Vec::with_capacity(live.len());
+            for (pos, &i) in live.iter().enumerate() {
+                let (s, f, bias) = arms[i];
+                draws.push((pos, exact_draw(rng, s, f) + bias));
             }
             draws.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
             draws.truncate(take);
             draws.into_iter().map(|(i, _)| i).collect()
         }
 
-        /// An integer shape, log-uniform in `[1, 10⁴]`.
-        fn shape(g: &mut StdRng) -> f64 {
-            (g.random_range(0.0..4.0f64) * std::f64::consts::LN_10)
-                .exp()
-                .floor()
+        /// A count, log-uniform in `[1, 10⁴]`.
+        fn count(g: &mut StdRng) -> u64 {
+            (g.random_range(0.0..4.0f64) * std::f64::consts::LN_10).exp() as u64
         }
 
-        /// A live set of `n` arms: shapes up to 10⁴, and VoI biases that
-        /// are all 0 (no hints), all random in `[0, 1]`, or a mix with
-        /// exact 0, ½ and 1.
-        fn arms(seed: u64, n: usize) -> Vec<(f64, f64, f64)> {
+        /// `n` arms: counts up to 10⁴, and VoI biases that are all 0 (no
+        /// hints), all random in `[0, 1]`, or a mix with exact 0, ½ and 1.
+        fn arms(seed: u64, n: usize) -> Vec<(u64, u64, f64)> {
             let mut g = StdRng::seed_from_u64(seed);
             let hints = g.random_range(0..3u32);
             (0..n)
@@ -768,7 +840,7 @@ mod tests {
                         1 => g.random_range(0.0..1.0),
                         _ => [0.0, 0.5, 1.0, g.random_range(0.0..1.0)][g.random_range(0..4usize)],
                     };
-                    (shape(&mut g), shape(&mut g), bias)
+                    (count(&mut g), count(&mut g), bias)
                 })
                 .collect()
         }
@@ -782,14 +854,19 @@ mod tests {
                 take in sample::select(vec![1usize, 2, 7, usize::MAX]),
             ) {
                 let arms = arms(seed, n);
-                let take = take.min(n);
+                // A live list that skips about one arm in five.
+                let mut g = StdRng::seed_from_u64(seed ^ 0x11);
+                let mut live: Vec<usize> = (0..n).filter(|_| g.random_range(0..5u32) > 0).collect();
+                if live.is_empty() {
+                    live.push(n - 1);
+                }
+                let take = take.min(live.len());
                 let mut exact_rng = StdRng::seed_from_u64(seed ^ 0x7B);
                 let mut rng = exact_rng.clone();
-                let expected = reference(&mut exact_rng, &arms, take);
+                let expected = reference(&mut exact_rng, &arms, &live, take);
                 let mut draws = ThompsonDraws::new();
-                for &(s, f, bias) in &arms {
-                    draws.push(&mut rng, s, f, bias).unwrap();
-                }
+                let (s, f, bias) = columns(&arms);
+                draws.draw(&mut rng, &live, &s, &f, &bias).unwrap();
                 prop_assert_eq!(draws.smallest(take), &expected[..]);
                 prop_assert_eq!(rng.next_u64(), exact_rng.next_u64());
             }
@@ -802,8 +879,8 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 for (s, f, _) in arms(seed, n) {
                     let mut exact_rng = rng.clone();
-                    let exact = Beta::new(s, f).unwrap().sample(&mut exact_rng);
-                    let (coarse, fine) = tier_brackets(&mut rng, s as u64, f as u64);
+                    let exact = exact_draw(&mut exact_rng, s, f);
+                    let (coarse, fine) = tier_brackets(&mut rng, s, f);
                     let (lo, hi) = coarse.expect("a product of exact ones is a 2⁻⁵³ event");
                     prop_assert!(
                         lo <= exact && exact <= hi,
@@ -821,6 +898,22 @@ mod tests {
         }
     }
 
+    /// The arms' counts and biases as the arrays a round reads.
+    fn columns(arms: &[(u64, u64, f64)]) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+        (
+            arms.iter().map(|a| a.0).collect(),
+            arms.iter().map(|a| a.1).collect(),
+            arms.iter().map(|a| a.2).collect(),
+        )
+    }
+
+    /// Draws a round over every arm of `arms`, in order.
+    fn draw_all(draws: &mut ThompsonDraws, rng: &mut StdRng, arms: &[(u64, u64, f64)]) {
+        let (s, f, bias) = columns(arms);
+        let live: Vec<usize> = (0..arms.len()).collect();
+        draws.draw(rng, &live, &s, &f, &bias).unwrap();
+    }
+
     /// The coarse bracket, unmargined (widened by `r₀`, not `4·r₀`), and
     /// the fine centre and radius of the `Be(a, b)` draw from the next
     /// `a + b` uniforms, which are consumed; products through this
@@ -830,8 +923,7 @@ mod tests {
         let mut draws = ThompsonDraws::new();
         // NaNs past the uniforms: an unmasked last row would poison a side.
         draws.buf = vec![f64::NAN; (a + b) as usize + 2 * LANES];
-        draws.push(rng, a as f64, b as f64, 0.0).unwrap();
-        draws.draw();
+        draw_all(&mut draws, rng, &[(a, b, 0.0)]);
         let Slot { x, y, .. } = draws.slots[0];
         let coarse = coarse_bracket(x, y, a + b).map(|(_, _, hi)| {
             let d = (x.e + y.e + 1) as f64;
@@ -843,13 +935,13 @@ mod tests {
 
     #[test]
     fn coarse_brackets_hold_the_exact_draw_at_edge_shapes() {
-        let edge = [1.0, (1u64 << 19) as f64];
+        let edge = [1, MAX_BRACKET_COUNT];
         for seed in 0..3 {
             for s in edge {
                 for f in edge {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let exact = Beta::new(s, f).unwrap().sample(&mut rng.clone());
-                    let (coarse, _) = tier_brackets(&mut rng, s as u64, f as u64);
+                    let exact = exact_draw(&mut rng.clone(), s, f);
+                    let (coarse, _) = tier_brackets(&mut rng, s, f);
                     let (lo, hi) = coarse.expect("not a product of exact ones");
                     assert!(
                         lo <= exact && exact <= hi,
@@ -870,7 +962,13 @@ mod tests {
         for (seed, &k) in ks.iter().enumerate() {
             // Every k on either side of a draw, in one run of draws that
             // start at every offset modulo 8.
-            let shapes = [(k, 1), (1, k), (k, k), (3, k), (k, 5)];
+            let shapes = [
+                (k, 1, 0.0),
+                (1, k, 0.0),
+                (k, k, 0.0),
+                (3, k, 0.0),
+                (k, 5, 0.0),
+            ];
             let mut rngs = [0, 1].map(|_| StdRng::seed_from_u64(seed as u64));
             // Buffers of NaNs: a last row that read past a side without
             // masking would poison the product.
@@ -881,10 +979,7 @@ mod tests {
             });
             let mut draws = [portable, vector];
             for (d, rng) in draws.iter_mut().zip(&mut rngs) {
-                for &(s, f) in &shapes {
-                    d.push(rng, s as f64, f as f64, 0.0).unwrap();
-                }
-                d.draw();
+                draw_all(d, rng, &shapes);
             }
             for (i, (p, v)) in draws[0].slots.iter().zip(&draws[1].slots).enumerate() {
                 let bits = |s: &Slot| [s.x, s.y].map(|q| (q.m.to_bits(), q.e));
@@ -893,6 +988,22 @@ mod tests {
             }
             let [a, b] = &mut rngs;
             assert_eq!(a.next_u64(), b.next_u64(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn short_and_lane_products_agree_to_their_rounding() {
+        // A short side is multiplied in turn, a long one through the lanes;
+        // on the same uniforms both must give `[½, 1)·2^−e` and the same
+        // `−ln` up to their `count − 1` roundings.
+        let mut rng = StdRng::seed_from_u64(17);
+        let us: Vec<f64> = (0..32).map(|_| scaled_unit(rng.next_u64())).collect();
+        for count in 1..=SHORT_SIDE {
+            let (short, lanes) = (short_product(&us, count), lane_product(&us, count));
+            assert!((0.5..1.0).contains(&short.m), "count {count}");
+            let (a, b) = (short.neg_ln(), lanes.neg_ln());
+            let slack = 4.0 * count as f64 * UNIT_ROUNDOFF * a.max(1.0);
+            assert!((a - b).abs() <= slack, "count {count}: {a} vs {b}");
         }
     }
 
@@ -915,20 +1026,17 @@ mod tests {
         let mut exact = Vec::new();
         for &(seed, target, shift) in arms {
             let start = StdRng::seed_from_u64(seed);
-            let beta = Beta::new(3.0, 5.0).unwrap();
-            let theta = beta.sample(&mut start.clone());
+            let theta = exact_draw(&mut start.clone(), 3, 5);
             let bias = target - theta;
             let d = theta + bias;
             exact.push(d);
             draws.slots.push(Slot {
-                beta,
-                bias,
                 start,
+                s: 3,
+                f: 5,
+                bias,
                 x: Product::ONE,
                 y: Product::ONE,
-                a: 0,
-                k: 0,
-                joins: false,
                 lo: d - width,
                 mid: d + shift,
                 hi: d + width,
@@ -969,6 +1077,29 @@ mod tests {
     }
 
     #[test]
+    fn the_shortlist_holds_every_arm_that_reaches_the_smallest_upper_end() {
+        // Arm 2 has the smallest upper end. Arm 0 starts below it; arms 1
+        // and 3 start exactly at it, so only arm 1, the lower index, can
+        // tie arm 2's draw and win; arm 4 starts far above.
+        let (mut draws, _) = crafted(
+            &[
+                (1, 1.0 + 1e-9, 0.0),
+                (2, 1.0 + 3e-9, 0.0),
+                (3, 1.0, 0.0),
+                (4, 1.0 + 2e-9, 0.0),
+                (5, 2.0, 0.0),
+            ],
+            2e-9,
+        );
+        let cut = draws.slots[2].hi;
+        assert!(draws.slots.iter().all(|s| s.hi >= cut));
+        draws.slots[1].lo = cut;
+        draws.slots[3].lo = cut;
+        draws.shortlist();
+        assert_eq!(draws.order, [0, 1, 2]);
+    }
+
+    #[test]
     fn exact_ties_go_to_the_lower_index() {
         // Identical seeds, shapes and biases: equal draws. Arm 1's centre
         // is lower, but the stable sort keeps arm 0 first.
@@ -982,6 +1113,9 @@ mod tests {
         // replay.
         let (mut draws, exact) = crafted(&[(9, 1.2, 0.0), (5, 1.0, 0.0), (5, 1.0, 0.0)], 0.0);
         assert_eq!(draws.smallest(2), &[1, 2]);
+        assert_eq!(replayed(&draws, &exact), [false, false, false]);
+        let (mut draws, exact) = crafted(&[(9, 1.2, 0.0), (5, 1.0, 0.0), (5, 1.0, 0.0)], 0.0);
+        assert_eq!(draws.smallest(1), &[1]);
         assert_eq!(replayed(&draws, &exact), [false, false, false]);
     }
 
@@ -1014,25 +1148,24 @@ mod tests {
         // its fine bracket by hand and biased to draw 1e-9 below arm 1,
         // whose coarse bracket covers that gap; the fine brackets do not
         // overlap. Only arm 1 may be refined, and only to its fine tier.
-        let (s, f) = (20.0, 30.0);
-        let fine_centre = |seed| {
+        let (s, f) = (20, 30);
+        let slot = |seed, bias| {
             let mut draws = ThompsonDraws::new();
-            draws
-                .push(&mut StdRng::seed_from_u64(seed), s, f, 0.0)
-                .unwrap();
-            draws.draw();
-            draws.slots[0].refine();
-            draws.slots[0].mid
+            draw_all(
+                &mut draws,
+                &mut StdRng::seed_from_u64(seed),
+                &[(s, f, bias)],
+            );
+            draws.slots.pop().expect("one arm")
+        };
+        let fine_centre = |seed| {
+            let mut slot = slot(seed, 0.0);
+            slot.refine();
+            slot.mid
         };
         let bias = fine_centre(22) - fine_centre(21) - 1e-9;
         let mut draws = ThompsonDraws::new();
-        draws
-            .push(&mut StdRng::seed_from_u64(21), s, f, bias)
-            .unwrap();
-        draws
-            .push(&mut StdRng::seed_from_u64(22), s, f, 0.0)
-            .unwrap();
-        draws.draw();
+        draws.slots = vec![slot(21, bias), slot(22, 0.0)];
         draws.slots[0].refine();
         let tiers = |d: &ThompsonDraws| d.slots.iter().map(|s| s.tier).collect::<Vec<_>>();
         assert_eq!(tiers(&draws), [Tier::Fine, Tier::Coarse]);
@@ -1041,59 +1174,53 @@ mod tests {
             coarse.lo < fine.hi && fine.lo < coarse.hi,
             "the brackets must overlap"
         );
-        let exact = |seed, bias| {
-            Beta::new(s, f)
-                .unwrap()
-                .sample(&mut StdRng::seed_from_u64(seed))
-                + bias
-        };
+        let exact = |seed, bias| exact_draw(&mut StdRng::seed_from_u64(seed), s, f) + bias;
         assert!(exact(21, bias) < exact(22, 0.0));
         assert_eq!(draws.smallest(1), &[0]);
         assert_eq!(tiers(&draws), [Tier::Fine, Tier::Fine]);
     }
 
     #[test]
-    fn runs_break_at_exact_draws_and_at_another_rng() {
-        // Integer arms from `rng`, a non-integer arm, more integer arms, an
-        // arm from a second RNG and one more from `rng`: five runs. The
-        // whole order must match the exact draws, and both RNGs must end
-        // where the exact sampler leaves them.
+    fn runs_break_at_exact_draws() {
+        // Bracketed arms, an arm whose count takes the exact draw, more
+        // bracketed arms: two runs around it. The whole order must match
+        // the exact draws, and the RNG must end where the exact sampler
+        // leaves it.
+        let big = MAX_BRACKET_COUNT + 1;
         let arms = [
-            (0, 3.0, 9.0),
-            (0, 40.0, 2.0),
-            (0, 2.5, 4.0),
-            (0, 7.0, 7.0),
-            (0, 1.0, 130.0),
-            (1, 12.0, 5.0),
-            (0, 6.0, 6.0),
+            (3, 9, 0.0),
+            (40, 2, 0.0),
+            (big, 4, 0.0),
+            (7, 7, 0.0),
+            (1, 130, 0.0),
+            (6, 6, 0.0),
         ];
-        let seeds = [31, 32];
-        let mut rngs = seeds.map(StdRng::seed_from_u64);
-        let mut exact_rngs = rngs.clone();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut exact_rng = rng.clone();
+        let exact: Vec<f64> = arms
+            .iter()
+            .map(|&(s, f, _)| exact_draw(&mut exact_rng, s, f))
+            .collect();
         let mut draws = ThompsonDraws::new();
-        let mut exact = Vec::new();
-        for &(r, s, f) in &arms {
-            draws.push(&mut rngs[r], s, f, 0.0).unwrap();
-            exact.push(Beta::new(s, f).unwrap().sample(&mut exact_rngs[r]));
-        }
+        draw_all(&mut draws, &mut rng, &arms);
+        let tiers: Vec<Tier> = draws.slots.iter().map(|s| s.tier).collect();
+        assert_eq!(tiers[2], Tier::Exact, "{tiers:?}");
+        assert_eq!(draws.slots[2].mid, exact[2]);
         assert_eq!(
             draws.smallest(arms.len()),
             &exact_order(&exact, arms.len())[..]
         );
-        let joins: Vec<bool> = draws.slots.iter().map(|s| s.joins).collect();
-        assert_eq!(joins, [false, true, false, false, true, false, false]);
-        for (rng, exact_rng) in rngs.iter_mut().zip(&mut exact_rngs) {
-            assert_eq!(rng.next_u64(), exact_rng.next_u64());
-        }
+        assert_eq!(rng.next_u64(), exact_rng.next_u64());
     }
 
     #[test]
-    fn non_integer_shapes_take_the_exact_draw() {
+    fn counts_above_the_bracket_limit_take_the_exact_draw() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut exact_rng = rng.clone();
         let mut draws = ThompsonDraws::new();
-        draws.push(&mut rng, 2.5, 3.0, 0.25).unwrap();
-        let d = Beta::new(2.5, 3.0).unwrap().sample(&mut exact_rng) + 0.25;
+        let s = MAX_BRACKET_COUNT + 1;
+        draw_all(&mut draws, &mut rng, &[(s, 3, 0.25)]);
+        let d = exact_draw(&mut exact_rng, s, 3) + 0.25;
         let slot = &draws.slots[0];
         assert_eq!(slot.tier, Tier::Exact);
         assert_eq!((slot.lo, slot.mid, slot.hi), (d, d, d));
@@ -1104,18 +1231,14 @@ mod tests {
     fn invalid_shapes_are_a_typed_error() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut draws = ThompsonDraws::new();
-        for (s, f) in [
-            (f64::NAN, 1.0),
-            (1.0, 0.0),
-            (-2.0, 3.0),
-            (1.0, f64::INFINITY),
-        ] {
-            match draws.push(&mut rng, s, f, 0.0) {
+        for arms in [[(1, 0, 0.0), (2, 2, 0.0)], [(2, 2, 0.0), (0, 3, 0.0)]] {
+            let (s, f, bias) = columns(&arms);
+            match draws.draw(&mut rng, &[0, 1], &s, &f, &bias) {
                 Err(TmError::InvalidConfig { param, .. }) => assert_eq!(param, "beta_shape"),
-                other => panic!("Be({s}, {f}): {other:?}"),
+                other => panic!("{arms:?}: {other:?}"),
             }
+            assert!(draws.slots.is_empty());
         }
-        assert!(draws.slots.is_empty());
     }
 
     #[test]
@@ -1123,14 +1246,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut draws = ThompsonDraws::new();
         for round in 0..3 {
-            draws.clear();
-            for i in 0..50 {
-                draws
-                    .push(&mut rng, 1.0 + i as f64, 2.0 + round as f64, 0.0)
-                    .unwrap();
-            }
+            let arms: Vec<(u64, u64, f64)> = (0..50).map(|i| (1 + i, 2 + round, 0.0)).collect();
+            draw_all(&mut draws, &mut rng, &arms);
             assert_eq!(draws.slots.len(), 50);
             assert_eq!(draws.smallest(60).len(), 50);
+            assert_eq!(draws.smallest(1).len(), 1);
         }
         assert!(draws.slots.capacity() >= 50 && draws.order.capacity() >= 50);
     }

@@ -19,6 +19,15 @@
 //! The final candidates are the `⌈K·|P_c|⌉` pairs with the lowest posterior
 //! means `S/(S+F)`.
 //!
+//! **Flat rounds.** What a round reads for every live arm sits in per-arm
+//! arrays ([`Arms`]): the counts `S` and `F` as integers, the VoI bias, the
+//! sample count `n` and a sample mean cached on each pull. The round hands
+//! the live list and the arrays to the draws in one call. The live list
+//! keeps index order and is edited only when an arm locks in, is pruned or
+//! runs out of BBox pairs. ULB reuses one Hoeffding radius per distinct
+//! small `n` and finds its two order statistics in one pass when `m` is
+//! small.
+//!
 //! **BetaInit** (Algorithm 3) warm-starts the posterior: pairs whose track
 //! end-points are spatially close (`DisS < thr_S`) get `F += 1`, lowering
 //! their prior mean so they are explored first.
@@ -97,59 +106,76 @@ impl TMerge {
     }
 }
 
-/// Per-pair bandit state.
+/// Per-pair bandit state, indexed by the pair's position in the input.
+/// Every round reads the arrays for each live arm; the [`Arm`]s are read
+/// only for the chosen arms and at the end.
+struct Arms<'a> {
+    /// Beta counts: `S` starts at 1, `F` at 1 or 2 (BetaInit), and a pull
+    /// increments one of them.
+    s: Vec<u64>,
+    f: Vec<u64>,
+    /// Additive VoI rank bias (`1 - weight`, [`crate::voi`]); 0 without
+    /// hints. Biases exploration toward high-weight arms.
+    bias: Vec<f64>,
+    /// Samples drawn, their normalized-distance sum and `sum / n` (1
+    /// before the first), for ULB.
+    n: Vec<u64>,
+    sum: Vec<f64>,
+    mean: Vec<f64>,
+    rest: Vec<Arm<'a>>,
+}
+
+/// The part of an arm's state a round reads only when the arm is chosen.
 struct Arm<'a> {
     boxes: PairBoxes<'a>,
     sampler: WithoutReplacement,
-    /// Beta shape parameters.
-    s: f64,
-    f: f64,
-    /// Prior pseudo-counts (after BetaInit), for shrinkage ranking.
-    prior_s: f64,
-    prior_f: f64,
-    /// Rank by the raw Bernoulli posterior instead of the shrunk mean.
-    rank_by_posterior: bool,
-    /// Samples drawn and their normalized-distance sum (for ULB).
-    n: u64,
-    sum: f64,
+    /// `F` after BetaInit (the prior `S` is 1), for shrinkage ranking.
+    prior_f: u64,
     /// Pruned into the candidate set (provably in the top-m).
     locked_in: bool,
     /// Pruned out (provably not in the top-m).
     pruned_out: bool,
-    /// Additive VoI rank bias (`1 - weight`, [`crate::voi`]); 0 without
-    /// hints. Biases exploration toward high-weight arms.
-    bias: f64,
     /// Deferred by a weight-0 VoI hint: never played, never a candidate.
     deferred: bool,
 }
 
-impl Arm<'_> {
-    fn posterior_mean(&self) -> f64 {
-        self.s / (self.s + self.f)
+impl Arms<'_> {
+    fn len(&self) -> usize {
+        self.rest.len()
     }
 
-    fn sample_mean(&self) -> f64 {
-        if self.n == 0 {
-            1.0
+    fn live(&self, i: usize) -> bool {
+        let arm = &self.rest[i];
+        !arm.deferred && !arm.locked_in && !arm.pruned_out && !arm.sampler.is_exhausted()
+    }
+
+    /// Records one Bernoulli trial and its normalized distance.
+    fn pull(&mut self, i: usize, success: bool, d_norm: f64) {
+        if success {
+            self.s[i] += 1;
         } else {
-            self.sum / self.n as f64
+            self.f[i] += 1;
         }
+        self.n[i] += 1;
+        self.sum[i] += d_norm;
+        self.mean[i] = self.sum[i] / self.n[i] as f64;
+    }
+
+    fn posterior_mean(&self, i: usize) -> f64 {
+        let (s, f) = (self.s[i] as f64, self.f[i] as f64);
+        s / (s + f)
     }
 
     /// The score used for the final ranking: either the literal posterior
     /// mean, or the continuous sample mean shrunk toward the prior mean by
     /// the prior's pseudo-count weight.
-    fn ranking_score(&self) -> f64 {
-        if self.rank_by_posterior {
-            return self.posterior_mean();
+    fn ranking_score(&self, i: usize, rank_by_posterior: bool) -> f64 {
+        if rank_by_posterior {
+            return self.posterior_mean(i);
         }
-        let w0 = self.prior_s + self.prior_f;
-        let p0 = self.prior_s / w0;
-        (p0 * w0 + self.sum) / (w0 + self.n as f64)
-    }
-
-    fn live(&self) -> bool {
-        !self.deferred && !self.locked_in && !self.pruned_out && !self.sampler.is_exhausted()
+        let w0 = 1.0 + self.rest[i].prior_f as f64;
+        let p0 = 1.0 / w0;
+        (p0 * w0 + self.sum[i]) / (w0 + self.n[i] as f64)
     }
 }
 
@@ -174,33 +200,36 @@ impl CandidateSelector for TMerge {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // --- BetaInit (Algorithm 3). ---
-        let mut arms: Vec<Arm<'_>> = Vec::with_capacity(input.pairs.len());
+        let len = input.pairs.len();
+        let mut arms = Arms {
+            s: vec![1; len],
+            f: Vec::with_capacity(len),
+            bias: Vec::with_capacity(len),
+            n: vec![0; len],
+            sum: vec![0.0; len],
+            mean: vec![1.0; len],
+            rest: Vec::with_capacity(len),
+        };
         for &p in input.pairs {
             let boxes = PairBoxes::resolve(p, input.tracks)?;
-            let mut f = 1.0;
+            let mut f = 1;
             if let (Some(thr), Some(dis)) = (self.config.thr_s, boxes.spatial_distance()) {
                 if dis < thr {
-                    f += 1.0;
+                    f += 1;
                 }
             }
-            let sampler = WithoutReplacement::new(boxes.total_bbox_pairs());
             let (bias, deferred) = match input.voi {
                 Some(h) => (h.bias(&p), h.deferred(&p)),
                 None => (0.0, false),
             };
-            arms.push(Arm {
+            arms.f.push(f);
+            arms.bias.push(bias);
+            arms.rest.push(Arm {
+                sampler: WithoutReplacement::new(boxes.total_bbox_pairs()),
                 boxes,
-                sampler,
-                s: 1.0,
-                f,
-                prior_s: 1.0,
                 prior_f: f,
-                rank_by_posterior: self.config.rank_by_bernoulli_posterior,
-                n: 0,
-                sum: 0.0,
                 locked_in: false,
                 pruned_out: false,
-                bias,
                 deferred,
             });
         }
@@ -209,19 +238,16 @@ impl CandidateSelector for TMerge {
         let mut round = 0u64;
         let mut history = Vec::new();
         let batch = session.device().batch();
-        // Round buffers, reused across rounds.
-        let mut live: Vec<usize> = Vec::with_capacity(arms.len());
+        // Round buffers, reused across rounds. The live list keeps index
+        // order and loses an arm only when the arm locks in, is pruned or
+        // runs out of BBox pairs.
+        let mut live: Vec<usize> = (0..len).filter(|&i| arms.live(i)).collect();
         let mut draws = ThompsonDraws::new();
         let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(batch);
         let mut ulb = UlbScratch::default();
 
         // --- Main sampling loop (Algorithm 2 lines 3–14). ---
-        while tau < self.config.tau_max {
-            live.clear();
-            live.extend((0..arms.len()).filter(|&i| arms[i].live()));
-            if live.is_empty() {
-                break;
-            }
+        while tau < self.config.tau_max && !live.is_empty() {
             round += 1;
             // Line 4–5: Thompson draws over all live arms. The VoI bias (0
             // without hints) handicaps low-weight arms: they only win a
@@ -229,10 +255,7 @@ impl CandidateSelector for TMerge {
             session.charge_thompson_scan(live.len());
             let budget_left = (self.config.tau_max - tau) as usize;
             let take = batch.min(live.len()).min(budget_left).max(1);
-            draws.clear();
-            for &i in &live {
-                draws.push(&mut rng, arms[i].s, arms[i].f, arms[i].bias)?;
-            }
+            draws.draw(&mut rng, &live, &arms.s, &arms.f, &arms.bias)?;
             // Line 6: the arg-min draw; TMerge-B takes the B smallest
             // (positions in `live`).
             let chosen = draws.smallest(take);
@@ -241,7 +264,7 @@ impl CandidateSelector for TMerge {
             // chosen arm; evaluate as one (GPU) round.
             items.clear();
             for &pos in chosen {
-                let arm = &mut arms[live[pos]];
+                let arm = &mut arms.rest[live[pos]];
                 let flat = arm
                     .sampler
                     .draw(&mut rng)
@@ -251,16 +274,14 @@ impl CandidateSelector for TMerge {
             let distances = session.try_pair_distances_batch(&items)?;
 
             // Lines 8–13: Bernoulli trials and posterior updates.
+            // Whether an arm ran out of box pairs or ULB decided it: only
+            // then does the live list change.
+            let mut dropped = false;
             for (&pos, d) in chosen.iter().zip(&distances) {
                 let d_norm = (d / NORMALIZER).clamp(0.0, 1.0);
-                let arm = &mut arms[live[pos]];
-                if rng.random_bool(d_norm) {
-                    arm.s += 1.0;
-                } else {
-                    arm.f += 1.0;
-                }
-                arm.n += 1;
-                arm.sum += d_norm;
+                let i = live[pos];
+                arms.pull(i, rng.random_bool(d_norm), d_norm);
+                dropped |= arms.rest[i].sampler.is_exhausted();
                 tau += 1;
                 if self.config.record_history {
                     history.push(d_norm);
@@ -269,22 +290,27 @@ impl CandidateSelector for TMerge {
 
             // Line 14: ULB pruning (Algorithm 4).
             if self.config.use_ulb && round.is_multiple_of(self.config.ulb_every.max(1)) {
-                ulb_prune(&mut arms, tau, m, &mut ulb);
+                dropped |= ulb_prune(&mut arms, tau, m, &mut ulb);
+            }
+            if dropped {
+                live.retain(|&i| arms.live(i));
             }
         }
 
         // --- Line 15: top-m by posterior mean. ---
-        let candidates = rank_candidates(&arms, m);
+        let rank_by_posterior = self.config.rank_by_bernoulli_posterior;
+        let candidates = rank_candidates(&arms, m, rank_by_posterior);
         let obs = session.obs();
         if obs.enabled() {
             obs.counter("selector.tmerge.selections", 1);
             obs.counter("selector.tmerge.rounds", round);
             obs.counter("selector.tmerge.pulls", tau);
-            let locked = arms.iter().filter(|a| a.locked_in).count() as u64;
-            let pruned = arms.iter().filter(|a| a.pruned_out).count() as u64;
+            let count = |flag: fn(&Arm<'_>) -> bool| arms.rest.iter().filter(|a| flag(a)).count();
+            let locked = count(|a| a.locked_in) as u64;
+            let pruned = count(|a| a.pruned_out) as u64;
             obs.counter("selector.tmerge.locked_in", locked);
             obs.counter("selector.tmerge.pruned_out", pruned);
-            let voi_deferred = arms.iter().filter(|a| a.deferred).count() as u64;
+            let voi_deferred = count(|a| a.deferred) as u64;
             if voi_deferred > 0 {
                 obs.counter("selector.tmerge.voi_deferred", voi_deferred);
             }
@@ -294,7 +320,7 @@ impl CandidateSelector for TMerge {
                 (arms.len() - candidates.len()) as u64,
             );
             let mean_posterior =
-                arms.iter().map(|a| a.posterior_mean()).sum::<f64>() / arms.len() as f64;
+                (0..arms.len()).map(|i| arms.posterior_mean(i)).sum::<f64>() / arms.len() as f64;
             obs.event(
                 "tmerge_select",
                 &[
@@ -307,9 +333,11 @@ impl CandidateSelector for TMerge {
                 ],
             );
         }
-        let scores = arms
-            .iter()
-            .map(|a| (a.boxes.pair, a.ranking_score()))
+        let scores = (0..arms.len())
+            .map(|i| {
+                let score = arms.ranking_score(i, rank_by_posterior);
+                (arms.rest[i].boxes.pair, score)
+            })
             .collect();
         Ok(SelectionResult {
             candidates,
@@ -323,7 +351,7 @@ impl CandidateSelector for TMerge {
 /// Candidate ranking honouring ULB verdicts: pairs proven inside the top-m
 /// come first, proven-outside pairs come last; within each class the
 /// posterior mean orders ascending (ties by pair for determinism).
-fn rank_candidates(arms: &[Arm<'_>], m: usize) -> Vec<TrackPair> {
+fn rank_candidates(arms: &Arms<'_>, m: usize, rank_by_posterior: bool) -> Vec<TrackPair> {
     let class = |a: &Arm<'_>| -> u8 {
         if a.locked_in {
             0
@@ -333,22 +361,23 @@ fn rank_candidates(arms: &[Arm<'_>], m: usize) -> Vec<TrackPair> {
             1
         }
     };
-    let mut order: Vec<usize> = (0..arms.len()).filter(|&i| !arms[i].deferred).collect();
+    let score = |i: usize| arms.ranking_score(i, rank_by_posterior);
+    let rest = &arms.rest;
+    let mut order: Vec<usize> = (0..arms.len()).filter(|&i| !rest[i].deferred).collect();
     order.sort_by(|&x, &y| {
-        class(&arms[x])
-            .cmp(&class(&arms[y]))
+        class(&rest[x])
+            .cmp(&class(&rest[y]))
             .then(
-                arms[x]
-                    .ranking_score()
-                    .partial_cmp(&arms[y].ranking_score())
+                score(x)
+                    .partial_cmp(&score(y))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
-            .then(arms[x].boxes.pair.cmp(&arms[y].boxes.pair))
+            .then(rest[x].boxes.pair.cmp(&rest[y].boxes.pair))
     });
     order
         .into_iter()
         .take(m)
-        .map(|i| arms[i].boxes.pair)
+        .map(|i| rest[i].boxes.pair)
         .collect()
 }
 
@@ -359,36 +388,46 @@ fn rank_candidates(arms: &[Arm<'_>], m: usize) -> Vec<TrackPair> {
 const ULB_MIN_TAU: u64 = 8;
 const ULB_MIN_SAMPLES: u64 = 2;
 
+/// Sample counts below this share one Hoeffding radius per ULB check: a
+/// 4 KiB table per selection, where an offline window's 105 arms end with
+/// 95 samples on average.
+const RADIUS_TABLE: usize = 256;
+
+/// The largest `m` whose order statistics ULB finds in one pass, keeping
+/// at most 16 sorted values a side; a larger `m`, such as K·|P_c| in the
+/// figure sweeps, goes to two `select_nth_unstable_by` calls.
+const ONE_PASS_M: usize = 16;
+
 /// Algorithm 4 (ULB): lock arms provably inside the top-m and prune arms
-/// provably outside, using Hoeffding radii `U = √(2·ln τ / n)`.
-fn ulb_prune(arms: &mut [Arm<'_>], tau: u64, m: usize, scratch: &mut UlbScratch) {
+/// provably outside, using Hoeffding radii `U = √(2·ln τ / n)`. Returns
+/// whether it locked in or pruned any arm.
+fn ulb_prune(arms: &mut Arms<'_>, tau: u64, m: usize, scratch: &mut UlbScratch) -> bool {
     if tau < ULB_MIN_TAU {
-        return;
+        return false;
     }
-    let log_term = 2.0 * (tau as f64).ln();
     // Bounds for every arm (pruned ones included — the counts in Algorithm
     // 4 line 6 quantify over all of P_c).
-    scratch.bounds.clear();
-    scratch.bounds.extend(arms.iter().map(|a| {
-        if a.n < ULB_MIN_SAMPLES {
-            (f64::NEG_INFINITY, f64::INFINITY)
-        } else {
-            let u = (log_term / a.n as f64).sqrt();
-            let s = a.sample_mean();
-            (s - u, s + u)
-        }
-    }));
+    scratch.fill_bounds(tau, &arms.n, &arms.mean);
     let cut = UlbCut::new(&scratch.bounds, m, &mut scratch.order_stat);
-    for (arm, &bounds) in arms.iter_mut().zip(&scratch.bounds) {
-        if arm.locked_in || arm.pruned_out || arm.n < ULB_MIN_SAMPLES {
+    let mut changed = false;
+    for (i, (&n, &bounds)) in arms.n.iter().zip(&scratch.bounds).enumerate() {
+        if n < ULB_MIN_SAMPLES {
             continue;
         }
-        match cut.verdict(bounds) {
-            Some(UlbVerdict::Inside) => arm.locked_in = true,
-            Some(UlbVerdict::Outside) => arm.pruned_out = true,
-            None => {}
+        let Some(verdict) = cut.verdict(bounds) else {
+            continue;
+        };
+        let arm = &mut arms.rest[i];
+        if arm.locked_in || arm.pruned_out {
+            continue;
         }
+        match verdict {
+            UlbVerdict::Inside => arm.locked_in = true,
+            UlbVerdict::Outside => arm.pruned_out = true,
+        }
+        changed = true;
     }
+    changed
 }
 
 /// ULB's buffers, reused across rounds.
@@ -396,6 +435,40 @@ fn ulb_prune(arms: &mut [Arm<'_>], tau: u64, m: usize, scratch: &mut UlbScratch)
 struct UlbScratch {
     bounds: Vec<(f64, f64)>,
     order_stat: Vec<f64>,
+    /// `(τ, √(2·ln τ / n))` at index `n`: the radius for `n` samples, and
+    /// the `τ` it was computed at.
+    radius: Vec<(u64, f64)>,
+}
+
+impl UlbScratch {
+    /// Every arm's Hoeffding bounds `s̃ ± √(2·ln τ / n)` into `bounds`, and
+    /// `(−∞, +∞)` below two samples. The radius for an `n` under
+    /// [`RADIUS_TABLE`] is computed once per `τ`, with the same operations,
+    /// so the bounds' bits do not depend on the reuse.
+    fn fill_bounds(&mut self, tau: u64, n: &[u64], mean: &[f64]) {
+        let log_term = 2.0 * (tau as f64).ln();
+        if self.radius.is_empty() {
+            // τ ≥ ULB_MIN_TAU here, so a τ of 0 marks an empty entry.
+            self.radius = vec![(0, 0.0); RADIUS_TABLE];
+        }
+        self.bounds.resize(n.len(), (0.0, 0.0));
+        for ((bounds, &n), &s) in self.bounds.iter_mut().zip(n).zip(mean) {
+            *bounds = if n < ULB_MIN_SAMPLES {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            } else {
+                let u = match self.radius.get_mut(n as usize) {
+                    Some(entry) => {
+                        if entry.0 != tau {
+                            *entry = (tau, (log_term / n as f64).sqrt());
+                        }
+                        entry.1
+                    }
+                    None => (log_term / n as f64).sqrt(),
+                };
+                (s - u, s + u)
+            };
+        }
+    }
 }
 
 /// What ULB proves about one arm.
@@ -416,17 +489,42 @@ struct UlbCut {
 }
 
 impl UlbCut {
-    /// Two O(n) selections over `bounds` (`m ≥ 1`), using `buf` as
-    /// scratch. With fewer than m arms, +∞ stands in for both: every arm
-    /// is then inside the top-m and none outside, as the counts say.
+    /// The cut over `bounds` (`m ≥ 1`): one pass for `m ≤ 16`, two O(n)
+    /// selections with `buf` as scratch above. With fewer than m arms, +∞
+    /// stands in for both: every arm is then inside the top-m and none
+    /// outside, as the counts say.
     fn new(bounds: &[(f64, f64)], m: usize, buf: &mut Vec<f64>) -> Self {
         debug_assert!(m >= 1, "ULB needs m ≥ 1");
         if m > bounds.len() {
-            return Self {
+            Self {
                 lb_m: f64::INFINITY,
                 ub_m: f64::INFINITY,
-            };
+            }
+        } else if m <= ONE_PASS_M {
+            Self::in_one_pass(bounds, m)
+        } else {
+            Self::by_selection(bounds, m, buf)
         }
+    }
+
+    /// Both m-th smallest bounds (`m ≤ 16`, `m ≤ bounds.len()`) from one
+    /// pass that keeps the m smallest of each side in order.
+    fn in_one_pass(bounds: &[(f64, f64)], m: usize) -> Self {
+        let mut lbs = Smallest::new(m);
+        let mut ubs = Smallest::new(m);
+        for &(lb, ub) in bounds {
+            lbs.offer(lb);
+            ubs.offer(ub);
+        }
+        Self {
+            lb_m: lbs.last(),
+            ub_m: ubs.last(),
+        }
+    }
+
+    /// Both m-th smallest bounds (`m ≤ bounds.len()`) from two selections
+    /// over copies in `buf`.
+    fn by_selection(bounds: &[(f64, f64)], m: usize, buf: &mut Vec<f64>) -> Self {
         let mut mth = |side: fn(&(f64, f64)) -> f64| {
             buf.clear();
             buf.extend(bounds.iter().map(side));
@@ -451,6 +549,59 @@ impl UlbCut {
         } else {
             None
         }
+    }
+}
+
+/// `f64::total_cmp`'s order as an integer order: the same transform of the
+/// bits, and its own inverse.
+#[inline(always)]
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `m ≤ 16` smallest values offered so far, kept ascending as
+/// [`total_key`]s — the order the selections use, so both ways give the
+/// m-th smallest with the same bits.
+struct Smallest {
+    keys: [i64; ONE_PASS_M],
+    len: usize,
+    m: usize,
+}
+
+impl Smallest {
+    fn new(m: usize) -> Self {
+        debug_assert!((1..=ONE_PASS_M).contains(&m));
+        Self {
+            keys: [0; ONE_PASS_M],
+            len: 0,
+            m,
+        }
+    }
+
+    #[inline(always)]
+    fn offer(&mut self, x: f64) {
+        let key = total_key(x);
+        if self.len == self.m {
+            if key >= self.keys[self.m - 1] {
+                return;
+            }
+            self.len -= 1;
+        }
+        let mut at = self.len;
+        while at > 0 && key < self.keys[at - 1] {
+            self.keys[at] = self.keys[at - 1];
+            at -= 1;
+        }
+        self.keys[at] = key;
+        self.len += 1;
+    }
+
+    /// The m-th smallest, once at least m values were offered.
+    fn last(&self) -> f64 {
+        debug_assert_eq!(self.len, self.m);
+        let key = self.keys[self.m - 1];
+        f64::from_bits(total_key(f64::from_bits(key as u64)) as u64)
     }
 }
 
@@ -812,6 +963,317 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The selection loop as it stood before flat rounds, frozen as the
+    /// differential battery's reference: arms as structs with `f64`
+    /// shapes, the live list rebuilt every round, the round's shapes
+    /// pushed as they stand and picked by `select_nth_unstable_by` among
+    /// all live arms (the certified draws, whose decisions `sampling`'s
+    /// battery pins to exact `Beta` draws), and ULB's bounds computed per
+    /// arm and cut by two selections.
+    fn select_reference(
+        config: &TMergeConfig,
+        input: &SelectionInput<'_>,
+        session: &mut ReidSession<'_>,
+    ) -> Result<SelectionResult> {
+        use std::cmp::Ordering;
+
+        struct RefArm<'a> {
+            boxes: PairBoxes<'a>,
+            sampler: WithoutReplacement,
+            s: f64,
+            f: f64,
+            prior_s: f64,
+            prior_f: f64,
+            n: u64,
+            sum: f64,
+            locked_in: bool,
+            pruned_out: bool,
+            bias: f64,
+            deferred: bool,
+        }
+        impl RefArm<'_> {
+            fn sample_mean(&self) -> f64 {
+                if self.n == 0 {
+                    1.0
+                } else {
+                    self.sum / self.n as f64
+                }
+            }
+            fn ranking_score(&self, by_posterior: bool) -> f64 {
+                if by_posterior {
+                    return self.s / (self.s + self.f);
+                }
+                let w0 = self.prior_s + self.prior_f;
+                let p0 = self.prior_s / w0;
+                (p0 * w0 + self.sum) / (w0 + self.n as f64)
+            }
+            fn live(&self) -> bool {
+                !self.deferred
+                    && !self.locked_in
+                    && !self.pruned_out
+                    && !self.sampler.is_exhausted()
+            }
+        }
+
+        let m = input.m();
+        if m == 0 || input.pairs.is_empty() {
+            return Ok(SelectionResult::default());
+        }
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut arms = Vec::new();
+        for &p in input.pairs {
+            let boxes = PairBoxes::resolve(p, input.tracks)?;
+            let mut f = 1.0;
+            if let (Some(thr), Some(dis)) = (config.thr_s, boxes.spatial_distance()) {
+                if dis < thr {
+                    f += 1.0;
+                }
+            }
+            let (bias, deferred) = match input.voi {
+                Some(h) => (h.bias(&p), h.deferred(&p)),
+                None => (0.0, false),
+            };
+            arms.push(RefArm {
+                sampler: WithoutReplacement::new(boxes.total_bbox_pairs()),
+                boxes,
+                s: 1.0,
+                f,
+                prior_s: 1.0,
+                prior_f: f,
+                n: 0,
+                sum: 0.0,
+                locked_in: false,
+                pruned_out: false,
+                bias,
+                deferred,
+            });
+        }
+        let (mut tau, mut round, mut history) = (0u64, 0u64, Vec::new());
+        let batch = session.device().batch();
+        let mut buf = Vec::new();
+        let mut draws = ThompsonDraws::new();
+        while tau < config.tau_max {
+            let live: Vec<usize> = (0..arms.len()).filter(|&i| arms[i].live()).collect();
+            if live.is_empty() {
+                break;
+            }
+            round += 1;
+            session.charge_thompson_scan(live.len());
+            let budget_left = (config.tau_max - tau) as usize;
+            let take = batch.min(live.len()).min(budget_left).max(1);
+            let shapes = |shape: fn(&RefArm<'_>) -> f64| -> Vec<u64> {
+                live.iter().map(|&i| shape(&arms[i]) as u64).collect()
+            };
+            let (s, f) = (shapes(|a| a.s), shapes(|a| a.f));
+            let bias: Vec<f64> = live.iter().map(|&i| arms[i].bias).collect();
+            let positions: Vec<usize> = (0..live.len()).collect();
+            draws.draw(&mut rng, &positions, &s, &f, &bias)?;
+            let chosen = draws.smallest_among_all(take).to_vec();
+            let mut items = Vec::new();
+            for &pos in &chosen {
+                let arm = &mut arms[live[pos]];
+                let flat = arm
+                    .sampler
+                    .draw(&mut rng)
+                    .ok_or(TmError::Empty("live arm bbox-pair pool"))?;
+                items.push(arm.boxes.bbox_pair(flat));
+            }
+            let distances = session.try_pair_distances_batch(&items)?;
+            for (&pos, d) in chosen.iter().zip(&distances) {
+                let d_norm = (d / NORMALIZER).clamp(0.0, 1.0);
+                let arm = &mut arms[live[pos]];
+                if rng.random_bool(d_norm) {
+                    arm.s += 1.0;
+                } else {
+                    arm.f += 1.0;
+                }
+                arm.n += 1;
+                arm.sum += d_norm;
+                tau += 1;
+                if config.record_history {
+                    history.push(d_norm);
+                }
+            }
+            if config.use_ulb && round.is_multiple_of(config.ulb_every.max(1)) && tau >= ULB_MIN_TAU
+            {
+                let log_term = 2.0 * (tau as f64).ln();
+                let bounds: Vec<(f64, f64)> = arms
+                    .iter()
+                    .map(|a| {
+                        if a.n < ULB_MIN_SAMPLES {
+                            (f64::NEG_INFINITY, f64::INFINITY)
+                        } else {
+                            let u = (log_term / a.n as f64).sqrt();
+                            let s = a.sample_mean();
+                            (s - u, s + u)
+                        }
+                    })
+                    .collect();
+                let cut = if m > bounds.len() {
+                    UlbCut {
+                        lb_m: f64::INFINITY,
+                        ub_m: f64::INFINITY,
+                    }
+                } else {
+                    UlbCut::by_selection(&bounds, m, &mut buf)
+                };
+                for (arm, &b) in arms.iter_mut().zip(&bounds) {
+                    if arm.locked_in || arm.pruned_out || arm.n < ULB_MIN_SAMPLES {
+                        continue;
+                    }
+                    match cut.verdict(b) {
+                        Some(UlbVerdict::Inside) => arm.locked_in = true,
+                        Some(UlbVerdict::Outside) => arm.pruned_out = true,
+                        None => {}
+                    }
+                }
+            }
+        }
+        let by_posterior = config.rank_by_bernoulli_posterior;
+        let class = |a: &RefArm<'_>| u8::from(!a.locked_in) + u8::from(a.pruned_out);
+        let mut order: Vec<usize> = (0..arms.len()).filter(|&i| !arms[i].deferred).collect();
+        order.sort_by(|&x, &y| {
+            class(&arms[x])
+                .cmp(&class(&arms[y]))
+                .then(
+                    arms[x]
+                        .ranking_score(by_posterior)
+                        .partial_cmp(&arms[y].ranking_score(by_posterior))
+                        .unwrap_or(Ordering::Equal),
+                )
+                .then(arms[x].boxes.pair.cmp(&arms[y].boxes.pair))
+        });
+        Ok(SelectionResult {
+            candidates: order.iter().take(m).map(|&i| arms[i].boxes.pair).collect(),
+            scores: arms
+                .iter()
+                .map(|a| (a.boxes.pair, a.ranking_score(by_posterior)))
+                .collect(),
+            distance_evals: tau,
+            history,
+        })
+    }
+
+    /// A random selection problem and its `τ_max`, of one of two kinds.
+    /// Wide: 18–24 tracks, most of them short (1–6 boxes, so their pairs'
+    /// pools of box pairs run out), and 1–150 of their pairs. Deep: 4–6
+    /// tracks of 20–30 boxes, all of their pairs, and a budget of up to
+    /// 8,000 pulls, so that pairs gather the hundreds of samples ULB needs
+    /// to lock in and prune. Tracks belong to six actors and are placed so
+    /// that BetaInit's 200 px threshold splits them; pairs come in random
+    /// order.
+    fn scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64) {
+        let deep = g.random_range(0..2u32) == 0;
+        let count = if deep {
+            g.random_range(4..=6u64)
+        } else {
+            g.random_range(18..=24u64)
+        };
+        let tracks = TrackSet::from_tracks(
+            (1..=count)
+                .map(|id| {
+                    let (actor, start) = (g.random_range(0..6u64), g.random_range(0..60u64));
+                    let len = if deep {
+                        g.random_range(20..=30usize)
+                    } else if g.random_range(0..10u32) < 7 {
+                        g.random_range(1..=6usize)
+                    } else {
+                        g.random_range(10..=30usize)
+                    };
+                    track(id, actor, start, len, g.random_range(0.0..900.0))
+                })
+                .collect(),
+        );
+        let mut pairs = Vec::new();
+        for a in 1..=count {
+            for b in a + 1..=count {
+                pairs.push(TrackPair::new(TrackId(a), TrackId(b)).unwrap());
+            }
+        }
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, g.random_range(0..=i));
+        }
+        if !deep {
+            pairs.truncate(g.random_range(1..=150usize));
+        }
+        let tau_max = g.random_range(0..=if deep { 8000 } else { 1500 });
+        (tracks, pairs, tau_max)
+    }
+
+    /// VoI hints over `pairs`: none, random weights, or weights with
+    /// deferrals (exact 0) and exact 1s among them.
+    fn hints(g: &mut StdRng, pairs: &[TrackPair]) -> Option<crate::voi::VoiHints> {
+        let kind = g.random_range(0..3u32);
+        if kind == 0 {
+            return None;
+        }
+        let mut hints = crate::voi::VoiHints::new();
+        for &p in pairs {
+            let w = match (kind, g.random_range(0..4u32)) {
+                (1, _) | (_, 3) => g.random_range(0.0..1.0),
+                (_, 0) => 0.0,
+                (_, 1) => 1.0,
+                _ => 0.5,
+            };
+            hints.set(p, w);
+        }
+        Some(hints)
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn flat_rounds_match_the_frozen_loop(seed in any::<u64>()) {
+                let mut g = StdRng::seed_from_u64(seed);
+                let model = AppearanceModel::new(AppearanceConfig::default());
+                let (tracks, pairs, tau_max) = scenario(&mut g);
+                let voi = hints(&mut g, &pairs);
+                let input = SelectionInput {
+                    pairs: &pairs,
+                    tracks: &tracks,
+                    k: 1.0 - g.random_range(0.0..1.0),
+                    voi: voi.as_ref(),
+                };
+                let config = TMergeConfig {
+                    tau_max,
+                    thr_s: [None, Some(200.0)][g.random_range(0..2usize)],
+                    use_ulb: g.random_range(0..4u32) > 0,
+                    ulb_every: [1, 3][g.random_range(0..2usize)],
+                    seed: g.random_range(0..u64::MAX),
+                    record_history: true,
+                    rank_by_bernoulli_posterior: g.random_range(0..2u32) == 0,
+                };
+                let device = [Device::Cpu, Device::Gpu { batch: 4 }, Device::Gpu { batch: 10 }]
+                    [g.random_range(0..3usize)];
+                let mut flat_session = ReidSession::new(&model, CostModel::calibrated(), device);
+                let mut ref_session = ReidSession::new(&model, CostModel::calibrated(), device);
+                let flat = TMerge::new(config).select(&input, &mut flat_session).unwrap();
+                let frozen = select_reference(&config, &input, &mut ref_session).unwrap();
+                let what = format!("{config:?} on {device:?}, {} pairs", pairs.len());
+                prop_assert_eq!(&flat.candidates, &frozen.candidates, "{}", what);
+                let bits = |r: &SelectionResult| {
+                    let mut s: Vec<_> = r.scores.iter().map(|(p, v)| (*p, v.to_bits())).collect();
+                    s.sort_unstable();
+                    s
+                };
+                prop_assert_eq!(bits(&flat), bits(&frozen), "{}", what);
+                prop_assert_eq!(flat.distance_evals, frozen.distance_evals, "{}", what);
+                let history = |r: &SelectionResult| r.history.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(history(&flat), history(&frozen), "{}", what);
+                prop_assert_eq!(
+                    flat_session.elapsed_ms().to_bits(),
+                    ref_session.elapsed_ms().to_bits(),
+                    "{}", what
+                );
+                prop_assert_eq!(flat_session.stats(), ref_session.stats(), "{}", what);
+            }
+        }
+    }
+
     /// ULB's verdicts as the selector used to reach them: both bound lists
     /// fully sorted, then two binary searches per arm.
     fn ulb_reference(bounds: &[(f64, f64)], m: usize) -> Vec<Option<UlbVerdict>> {
@@ -859,7 +1321,15 @@ mod tests {
                     }
                 })
                 .collect();
-            for m in [1, n, n + 1, g.random_range(1..=n)] {
+            // m on both sides of the one-pass cutoff whenever n allows.
+            for m in [
+                1,
+                n,
+                n + 1,
+                g.random_range(1..=n),
+                ONE_PASS_M.min(n),
+                (ONE_PASS_M + 1).min(n),
+            ] {
                 let cut = UlbCut::new(&bounds, m, &mut buf);
                 let got: Vec<_> = bounds.iter().map(|&b| cut.verdict(b)).collect();
                 assert_eq!(
@@ -867,6 +1337,67 @@ mod tests {
                     ulb_reference(&bounds, m),
                     "case {case}, m {m}: {bounds:?}"
                 );
+                if m <= n.min(ONE_PASS_M) {
+                    let (one, two) = (
+                        UlbCut::in_one_pass(&bounds, m),
+                        UlbCut::by_selection(&bounds, m, &mut buf),
+                    );
+                    let bits = |c: UlbCut| (c.lb_m.to_bits(), c.ub_m.to_bits());
+                    assert_eq!(bits(one), bits(two), "case {case}, m {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_radii_give_the_bounds_of_a_radius_per_arm() {
+        use rand::RngExt;
+        // Sample counts from a small pool, so several arms share each n;
+        // counts under two, and counts past the radius table. Each scratch
+        // sees a run of growing τ, so stale radii would show.
+        let mut g = StdRng::seed_from_u64(29);
+        for case in 0..300 {
+            let arms = g.random_range(1..=60usize);
+            let pool: Vec<u64> = (0..g.random_range(1..=6usize))
+                .map(|_| match g.random_range(0..6u32) {
+                    0 => g.random_range(0..2u64),
+                    1 => g.random_range(RADIUS_TABLE as u64..3 * RADIUS_TABLE as u64),
+                    _ => g.random_range(2..40u64),
+                })
+                .collect();
+            let n: Vec<u64> = (0..arms)
+                .map(|_| pool[g.random_range(0..pool.len())])
+                .collect();
+            let sum: Vec<f64> = n
+                .iter()
+                .map(|&n| g.random_range(0.0..1.0) * n as f64)
+                .collect();
+            let mean: Vec<f64> = n
+                .iter()
+                .zip(&sum)
+                .map(|(&n, &s)| if n == 0 { 1.0 } else { s / n as f64 })
+                .collect();
+            let mut scratch = UlbScratch::default();
+            let mut tau = ULB_MIN_TAU + g.random_range(0..50u64);
+            for _ in 0..4 {
+                scratch.fill_bounds(tau, &n, &mean);
+                let log_term = 2.0 * (tau as f64).ln();
+                for (i, &got) in scratch.bounds.iter().enumerate() {
+                    let want = if n[i] < ULB_MIN_SAMPLES {
+                        (f64::NEG_INFINITY, f64::INFINITY)
+                    } else {
+                        let u = (log_term / n[i] as f64).sqrt();
+                        let s = sum[i] / n[i] as f64;
+                        (s - u, s + u)
+                    };
+                    let bits = |b: (f64, f64)| (b.0.to_bits(), b.1.to_bits());
+                    assert_eq!(bits(got), bits(want), "case {case}, τ {tau}, arm {i}");
+                }
+                let m = g.random_range(1..=arms);
+                let cut = UlbCut::new(&scratch.bounds, m, &mut Vec::new());
+                let got: Vec<_> = scratch.bounds.iter().map(|&b| cut.verdict(b)).collect();
+                assert_eq!(got, ulb_reference(&scratch.bounds, m), "case {case}, m {m}");
+                tau += g.random_range(1..5u64);
             }
         }
     }
