@@ -10,7 +10,7 @@
 //! * **Golden** — the anytime answer (estimate, interval endpoints as raw
 //!   `f64` bits, inferences spent) is bit-identical across thread counts,
 //!   and an [`tm_query::AnytimeStream`] killed mid-feed and resumed from
-//!   its `TMAQ` checkpoint envelope finishes bit-identical to an
+//!   its anytime checkpoint envelope finishes bit-identical to an
 //!   uninterrupted one — the interval trajectory rides the envelope.
 
 use std::sync::Mutex;
@@ -191,7 +191,7 @@ fn selector() -> TMerge {
 }
 
 /// Kill/resume golden: an anytime stream checkpointed after any prefix of
-/// the schedule and resumed from its `TMAQ` envelope finishes with the
+/// the schedule and resumed from its anytime envelope finishes with the
 /// same answer bits and the same interval trajectory as an uninterrupted
 /// run — and the envelope round-trips byte-identically.
 #[test]

@@ -1,21 +1,35 @@
-//! Checkpoint/resume for [`StreamingMerger`].
+//! The checkpoint container, and checkpoint/resume for [`StreamingMerger`].
+//!
+//! ## The container
+//!
+//! Every checkpoint — merger, fleet, global merger, anytime stream and
+//! serve daemon — is one envelope. [`seal`] writes three header words
+//! (magic, version, [`Kind`]), the owner's payload, and a 64-bit checksum
+//! over every byte before it; [`open`] checks length, magic, version, kind
+//! and checksum before any field is parsed. The payload is positional
+//! little-endian words (`f64` via `to_bits`, so clocks round-trip
+//! bit-exactly; collections length-prefixed). Nested checkpoints are
+//! length-prefixed sealed envelopes in their parent's payload, so bytes
+//! nested `k` deep are hashed `k` times (at most three: serve → fleet →
+//! merger). The checksum catches damage, not forgery: re-sealed bytes
+//! reach field readers that bound every count by the bytes that remain,
+//! narrow 32-bit fields with a checked conversion and validate the config
+//! as construction does, so hostile input is a typed error.
+//!
+//! ## The merger checkpoint
 //!
 //! A long-running ingester must survive being killed: `checkpoint()`
 //! serializes the merger's complete state — window cursor, watermark,
 //! cross-window dedup set, committed merges, degraded stash, decision log,
-//! breaker state and the ReID session (simulated clock, work counters and
-//! feature cache) — and `resume()` reconstructs a merger that continues at
-//! the last completed window with **byte-identical** output to a run that
-//! was never interrupted.
-//!
-//! The format is a hand-rolled little-endian word stream (magic + version,
-//! `u64` words, `f64` via `to_bits`, length-prefixed collections). Floats
-//! round-trip through bits, never through text, so a resumed clock is
-//! bit-equal to the uninterrupted one. The union-find is not serialized:
-//! it is rebuilt by re-unioning the committed merges, which is equivalent
-//! for every query the merger answers. The selector and the appearance
-//! model are code, not data — `resume()` takes them as arguments and the
-//! caller must pass the same ones (and re-install any fault backend with
+//! breaker state, the ReID session (simulated clock, work counters, feature
+//! cache and gate state) and the recorder's deterministic aggregates — and
+//! `resume()` reconstructs a merger that continues at the last completed
+//! window with **byte-identical** output to a run that was never
+//! interrupted. The union-find is not serialized: it is rebuilt by
+//! re-unioning the committed merges, which is equivalent for every query
+//! the merger answers. The selector and the appearance model are code, not
+//! data — `resume()` takes them as arguments and the caller must pass the
+//! same ones (and re-install any fault backend with
 //! [`StreamingMerger::with_backend`]) for identical continuation.
 
 use crate::resilience::{
@@ -37,37 +51,116 @@ use tm_types::{
     TrackSet,
 };
 
-/// `TMCK` in ASCII.
+/// `TMCK` in ASCII: the first word of every envelope.
 const MAGIC: u64 = 0x544d_434b;
-/// Version 2 added the observability recorder state (counters and
-/// sim-clock histograms), so a resumed ingester's metrics snapshot is
-/// byte-identical to an uninterrupted run's. Version 3 added the stream
-/// id, so a resumed fleet shard keeps its per-stream identity. Version 4
-/// added the extraction-gate policy and runtime state (plan, counters,
-/// provenance), so a resumed gated session decides and charges
-/// identically to an uninterrupted one. Version 5 added the serve-layer
-/// state: the shed-load flags and the retention-compaction summary, so a
-/// resumed shed tenant keeps shedding (and re-verifies on un-shed) and
-/// compaction totals survive the kill. Version 6 added the VoI mode word
-/// (DESIGN.md §17), so a resumed stream keeps the same selection
-/// semantics; the hints themselves are ephemeral query-layer state and are
-/// re-attached by the caller, not checkpointed.
-const VERSION: u64 = 6;
+/// The container layout version. Readers reject any other value.
+const VERSION: u64 = 1;
+/// Magic, version and kind words.
+const HEADER_BYTES: usize = 24;
 
-fn corrupt(reason: &str) -> TmError {
+/// What a sealed envelope holds: the header word after the version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A [`StreamingMerger`].
+    Merger = 1,
+    /// A [`crate::FleetIngester`]: shard count, then one sealed merger each.
+    Fleet = 2,
+    /// A [`crate::GlobalMerger`].
+    Global = 3,
+    /// A `tm-query` anytime stream, ending with its sealed merger.
+    Anytime = 4,
+    /// A `tm-serve` daemon, holding sealed fleets and global mergers.
+    Serve = 5,
+}
+
+/// The typed error for bytes that do not decode: every field reader in the
+/// workspace reports damaged or hostile checkpoint bytes through this.
+pub fn corrupt(reason: &str) -> TmError {
     TmError::invalid("checkpoint", reason)
 }
 
-/// Little-endian word-stream writer behind every checkpoint format in the
-/// workspace (`TMCK` mergers, `TMFL` fleets, `tm-serve`'s `TMSV`
-/// envelope). Floats ride as bits, never text, so clocks round-trip
-/// bit-exactly.
-#[derive(Default)]
+/// Chained multiply–xor over the little-endian words of `bytes`: word `i`
+/// feeds chain `i mod 4` (four chains keep four multiplies in flight), the
+/// first chain is seeded with the length, the last partial block is
+/// zero-padded, and the chains fold into one word. For a fixed word each
+/// step is a bijection of its chain's state, and the fold is one in each
+/// chain, so a change confined to one word always changes the sum: every
+/// single-byte flip is caught.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: &[u8]| {
+        let word = u64::from_le_bytes(w.try_into().expect("8-byte word"));
+        (h ^ word).wrapping_mul(K).rotate_left(29)
+    };
+    let mut chains = [bytes.len() as u64, 1, 2, 3];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (h, w) in chains.iter_mut().zip(block.chunks_exact(8)) {
+            *h = step(*h, w);
+        }
+    }
+    let mut last = [0u8; 32];
+    last[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    for (h, w) in chains.iter_mut().zip(last.chunks_exact(8)) {
+        *h = step(*h, w);
+    }
+    chains.iter().fold(K, |h, c| step(h, &c.to_le_bytes()))
+}
+
+/// Seals one envelope: the header, the payload `body` writes, then the
+/// checksum over both. The header goes first and the trailer is appended,
+/// so the envelope is never copied.
+pub fn seal(kind: Kind, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u64(MAGIC);
+    w.put_u64(VERSION);
+    w.put_u64(kind as u64);
+    body(&mut w);
+    let sum = checksum(&w.buf);
+    w.put_u64(sum);
+    w.buf
+}
+
+/// Opens an envelope [`seal`]ed as `kind`: checks the length, magic,
+/// version, kind and checksum, in that order, before any field is parsed,
+/// and returns a reader over the payload. The caller reads its fields and
+/// ends with [`Reader::finish`].
+pub fn open(kind: Kind, bytes: &[u8]) -> Result<Reader<'_>> {
+    if bytes.len() < HEADER_BYTES + 8 {
+        return Err(corrupt("truncated envelope"));
+    }
+    let mut header = Reader::new(&bytes[..HEADER_BYTES]);
+    if header.take_u64()? != MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    if header.take_u64()? != VERSION {
+        return Err(corrupt("unsupported version"));
+    }
+    if header.take_u64()? != kind as u64 {
+        return Err(corrupt(&format!("not a {kind:?} envelope")));
+    }
+    let (sealed, trailer) = bytes.split_at(bytes.len() - 8);
+    if Reader::new(trailer).take_u64()? != checksum(sealed) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(Reader::new(&sealed[HEADER_BYTES..]))
+}
+
+/// Little-endian word-stream writer for a payload being [`seal`]ed. Floats
+/// ride as bits, never text, so clocks round-trip bit-exactly.
 pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
+    pub(crate) fn new() -> Self {
+        Self { buf: Vec::new() }
+    }
+
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
     /// Appends one little-endian word.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -114,45 +207,78 @@ impl Writer {
         self.put_u64(w.half_end.get());
     }
 
-    /// Appends a length-prefixed opaque blob (a nested checkpoint in the
-    /// fleet or serve envelopes).
+    /// Appends a length-prefixed blob: a nested sealed envelope.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
     }
 
-    /// The accumulated byte stream.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    /// Retry policy, breaker threshold and degraded limits.
+    pub(crate) fn put_robustness(&mut self, c: &RobustnessConfig) {
+        self.put_u64(c.retry.max_attempts.into());
+        self.put_f64(c.retry.base_backoff_ms);
+        self.put_f64(c.retry.backoff_factor);
+        self.put_f64(c.retry.max_backoff_ms);
+        self.put_u64(c.breaker_threshold.into());
+        self.put_f64(c.degraded.max_spatial_px);
+        self.put_u64(c.degraded.max_temporal_gap as u64);
+    }
+
+    /// Breaker state, then the [`RobustnessReport`] counters a checkpoint
+    /// keeps (retries and backend faults ride the session snapshot).
+    pub(crate) fn put_breaker(&mut self, b: &Breaker, c: &RobustnessReport) {
+        self.put_u64(b.threshold().into());
+        self.put_u64(b.consecutive().into());
+        self.put_bool(b.is_open());
+        self.put_u64(c.degraded_windows);
+        self.put_u64(c.reverified_windows);
+        self.put_u64(c.breaker_trips);
+    }
+
+    /// A decision entry after its window or round: pairs examined, the
+    /// candidates and the mode.
+    pub(crate) fn put_decision(&mut self, n: usize, pairs: &[TrackPair], mode: DecisionMode) {
+        self.put_u64(n as u64);
+        self.put_pairs(pairs);
+        self.put_bool(mode == DecisionMode::Degraded);
     }
 }
 
-/// The matching reader: every `take_*` validates against the remaining
-/// bytes, so corrupt or truncated input yields an error, never a panic or
-/// an unbounded allocation.
+/// The matching reader over an [`open`]ed payload: every `take_*`
+/// validates against the remaining bytes, so corrupt or truncated input
+/// yields an error, never a panic or an unbounded allocation.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Starts reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    /// Takes one little-endian word.
-    pub fn take_u64(&mut self) -> Result<u64> {
+    fn take_slice(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
-            .checked_add(8)
+            .checked_add(n)
             .ok_or_else(|| corrupt("truncated"))?;
         let bytes = self
             .buf
             .get(self.pos..end)
             .ok_or_else(|| corrupt("truncated"))?;
         self.pos = end;
+        Ok(bytes)
+    }
+
+    /// Takes one little-endian word.
+    pub fn take_u64(&mut self) -> Result<u64> {
+        let bytes = self.take_slice(8)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+    }
+
+    /// Takes a word that must fit 32 bits.
+    fn take_u32(&mut self) -> Result<u32> {
+        u32::try_from(self.take_u64()?).map_err(|_| corrupt("32-bit field exceeds 32 bits"))
     }
 
     /// Takes a float written by [`Writer::put_f64`], bit-exactly.
@@ -169,15 +295,7 @@ impl<'a> Reader<'a> {
     /// Takes a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
         let n = self.take_len()?;
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("truncated"))?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
+        let bytes = self.take_slice(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("metric name is not UTF-8"))
     }
 
@@ -190,12 +308,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Takes a collection length, validated against the remaining bytes.
+    /// Takes a count or length, bounded by the bytes that remain: every
+    /// element is at least one byte, so a larger count is corrupt, not an
+    /// allocation request.
     pub fn take_len(&mut self) -> Result<usize> {
         let n = self.take_u64()?;
-        // Each element is at least one word; a length claiming more than
-        // the remaining bytes is corrupt, not an allocation request.
-        if n as usize > self.buf.len().saturating_sub(self.pos) {
+        if n > (self.buf.len() - self.pos) as u64 {
             return Err(corrupt("length prefix exceeds remaining bytes"));
         }
         Ok(n as usize)
@@ -221,19 +339,50 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Takes a length-prefixed opaque blob written by [`Writer::put_bytes`].
+    /// Takes a blob written by [`Writer::put_bytes`]: a nested envelope,
+    /// which its own owner [`open`]s.
     pub fn take_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.take_len()?;
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("truncated"))?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
-        Ok(bytes)
+        self.take_slice(n)
+    }
+
+    pub(crate) fn take_robustness(&mut self) -> Result<RobustnessConfig> {
+        Ok(RobustnessConfig {
+            retry: RetryPolicy {
+                max_attempts: self.take_u32()?,
+                base_backoff_ms: self.take_f64()?,
+                backoff_factor: self.take_f64()?,
+                max_backoff_ms: self.take_f64()?,
+            },
+            breaker_threshold: self.take_u32()?,
+            degraded: DegradedConfig {
+                max_spatial_px: self.take_f64()?,
+                max_temporal_gap: self.take_u64()? as i64,
+            },
+        })
+    }
+
+    pub(crate) fn take_breaker(&mut self) -> Result<(Breaker, RobustnessReport)> {
+        let (threshold, consecutive) = (self.take_u32()?, self.take_u32()?);
+        let breaker = Breaker::restore(threshold, consecutive, self.take_bool()?);
+        let counters = RobustnessReport {
+            degraded_windows: self.take_u64()?,
+            reverified_windows: self.take_u64()?,
+            breaker_trips: self.take_u64()?,
+            ..RobustnessReport::default()
+        };
+        Ok((breaker, counters))
+    }
+
+    pub(crate) fn take_decision(&mut self) -> Result<(usize, Vec<TrackPair>, DecisionMode)> {
+        let n = self.take_u64()? as usize;
+        let pairs = self.take_pairs()?;
+        let mode = if self.take_bool()? {
+            DecisionMode::Degraded
+        } else {
+            DecisionMode::Normal
+        };
+        Ok((n, pairs, mode))
     }
 
     /// Asserts the payload was consumed exactly (no trailing bytes).
@@ -399,9 +548,8 @@ fn take_gate_snapshot(r: &mut Reader<'_>) -> Result<GateSnapshot> {
 }
 
 /// Serializes a [`SessionSnapshot`] (clock, work counters, feature cache,
-/// gate state) into the word stream. Shared by the `TMCK` merger
-/// checkpoint and the `TMGL` global-merger checkpoint
-/// ([`crate::global`]); the byte layout is pinned by both envelopes.
+/// gate state) into the word stream. Shared by the merger and the global
+/// merger checkpoints ([`crate::global`]).
 pub(crate) fn put_session_snapshot(w: &mut Writer, snap: &SessionSnapshot) {
     w.put_f64(snap.elapsed_ms);
     w.put_u64(snap.stats.inferences);
@@ -412,8 +560,7 @@ pub(crate) fn put_session_snapshot(w: &mut Writer, snap: &SessionSnapshot) {
     w.put_u64(snap.stats.backend_faults);
     w.put_u64(snap.cache.len() as u64);
     for (key, feat) in &snap.cache {
-        w.put_u64(key.track.get());
-        w.put_u64(key.frame.get());
+        put_box_key(w, *key);
         w.put_u64(feat.len() as u64);
         for &c in feat {
             w.put_f64(c);
@@ -442,10 +589,7 @@ pub(crate) fn take_session_snapshot(r: &mut Reader<'_>) -> Result<SessionSnapsho
     let n = r.take_len()?;
     let cache: Vec<(BoxKey, Vec<f64>)> = (0..n)
         .map(|_| {
-            let key = BoxKey {
-                track: TrackId(r.take_u64()?),
-                frame: FrameIdx(r.take_u64()?),
-            };
+            let key = take_box_key(r)?;
             let len = r.take_len()?;
             let feat: Vec<f64> = (0..len).map(|_| r.take_f64()).collect::<Result<_>>()?;
             Ok((key, feat))
@@ -465,98 +609,81 @@ pub(crate) fn take_session_snapshot(r: &mut Reader<'_>) -> Result<SessionSnapsho
 }
 
 impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
-    /// Serializes the merger's complete state. Call between `advance`
-    /// calls (the merger is always consistent at those points).
+    /// Serializes the merger's complete state into a [`Kind::Merger`]
+    /// envelope. Call between `advance` calls (the merger is always
+    /// consistent at those points).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
-
-        w.put_u64(self.config.window_len);
-        w.put_f64(self.config.k);
-        match self.config.gate.config() {
-            Some(cfg) => {
-                w.put_bool(true);
-                put_gate_config(&mut w, cfg);
+        seal(Kind::Merger, |w| {
+            w.put_u64(self.config.window_len);
+            w.put_f64(self.config.k);
+            match self.config.gate.config() {
+                Some(cfg) => {
+                    w.put_bool(true);
+                    put_gate_config(w, cfg);
+                }
+                None => w.put_bool(false),
             }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.config.voi.to_word());
-        w.put_u64(self.stream_id);
+            w.put_u64(self.config.voi.to_word());
+            w.put_u64(self.stream_id);
+            w.put_robustness(&self.robustness);
 
-        w.put_u64(self.robustness.retry.max_attempts as u64);
-        w.put_f64(self.robustness.retry.base_backoff_ms);
-        w.put_f64(self.robustness.retry.backoff_factor);
-        w.put_f64(self.robustness.retry.max_backoff_ms);
-        w.put_u64(self.robustness.breaker_threshold as u64);
-        w.put_f64(self.robustness.degraded.max_spatial_px);
-        w.put_u64(self.robustness.degraded.max_temporal_gap as u64);
+            w.put_u64(self.next_window as u64);
+            w.put_u64(self.watermark);
 
-        w.put_u64(self.next_window as u64);
-        w.put_u64(self.watermark);
+            w.put_u64(self.prev_ids.len() as u64);
+            for id in &self.prev_ids {
+                w.put_u64(id.get());
+            }
+            let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
+            w.put_pairs(&seen);
+            w.put_pairs(&self.merged_ids);
 
-        w.put_u64(self.prev_ids.len() as u64);
-        for id in &self.prev_ids {
-            w.put_u64(id.get());
-        }
-        let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
-        w.put_pairs(&seen);
-        w.put_pairs(&self.merged_ids);
+            w.put_u64(self.stash.len() as u64);
+            for sw in &self.stash {
+                w.put_window(&sw.window);
+                w.put_pairs(&sw.pairs);
+                w.put_pairs(&sw.provisional);
+            }
 
-        w.put_u64(self.stash.len() as u64);
-        for sw in &self.stash {
-            w.put_window(&sw.window);
-            w.put_pairs(&sw.pairs);
-            w.put_pairs(&sw.provisional);
-        }
+            w.put_u64(self.decisions.len() as u64);
+            for d in &self.decisions {
+                w.put_window(&d.window);
+                w.put_decision(d.n_pairs, &d.candidates, d.mode);
+            }
 
-        w.put_u64(self.decisions.len() as u64);
-        for d in &self.decisions {
-            w.put_window(&d.window);
-            w.put_u64(d.n_pairs as u64);
-            w.put_pairs(&d.candidates);
-            w.put_bool(d.mode == DecisionMode::Degraded);
-        }
+            w.put_breaker(&self.breaker, &self.counters);
 
-        w.put_u64(self.breaker.threshold() as u64);
-        w.put_u64(self.breaker.consecutive() as u64);
-        w.put_bool(self.breaker.is_open());
+            w.put_bool(self.shed);
+            w.put_bool(self.shed_recover);
+            w.put_u64(self.retention.compacted_windows);
+            w.put_u64(self.retention.compacted_pairs);
+            w.put_u64(self.retention.compacted_candidates);
+            w.put_u64(self.retention.expired_stash_windows);
+            w.put_u64(self.retention.pruned_seen_pairs);
+            w.put_u64(self.retention.evicted_features);
 
-        w.put_u64(self.counters.degraded_windows);
-        w.put_u64(self.counters.reverified_windows);
-        w.put_u64(self.counters.breaker_trips);
+            put_session_snapshot(w, &self.session.snapshot());
 
-        w.put_bool(self.shed);
-        w.put_bool(self.shed_recover);
-        w.put_u64(self.retention.compacted_windows);
-        w.put_u64(self.retention.compacted_pairs);
-        w.put_u64(self.retention.compacted_candidates);
-        w.put_u64(self.retention.expired_stash_windows);
-        w.put_u64(self.retention.pruned_seen_pairs);
-        w.put_u64(self.retention.evicted_features);
-
-        put_session_snapshot(&mut w, &self.session.snapshot());
-
-        // Observability recorder state: counters and sim-clock histograms
-        // (the deterministic half of the recorder; wall-clock data never
-        // enters the snapshot and is not checkpointed). Empty when the
-        // merger runs with a no-op or non-recording sink.
-        let state = self.obs.recorder().map(|r| r.state()).unwrap_or_default();
-        w.put_u64(state.counters.len() as u64);
-        for (name, v) in &state.counters {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        w.put_u64(state.sim.len() as u64);
-        for (name, h) in &state.sim {
-            w.put_str(name);
-            w.put_u64(h.count);
-            w.put_i128(h.sum_ticks);
-            w.put_i128(h.min_ticks);
-            w.put_i128(h.max_ticks);
-        }
-
-        w.buf
+            // Observability recorder state: counters and sim-clock
+            // histograms (the deterministic half of the recorder;
+            // wall-clock data never enters the snapshot and is not
+            // checkpointed). Empty when the merger runs with a no-op or
+            // non-recording sink.
+            let state = self.obs.recorder().map(|r| r.state()).unwrap_or_default();
+            w.put_u64(state.counters.len() as u64);
+            for (name, v) in &state.counters {
+                w.put_str(name);
+                w.put_u64(*v);
+            }
+            w.put_u64(state.sim.len() as u64);
+            for (name, h) in &state.sim {
+                w.put_str(name);
+                w.put_u64(h.count);
+                w.put_i128(h.sum_ticks);
+                w.put_i128(h.min_ticks);
+                w.put_i128(h.max_ticks);
+            }
+        })
     }
 
     /// Reconstructs a merger from a [`StreamingMerger::checkpoint`].
@@ -573,13 +700,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported version"));
-        }
+        let mut r = open(Kind::Merger, bytes)?;
 
         let config = StreamConfig {
             window_len: r.take_u64()?,
@@ -592,20 +713,9 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             voi: crate::voi::VoiMode::from_word(r.take_u64()?)
                 .ok_or_else(|| corrupt("unknown VoI mode word"))?,
         };
+        config.validate()?;
         let stream_id = r.take_u64()?;
-        let robustness = RobustnessConfig {
-            retry: RetryPolicy {
-                max_attempts: r.take_u64()? as u32,
-                base_backoff_ms: r.take_f64()?,
-                backoff_factor: r.take_f64()?,
-                max_backoff_ms: r.take_f64()?,
-            },
-            breaker_threshold: r.take_u64()? as u32,
-            degraded: DegradedConfig {
-                max_spatial_px: r.take_f64()?,
-                max_temporal_gap: r.take_u64()? as i64,
-            },
-        };
+        let robustness = r.take_robustness()?;
 
         let next_window = r.take_u64()? as usize;
         let watermark = r.take_u64()?;
@@ -631,27 +741,18 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         let n = r.take_len()?;
         let decisions: Vec<WindowDecision> = (0..n)
             .map(|_| {
+                let window = r.take_window()?;
+                let (n_pairs, candidates, mode) = r.take_decision()?;
                 Ok(WindowDecision {
-                    window: r.take_window()?,
-                    n_pairs: r.take_u64()? as usize,
-                    candidates: r.take_pairs()?,
-                    mode: if r.take_bool()? {
-                        DecisionMode::Degraded
-                    } else {
-                        DecisionMode::Normal
-                    },
+                    window,
+                    n_pairs,
+                    candidates,
+                    mode,
                 })
             })
             .collect::<Result<_>>()?;
 
-        let breaker = Breaker::restore(r.take_u64()? as u32, r.take_u64()? as u32, r.take_bool()?);
-
-        let counters = RobustnessReport {
-            degraded_windows: r.take_u64()?,
-            reverified_windows: r.take_u64()?,
-            breaker_trips: r.take_u64()?,
-            ..RobustnessReport::default()
-        };
+        let (breaker, counters) = r.take_breaker()?;
 
         let shed = r.take_bool()?;
         let shed_recover = r.take_bool()?;
@@ -736,7 +837,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
 
 /// Serializes a full [`TrackSet`] (ids, classes, boxes with provenance)
 /// into the word stream. `tm-serve` uses this to checkpoint each tenant's
-/// retained per-stream feeds inside the `TMSV` envelope.
+/// retained per-stream feeds inside its serve envelope.
 pub fn put_track_set(w: &mut Writer, tracks: &TrackSet) {
     w.put_u64(tracks.len() as u64);
     for t in tracks.iter() {
@@ -767,26 +868,6 @@ pub fn take_track_set(r: &mut Reader<'_>) -> Result<TrackSet> {
         })
         .collect::<Result<_>>()?;
     Ok(TrackSet::from_tracks(tracks))
-}
-
-/// Reads just the stream id out of a `TMCK` blob without reconstructing
-/// the merger — the fleet's lenient superset-resume path uses this to name
-/// the shards it skips.
-pub(crate) fn peek_stream_id(bytes: &[u8]) -> Result<u64> {
-    let mut r = Reader::new(bytes);
-    if r.take_u64()? != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    if r.take_u64()? != VERSION {
-        return Err(corrupt("unsupported version"));
-    }
-    r.take_u64()?; // window_len
-    r.take_f64()?; // k
-    if r.take_bool()? {
-        take_gate_config(&mut r)?;
-    }
-    r.take_u64()?; // voi mode
-    r.take_u64()
 }
 
 #[cfg(test)]
@@ -848,6 +929,46 @@ mod tests {
             gate: GatePolicy::On(GateConfig::default()),
             ..config()
         }
+    }
+
+    #[test]
+    fn sealed_envelopes_catch_every_bit_flip_cut_and_wrong_kind() {
+        // Three bytes of string leave a partial word for the padded tail.
+        let bytes = seal(Kind::Fleet, |w| {
+            w.put_u64(7);
+            w.put_str("abc");
+        });
+        let mut r = open(Kind::Fleet, &bytes).unwrap();
+        assert_eq!(r.take_u64().unwrap(), 7);
+        assert_eq!(r.take_str().unwrap(), "abc");
+        r.finish().unwrap();
+        assert!(open(Kind::Merger, &bytes).is_err());
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                assert!(open(Kind::Fleet, &flipped).is_err(), "byte {i} bit {bit}");
+                flipped[i] ^= 1 << bit;
+            }
+        }
+        for n in 0..bytes.len() {
+            assert!(open(Kind::Fleet, &bytes[..n]).is_err(), "cut to {n} bytes");
+        }
+    }
+
+    #[test]
+    fn narrowed_words_are_checked_conversions() {
+        let breaker = |threshold: u64| {
+            let bytes = seal(Kind::Merger, |w| {
+                w.put_u64(threshold);
+                for _ in 0..5 {
+                    w.put_u64(0);
+                }
+            });
+            open(Kind::Merger, &bytes).unwrap().take_breaker()
+        };
+        assert_eq!(breaker(u32::MAX.into()).unwrap().0.threshold(), u32::MAX);
+        assert!(breaker(u64::from(u32::MAX) + 1).is_err());
     }
 
     #[test]

@@ -28,25 +28,20 @@
 //!
 //! ## Restart
 //!
-//! [`FleetIngester::checkpoint`] wraps the per-shard checkpoints in a
-//! versioned envelope (`TMFL`); [`FleetIngester::resume`] restores every
-//! shard at its last completed window, with the same byte-identity
-//! guarantee as a single resumed merger. Batching lanes are stateless
-//! beyond their shared feature cache, which is derived data (features are
-//! recomputable), so the caller simply constructs fresh lanes on resume.
+//! [`FleetIngester::checkpoint`] seals the per-shard checkpoints into one
+//! [`Kind::Fleet`] envelope (see [`crate::checkpoint`]);
+//! [`FleetIngester::resume`] restores every shard at its last completed
+//! window, with the same byte-identity guarantee as a single resumed
+//! merger. Batching lanes are stateless beyond their shared feature cache,
+//! which is derived data (features are recomputable), so the caller simply
+//! constructs fresh lanes on resume.
 
-use crate::checkpoint::{Reader, Writer};
+use crate::checkpoint::{open, seal, Kind};
 use crate::selector::CandidateSelector;
 use crate::stream::{StreamConfig, StreamingMerger, WindowDecision};
 use tm_obs::Obs;
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
 use tm_types::{Result, TmError, TrackSet};
-
-/// `TMFL` in ASCII.
-const FLEET_MAGIC: u64 = 0x544d_464c;
-/// Version 1: magic, version, shard count, then one length-prefixed
-/// [`StreamingMerger::checkpoint`] blob per shard, in stream order.
-const FLEET_VERSION: u64 = 1;
 
 fn invalid(reason: &str) -> TmError {
     TmError::invalid("fleet", reason)
@@ -175,14 +170,12 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
     /// Serializes every shard's complete state in one envelope. Call
     /// between `advance` calls, like [`StreamingMerger::checkpoint`].
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.put_u64(FLEET_MAGIC);
-        w.put_u64(FLEET_VERSION);
-        w.put_u64(self.shards.len() as u64);
-        for shard in &self.shards {
-            w.put_bytes(&shard.checkpoint());
-        }
-        w.into_bytes()
+        seal(Kind::Fleet, |w| {
+            w.put_u64(self.shards.len() as u64);
+            for shard in &self.shards {
+                w.put_bytes(&shard.checkpoint());
+            }
+        })
     }
 
     /// Reconstructs a fleet from a [`FleetIngester::checkpoint`]. The code
@@ -226,14 +219,8 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
         if backends.is_empty() {
             return Err(invalid("a fleet needs at least one stream backend"));
         }
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != FLEET_MAGIC {
-            return Err(invalid("bad fleet magic"));
-        }
-        if r.take_u64()? != FLEET_VERSION {
-            return Err(invalid("unsupported fleet version"));
-        }
-        let n = r.take_u64()? as usize;
+        let mut r = open(Kind::Fleet, bytes)?;
+        let n = r.take_len()?;
         if n < backends.len() {
             return Err(invalid("checkpoint has fewer streams than backends"));
         }
@@ -248,12 +235,14 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
             }
             shards.push(shard);
         }
-        let mut skipped = Vec::with_capacity(n - backends.len());
         for _ in backends.len()..n {
-            let blob = r.take_bytes()?;
-            skipped.push(crate::checkpoint::peek_stream_id(blob)?);
+            r.take_bytes()?;
         }
         r.finish()?;
+        // Shard `i` carries stream id `i` (checked above for every resumed
+        // shard, and the checksum covers the skipped ones' bytes), so a
+        // skipped shard's id is its position.
+        let skipped: Vec<u64> = (backends.len() as u64..n as u64).collect();
         let obs = tm_obs::current();
         // Announce the skips only after every shard restore: restoring a
         // shard replaces the ambient recorder's whole state, so anything

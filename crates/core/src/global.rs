@@ -57,27 +57,19 @@
 //! mapping exactly). Rounds are fixed `round_len`-frame spans processed
 //! when every feed's watermark passes the round boundary; decisions are
 //! a function of (feed contents, round index) only, which is what makes
-//! kill-and-resume from the `TMGL` envelope byte-identical.
+//! kill-and-resume from a [`Kind::Global`] envelope byte-identical.
 
-use crate::checkpoint::{put_session_snapshot, take_session_snapshot, Reader, Writer};
+use crate::checkpoint::{
+    corrupt, open, put_session_snapshot, seal, take_session_snapshot, Kind, Reader, Writer,
+};
 use crate::exec;
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
 use crate::union::{merge_mapping, UnionFind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tm_obs::{Obs, Value};
-use tm_reid::{
-    AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession, RetryPolicy,
-};
+use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession};
 use tm_types::{FrameIdx, Result, TmError, TrackId, TrackPair, TrackSet};
-
-/// `TMGL` in ASCII: the global-merger checkpoint envelope.
-const MAGIC: u64 = 0x544d_474c;
-const VERSION: u64 = 1;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("global checkpoint", reason)
-}
 
 fn invalid(reason: &str) -> TmError {
     TmError::invalid("global", reason)
@@ -113,6 +105,21 @@ pub struct GlobalConfig {
     /// paper's thresholdless top-`m` rule; see the module docs for why
     /// the global tier defaults to filtering).
     pub accept_threshold: Option<f64>,
+}
+
+impl GlobalConfig {
+    /// Rejects a round length or prior envelope the round walk cannot use
+    /// (checked at construction and on resume, where the values come from
+    /// bytes).
+    fn validate(&self) -> Result<()> {
+        if self.round_len == 0 {
+            return Err(invalid("round_len must be positive"));
+        }
+        if self.prior_min_dt > self.prior_max_dt {
+            return Err(invalid("prior envelope is inverted"));
+        }
+        Ok(())
+    }
 }
 
 impl Default for GlobalConfig {
@@ -232,7 +239,7 @@ impl CameraTopology {
     /// Serializes the topology (bit-exact round trip through
     /// [`CameraTopology::from_bytes`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Writer::new();
         put_topology(&mut w, self);
         w.into_bytes()
     }
@@ -353,12 +360,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         selector: S,
         config: GlobalConfig,
     ) -> Result<Self> {
-        if config.round_len == 0 {
-            return Err(invalid("round_len must be positive"));
-        }
-        if config.prior_min_dt > config.prior_max_dt {
-            return Err(invalid("prior envelope is inverted"));
-        }
+        config.validate()?;
         let robustness = RobustnessConfig::default();
         Ok(Self {
             config,
@@ -813,74 +815,55 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         (self.pairs_total, self.pairs_admitted)
     }
 
-    /// Serializes the merger's complete state into the `TMGL` envelope.
-    /// Call between `advance` calls. The ambient observability recorder
-    /// is *not* included — it rides the `TMCK`/`TMSV` envelopes of the
+    /// Serializes the merger's complete state into a [`Kind::Global`]
+    /// envelope. Call between `advance` calls. The ambient observability
+    /// recorder is *not* included — it rides the merger checkpoints of the
     /// fleet this merger overlays.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
-
-        w.put_u64(self.config.round_len);
-        w.put_f64(self.config.k);
-        w.put_u64(self.config.prior_min_dt);
-        w.put_u64(self.config.prior_max_dt);
-        w.put_u64(self.config.min_confirmations);
-        w.put_u64(self.config.envelope_pad);
-        match self.config.accept_threshold {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_f64(t);
+        seal(Kind::Global, |w| {
+            w.put_u64(self.config.round_len);
+            w.put_f64(self.config.k);
+            w.put_u64(self.config.prior_min_dt);
+            w.put_u64(self.config.prior_max_dt);
+            w.put_u64(self.config.min_confirmations);
+            w.put_u64(self.config.envelope_pad);
+            match self.config.accept_threshold {
+                Some(t) => {
+                    w.put_bool(true);
+                    w.put_f64(t);
+                }
+                None => w.put_bool(false),
             }
-            None => w.put_bool(false),
-        }
+            w.put_robustness(&self.robustness);
 
-        w.put_u64(self.robustness.retry.max_attempts as u64);
-        w.put_f64(self.robustness.retry.base_backoff_ms);
-        w.put_f64(self.robustness.retry.backoff_factor);
-        w.put_f64(self.robustness.retry.max_backoff_ms);
-        w.put_u64(self.robustness.breaker_threshold as u64);
-        w.put_f64(self.robustness.degraded.max_spatial_px);
-        w.put_u64(self.robustness.degraded.max_temporal_gap as u64);
+            w.put_u64(self.cameras);
+            w.put_u64(self.next_round);
+            w.put_u64(self.watermark);
 
-        w.put_u64(self.cameras);
-        w.put_u64(self.next_round);
-        w.put_u64(self.watermark);
+            let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
+            w.put_pairs(&seen);
+            w.put_pairs(&self.accepted);
 
-        let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
-        w.put_pairs(&seen);
-        w.put_pairs(&self.accepted);
+            w.put_u64(self.stash.len() as u64);
+            for sr in &self.stash {
+                w.put_u64(sr.round);
+                w.put_u64(sr.lo);
+                w.put_u64(sr.hi);
+            }
 
-        w.put_u64(self.stash.len() as u64);
-        for sr in &self.stash {
-            w.put_u64(sr.round);
-            w.put_u64(sr.lo);
-            w.put_u64(sr.hi);
-        }
+            w.put_u64(self.decisions.len() as u64);
+            for d in &self.decisions {
+                w.put_u64(d.round);
+                w.put_decision(d.n_pairs, &d.candidates, d.mode);
+            }
 
-        w.put_u64(self.decisions.len() as u64);
-        for d in &self.decisions {
-            w.put_u64(d.round);
-            w.put_u64(d.n_pairs as u64);
-            w.put_pairs(&d.candidates);
-            w.put_bool(d.mode == DecisionMode::Degraded);
-        }
+            w.put_breaker(&self.breaker, &self.counters);
+            w.put_u64(self.pairs_total);
+            w.put_u64(self.pairs_admitted);
 
-        w.put_u64(self.breaker.threshold() as u64);
-        w.put_u64(self.breaker.consecutive() as u64);
-        w.put_bool(self.breaker.is_open());
-
-        w.put_u64(self.counters.degraded_windows);
-        w.put_u64(self.counters.reverified_windows);
-        w.put_u64(self.counters.breaker_trips);
-
-        w.put_u64(self.pairs_total);
-        w.put_u64(self.pairs_admitted);
-
-        put_topology(&mut w, &self.topology);
-        put_session_snapshot(&mut w, &self.session.snapshot());
-        w.into_bytes()
+            put_topology(w, &self.topology);
+            put_session_snapshot(w, &self.session.snapshot());
+        })
     }
 
     /// Reconstructs a merger from a [`GlobalMerger::checkpoint`].
@@ -897,14 +880,7 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-
+        let mut r = open(Kind::Global, bytes)?;
         let config = GlobalConfig {
             round_len: r.take_u64()?,
             k: r.take_f64()?,
@@ -918,21 +894,8 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 None
             },
         };
-
-        let robustness = RobustnessConfig {
-            retry: RetryPolicy {
-                max_attempts: r.take_u64()? as u32,
-                base_backoff_ms: r.take_f64()?,
-                backoff_factor: r.take_f64()?,
-                max_backoff_ms: r.take_f64()?,
-            },
-            breaker_threshold: r.take_u64()? as u32,
-            degraded: crate::resilience::DegradedConfig {
-                max_spatial_px: r.take_f64()?,
-                max_temporal_gap: r.take_u64()? as i64,
-            },
-        };
-
+        config.validate()?;
+        let robustness = r.take_robustness()?;
         let cameras = r.take_u64()?;
         let next_round = r.take_u64()?;
         let watermark = r.take_u64()?;
@@ -954,27 +917,18 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         let n = r.take_len()?;
         let decisions: Vec<GlobalDecision> = (0..n)
             .map(|_| {
+                let round = r.take_u64()?;
+                let (n_pairs, candidates, mode) = r.take_decision()?;
                 Ok(GlobalDecision {
-                    round: r.take_u64()?,
-                    n_pairs: r.take_u64()? as usize,
-                    candidates: r.take_pairs()?,
-                    mode: if r.take_bool()? {
-                        DecisionMode::Degraded
-                    } else {
-                        DecisionMode::Normal
-                    },
+                    round,
+                    n_pairs,
+                    candidates,
+                    mode,
                 })
             })
             .collect::<Result<_>>()?;
 
-        let breaker = Breaker::restore(r.take_u64()? as u32, r.take_u64()? as u32, r.take_bool()?);
-        let counters = RobustnessReport {
-            degraded_windows: r.take_u64()?,
-            reverified_windows: r.take_u64()?,
-            breaker_trips: r.take_u64()?,
-            ..RobustnessReport::default()
-        };
-
+        let (breaker, counters) = r.take_breaker()?;
         let pairs_total = r.take_u64()?;
         let pairs_admitted = r.take_u64()?;
 

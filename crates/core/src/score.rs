@@ -357,7 +357,7 @@ fn exact_scores_reference(
     let mut out = Vec::with_capacity(input.pairs.len());
     for group in input.pairs.chunks(batch.max(1)) {
         let (resolved, missing) = stage_group(group, input.tracks, &store, &arena)?;
-        session.ensure_features(missing);
+        session.try_ensure_features(missing)?;
         pack_group(resolved, &mut store, session, true)?;
         for pb in resolved.iter() {
             let total = pb.total_bbox_pairs();

@@ -68,6 +68,17 @@ impl Default for StreamConfig {
     }
 }
 
+impl StreamConfig {
+    /// Rejects a window length the window walk cannot step by (checked at
+    /// construction and on resume, where the value comes from bytes).
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.window_len == 0 || !self.window_len.is_multiple_of(2) {
+            return Err(TmError::invalid("window_len", "must be positive and even"));
+        }
+        Ok(())
+    }
+}
+
 /// What one processed window produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowDecision {
@@ -191,9 +202,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         selector: S,
         config: StreamConfig,
     ) -> Result<Self> {
-        if config.window_len == 0 || !config.window_len.is_multiple_of(2) {
-            return Err(TmError::invalid("window_len", "must be positive and even"));
-        }
+        config.validate()?;
         let robustness = RobustnessConfig::default();
         Ok(Self {
             config,

@@ -57,9 +57,6 @@ pub struct TMergeConfig {
     pub thr_s: Option<f64>,
     /// Enable ULB pruning (Algorithm 4); disabled in the Fig. 8 ablation.
     pub use_ulb: bool,
-    /// Run the ULB check every this many rounds (1 = every round, as in
-    /// Algorithm 2 line 14).
-    pub ulb_every: u64,
     /// RNG seed (Thompson draws, BBox sampling, Bernoulli trials).
     pub seed: u64,
     /// Record per-iteration normalized distances (regret analysis, §IV-E).
@@ -80,7 +77,6 @@ impl Default for TMergeConfig {
             tau_max: 10_000,
             thr_s: Some(200.0),
             use_ulb: true,
-            ulb_every: 1,
             seed: 0,
             record_history: false,
             rank_by_bernoulli_posterior: false,
@@ -289,7 +285,7 @@ impl CandidateSelector for TMerge {
             }
 
             // Line 14: ULB pruning (Algorithm 4).
-            if self.config.use_ulb && round.is_multiple_of(self.config.ulb_every.max(1)) {
+            if self.config.use_ulb {
                 dropped |= ulb_prune(&mut arms, tau, m, &mut ulb);
             }
             if dropped {
@@ -1048,7 +1044,7 @@ mod tests {
                 deferred,
             });
         }
-        let (mut tau, mut round, mut history) = (0u64, 0u64, Vec::new());
+        let (mut tau, mut history) = (0u64, Vec::new());
         let batch = session.device().batch();
         let mut buf = Vec::new();
         let mut draws = ThompsonDraws::new();
@@ -1057,7 +1053,6 @@ mod tests {
             if live.is_empty() {
                 break;
             }
-            round += 1;
             session.charge_thompson_scan(live.len());
             let budget_left = (config.tau_max - tau) as usize;
             let take = batch.min(live.len()).min(budget_left).max(1);
@@ -1094,8 +1089,7 @@ mod tests {
                     history.push(d_norm);
                 }
             }
-            if config.use_ulb && round.is_multiple_of(config.ulb_every.max(1)) && tau >= ULB_MIN_TAU
-            {
+            if config.use_ulb && tau >= ULB_MIN_TAU {
                 let log_term = 2.0 * (tau as f64).ln();
                 let bounds: Vec<(f64, f64)> = arms
                     .iter()
@@ -1242,7 +1236,6 @@ mod tests {
                     tau_max,
                     thr_s: [None, Some(200.0)][g.random_range(0..2usize)],
                     use_ulb: g.random_range(0..4u32) > 0,
-                    ulb_every: [1, 3][g.random_range(0..2usize)],
                     seed: g.random_range(0..u64::MAX),
                     record_history: true,
                     rank_by_bernoulli_posterior: g.random_range(0..2u32) == 0,

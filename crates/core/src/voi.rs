@@ -37,7 +37,7 @@ pub enum VoiMode {
 }
 
 impl VoiMode {
-    /// Stable encoding for checkpoints (`TMCK` v6 config word).
+    /// Stable encoding for checkpoints (a merger checkpoint's config word).
     pub fn to_word(self) -> u64 {
         match self {
             VoiMode::Off => 0,

@@ -26,8 +26,8 @@
 //!   early termination when `lo == hi`) and [`AnytimeStream`] (online:
 //!   wraps a [`StreamingMerger`], refreshes hints between advances, reports
 //!   raw per-watermark intervals, and converges to the exact answer at
-//!   `finish`). Stream interval state rides a `TMAQ` checkpoint envelope
-//!   wrapping the merger's own `TMCK` blob.
+//!   `finish`). Stream interval state rides an anytime checkpoint
+//!   envelope (`tm_core::checkpoint`) that ends with the merger's own.
 //!
 //! ## Budget unit
 //!
@@ -57,23 +57,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use tm_core::checkpoint::{Reader, Writer};
+use tm_core::checkpoint::{corrupt, open, seal, Kind, Reader, Writer};
 use tm_core::{
     build_window_pairs, CandidateSelector, PipelineConfig, SelectionInput, StreamingMerger,
     UnionFind, VoiHints, VoiMode,
 };
 use tm_reid::{AppearanceModel, ReidSession};
-use tm_types::{BBox, Result, TmError, Track, TrackId, TrackPair, TrackSet};
+use tm_types::{BBox, Result, Track, TrackId, TrackPair, TrackSet};
 
 use crate::queries::{evaluate, Query, QueryAnswer};
-
-/// `TMAQ` in ASCII — the anytime-stream checkpoint envelope magic.
-const TMAQ_MAGIC: u64 = 0x544d_4151;
-const TMAQ_VERSION: u64 = 1;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("anytime checkpoint", reason)
-}
 
 // ---------------------------------------------------------------------------
 // Configuration and answer types
@@ -952,26 +944,24 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
 
     // -- checkpoint envelope ------------------------------------------------
 
-    /// Serializes the anytime state as a `TMAQ` envelope wrapping the
-    /// merger's own `TMCK` checkpoint. Hints are not serialized (they are
+    /// Serializes the anytime state as an anytime envelope ending with
+    /// the merger's own checkpoint. Hints are not serialized (they are
     /// recomputed from the feed on the next advance).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.put_u64(TMAQ_MAGIC);
-        w.put_u64(TMAQ_VERSION);
-        put_query(&mut w, &self.query);
-        w.put_bool(self.reweight_arms);
-        w.put_bool(self.finished);
-        w.put_u64(self.flips);
-        w.put_u64(self.trajectory.len() as u64);
-        for p in &self.trajectory {
-            w.put_u64(p.spent);
-            w.put_u64(p.estimate);
-            w.put_f64(p.lo);
-            w.put_f64(p.hi);
-        }
-        w.put_bytes(&self.merger.checkpoint());
-        w.into_bytes()
+        seal(Kind::Anytime, |w| {
+            put_query(w, &self.query);
+            w.put_bool(self.reweight_arms);
+            w.put_bool(self.finished);
+            w.put_u64(self.flips);
+            w.put_u64(self.trajectory.len() as u64);
+            for p in &self.trajectory {
+                w.put_u64(p.spent);
+                w.put_u64(p.estimate);
+                w.put_f64(p.lo);
+                w.put_f64(p.hi);
+            }
+            w.put_bytes(&self.merger.checkpoint());
+        })
     }
 
     /// Reconstructs an anytime stream from a [`AnytimeStream::checkpoint`].
@@ -984,13 +974,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
         selector: S,
         bytes: &[u8],
     ) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != TMAQ_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.take_u64()? != TMAQ_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
+        let mut r = open(Kind::Anytime, bytes)?;
         let query = take_query(&mut r)?;
         let reweight_arms = r.take_bool()?;
         let finished = r.take_bool()?;
@@ -1203,10 +1187,8 @@ mod tests {
             },
         ];
         for q in queries {
-            let mut w = Writer::default();
-            put_query(&mut w, &q);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
+            let bytes = seal(Kind::Anytime, |w| put_query(w, &q));
+            let mut r = open(Kind::Anytime, &bytes).unwrap();
             assert_eq!(take_query(&mut r).unwrap(), q);
             r.finish().unwrap();
         }

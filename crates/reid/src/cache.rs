@@ -31,11 +31,11 @@
 //! The shard count is configurable ([`SharedFeatureCache::with_shards`],
 //! power of two, clamped to 1..=4096); [`SharedFeatureCache::for_fleet_width`]
 //! sizes it from the number of concurrently-ingesting streams. Hit/miss/
-//! contention counters are kept in relaxed atomics ([`CacheStats`]) and can
-//! be surfaced through `tm-obs` with [`SharedFeatureCache::flush_obs`] —
-//! never automatically, so deterministic observability goldens are
-//! unaffected by cache timing. The `cache_storms` suite of the
-//! `perf_trajectory` bench measures this design across shard counts.
+//! contention counters are kept in relaxed atomics ([`CacheStats`]) and read
+//! with [`SharedFeatureCache::stats`]; they never reach `tm-obs`, so
+//! deterministic observability goldens are unaffected by cache timing. The
+//! `cache_storms` suite of the `perf_trajectory` bench measures this design
+//! across shard counts.
 
 use crate::feature::Feature;
 use crate::session::BoxKey;
@@ -340,23 +340,6 @@ impl<K: Hash + Eq + Copy> SharedFeatureCache<K> {
             promotions: self.promotions.load(Ordering::Relaxed),
             contention: self.contention.load(Ordering::Relaxed),
         }
-    }
-
-    /// Emits the counters through `obs` under `reid.shared_cache.*`.
-    /// Explicit (never called by the hot paths): cache timing is
-    /// scheduling-dependent, and auto-emitting would perturb the
-    /// deterministic observability goldens.
-    pub fn flush_obs(&self, obs: &tm_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        let s = self.stats();
-        obs.counter("reid.shared_cache.frozen_hits", s.frozen_hits);
-        obs.counter("reid.shared_cache.slow_hits", s.slow_hits);
-        obs.counter("reid.shared_cache.misses", s.misses);
-        obs.counter("reid.shared_cache.computed", s.computed);
-        obs.counter("reid.shared_cache.promotions", s.promotions);
-        obs.counter("reid.shared_cache.contention", s.contention);
     }
 }
 

@@ -19,15 +19,15 @@
 //!
 //! ## Fallible extraction
 //!
-//! Features flow through an [`InferenceBackend`] (default: the appearance
-//! model itself, which never fails). The `try_*` methods are the fallible
-//! mirror of the historical API: each extraction is retried under the
-//! session's [`RetryPolicy`] with capped exponential backoff, all failure
-//! latency (backend-reported extra milliseconds plus backoff) is charged
-//! to the simulated clock, and exhaustion returns
-//! [`tm_types::TmError::ReidBackend`]. With a clean backend the `try_*`
-//! methods charge the clock and bump the counters in **exactly** the same
-//! order as the historical methods, so fault-free runs stay byte-identical.
+//! Every feature flows through an [`InferenceBackend`] (default: the
+//! appearance model itself, which never fails), and every extraction path
+//! is a `try_*` method: each extraction is retried under the session's
+//! [`RetryPolicy`] with capped exponential backoff, all failure latency
+//! (backend-reported extra milliseconds plus backoff) is charged to the
+//! simulated clock, and exhaustion returns
+//! [`tm_types::TmError::ReidBackend`]. With a clean backend no retry or
+//! backoff is ever charged, so a fault-free run's clock counts exactly its
+//! inferences and distances.
 
 use crate::appearance::AppearanceModel;
 use crate::backend::{Attempt, InferenceBackend, RetryPolicy};
@@ -155,9 +155,8 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// Routes the `try_*` extraction paths through `backend` instead of the
-    /// model. The historical infallible methods keep evaluating the pure
-    /// model directly, so installing a fault injector cannot perturb them.
+    /// Routes feature extraction through `backend` instead of the model
+    /// (e.g. a fault injector or a batching lane).
     pub fn with_backend(mut self, backend: &'m dyn InferenceBackend) -> Self {
         self.backend = backend;
         self
@@ -332,27 +331,6 @@ impl<'m> ReidSession<'m> {
         self.cache.get(key).cloned()
     }
 
-    /// Extracts (or reuses) the feature for one box, charging inference cost
-    /// on a cache miss. Hits return a shared handle without copying the
-    /// vector.
-    pub fn feature(&mut self, track: TrackId, tb: &TrackBox) -> Arc<Feature> {
-        let key = BoxKey::new(track, tb.frame);
-        if let Some(f) = self.cache_get(&key) {
-            self.stats.cache_hits += 1;
-            self.obs.counter("reid.cache_hits", 1);
-            return f;
-        }
-        if self.gate.is_some() {
-            let batch = self.gate_collect(std::iter::once((track, *tb)));
-            self.gate_infer(batch);
-            return self.cached_or_recompute(key, tb);
-        }
-        let f = Arc::new(self.model.observe_track_box(tb));
-        self.cache.insert(key, Arc::clone(&f));
-        self.charge_inference_round(1);
-        f
-    }
-
     /// Charges one inference call of `n_new` items and counts it.
     fn charge_inference_round(&mut self, n_new: usize) {
         if n_new == 0 {
@@ -369,20 +347,6 @@ impl<'m> ReidSession<'m> {
             self.obs.counter("reid.inferences", n_new as u64);
             self.obs.record_sim_ms("reid.infer", ms);
         }
-    }
-
-    /// Caches every key in `misses` (pre-deduplicated cache misses),
-    /// charging **one** inference call for all of them.
-    fn infer_misses(&mut self, misses: Vec<(BoxKey, &TrackBox)>) {
-        if misses.is_empty() {
-            return;
-        }
-        let n = misses.len();
-        for (key, b) in misses {
-            self.cache
-                .insert(key, Arc::new(self.model.observe_track_box(b)));
-        }
-        self.charge_inference_round(n);
     }
 
     // ------------------------------------------------------------------
@@ -444,21 +408,7 @@ impl<'m> ReidSession<'m> {
         batch
     }
 
-    /// Infallible half of a gated round: extract the misses (one charged
-    /// inference call), then apply the propagations.
-    fn gate_infer(&mut self, batch: GateBatch) {
-        if !batch.misses.is_empty() {
-            let n = batch.misses.len();
-            for (key, b) in &batch.misses {
-                self.cache
-                    .insert(*key, Arc::new(self.model.observe_track_box(b)));
-            }
-            self.charge_inference_round(n);
-        }
-        self.apply_propagations(&batch.propagations);
-    }
-
-    /// Fallible half of a gated round. The prefetch hint list leads with
+    /// Inference half of a gated round. The prefetch hint list leads with
     /// the demand misses and appends the deferred boxes as low-priority
     /// batch fill — batching backends may use the headroom to precompute
     /// them, but a deferred box is never cached here unless the backend
@@ -535,50 +485,6 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// The distance of one BBox pair, extracting whatever features are not
-    /// cached in a single inference call (on GPU: one round).
-    pub fn pair_distance(
-        &mut self,
-        (ta, ba): (TrackId, &TrackBox),
-        (tb, bb): (TrackId, &TrackBox),
-    ) -> f64 {
-        self.pair_distances_batch(&[((ta, ba), (tb, bb))])[0]
-    }
-
-    /// Normalized variant of [`ReidSession::pair_distance`] (`d̃ = d/2`).
-    pub fn normalized_pair_distance(
-        &mut self,
-        a: (TrackId, &TrackBox),
-        b: (TrackId, &TrackBox),
-    ) -> f64 {
-        self.pair_distance(a, b) / crate::feature::NORMALIZER
-    }
-
-    /// Evaluates a batch of BBox pairs in one round.
-    ///
-    /// All features missing from the cache are inferred in a single call
-    /// (one GPU round with one launch overhead, or a CPU loop), then the
-    /// pairwise distances are charged and returned in input order. This is
-    /// the primitive behind every `-B` algorithm (§IV-F).
-    pub fn pair_distances_batch(&mut self, pairs: &[BoxPairRef<'_>]) -> Vec<f64> {
-        if self.gate.is_some() {
-            let batch = self.gate_collect(
-                pairs
-                    .iter()
-                    .flat_map(|&((ta, ba), (tb, bb))| [(ta, *ba), (tb, *bb)]),
-            );
-            self.gate_infer(batch);
-            return self.charged_pair_distances(pairs);
-        }
-        // Phase 1: collect the cache misses, deduplicated by a set so large
-        // rounds stay linear in the number of misses.
-        let misses = self.collect_pair_misses(pairs);
-        // Phase 2: one inference call for all misses.
-        self.infer_misses(misses);
-        // Phase 3: distances (every feature now cached).
-        self.charged_pair_distances(pairs)
-    }
-
     /// Phase 1 of a batch: the cache misses among the pairs' boxes,
     /// deduplicated by a set so large rounds stay linear in the misses.
     fn collect_pair_misses<'a>(&mut self, pairs: &[BoxPairRef<'a>]) -> Vec<(BoxKey, &'a TrackBox)> {
@@ -649,23 +555,8 @@ impl<'m> ReidSession<'m> {
         before - self.cache.len()
     }
 
-    /// Ensures every listed box has a cached feature, inferring all misses
-    /// in **one** call (one GPU round). Returns nothing; read the features
-    /// back with [`ReidSession::cached_feature`]. This is the bulk-ingest
-    /// path used by the exact (baseline) scorer, where per-item cache
-    /// lookups would dominate wall-clock.
-    pub fn ensure_features(&mut self, boxes: &[(TrackId, &TrackBox)]) {
-        if self.gate.is_some() {
-            let batch = self.gate_collect(boxes.iter().map(|&(t, b)| (t, *b)));
-            self.gate_infer(batch);
-            return;
-        }
-        let misses = self.collect_box_misses(boxes);
-        self.infer_misses(misses);
-    }
-
     /// The cache misses among `boxes`, deduplicated through the reusable
-    /// scratch set. Shared by both ensure paths.
+    /// scratch set.
     fn collect_box_misses<'a>(
         &mut self,
         boxes: &[(TrackId, &'a TrackBox)],
@@ -704,9 +595,7 @@ impl<'m> ReidSession<'m> {
     }
 
     // ------------------------------------------------------------------
-    // Fallible extraction (see the module docs). With a clean backend the
-    // methods below charge and count in exactly the order of their
-    // infallible counterparts above.
+    // Extraction through the backend (see the module docs).
     // ------------------------------------------------------------------
 
     /// One extraction through the backend with retry/backoff. Charges every
@@ -750,7 +639,9 @@ impl<'m> ReidSession<'m> {
         })
     }
 
-    /// Fallible mirror of [`ReidSession::feature`].
+    /// Extracts (or reuses) the feature for one box, charging inference cost
+    /// on a cache miss. Hits return a shared handle without copying the
+    /// vector.
     pub fn try_feature(&mut self, track: TrackId, tb: &TrackBox) -> Result<Arc<Feature>> {
         let key = BoxKey::new(track, tb.frame);
         if let Some(f) = self.cache_get(&key) {
@@ -769,10 +660,9 @@ impl<'m> ReidSession<'m> {
         Ok(f)
     }
 
-    /// Fallible mirror of `infer_misses`: extracts every miss through the
-    /// backend (with retries), then charges **one** inference call for all
-    /// of them. An exhausted retry ladder
-    /// aborts the round; attempt/backoff charges already on the clock stay
+    /// Extracts every miss (pre-deduplicated) through the backend (with
+    /// retries), then charges **one** inference call for all of them. An
+    /// exhausted retry ladder aborts the round; attempt/backoff charges already on the clock stay
     /// (failed work still costs time), but no inference round is charged.
     fn try_infer_misses(&mut self, misses: Vec<(BoxKey, &TrackBox)>) -> Result<()> {
         if misses.is_empty() {
@@ -808,7 +698,8 @@ impl<'m> ReidSession<'m> {
         Ok(())
     }
 
-    /// Fallible mirror of [`ReidSession::pair_distance`].
+    /// The distance of one BBox pair, extracting whatever features are not
+    /// cached in a single inference call (on GPU: one round).
     pub fn try_pair_distance(
         &mut self,
         a: (TrackId, &TrackBox),
@@ -817,16 +708,12 @@ impl<'m> ReidSession<'m> {
         Ok(self.try_pair_distances_batch(&[(a, b)])?[0])
     }
 
-    /// Fallible mirror of [`ReidSession::normalized_pair_distance`].
-    pub fn try_normalized_pair_distance(
-        &mut self,
-        a: (TrackId, &TrackBox),
-        b: (TrackId, &TrackBox),
-    ) -> Result<f64> {
-        Ok(self.try_pair_distance(a, b)? / crate::feature::NORMALIZER)
-    }
-
-    /// Fallible mirror of [`ReidSession::pair_distances_batch`].
+    /// Evaluates a batch of BBox pairs in one round.
+    ///
+    /// All features missing from the cache are inferred in a single call
+    /// (one GPU round with one launch overhead, or a CPU loop), then the
+    /// pairwise distances are charged and returned in input order. This is
+    /// the primitive behind every `-B` algorithm (§IV-F).
     pub fn try_pair_distances_batch(&mut self, pairs: &[BoxPairRef<'_>]) -> Result<Vec<f64>> {
         if self.gate.is_some() {
             let batch = self.gate_collect(
@@ -842,7 +729,11 @@ impl<'m> ReidSession<'m> {
         Ok(self.charged_pair_distances(pairs))
     }
 
-    /// Fallible mirror of [`ReidSession::ensure_features`].
+    /// Ensures every listed box has a cached feature, inferring all misses
+    /// in **one** call (one GPU round). Read the features back with
+    /// [`ReidSession::cached_feature`]. This is the bulk-ingest path used by
+    /// the exact (baseline) scorer, where per-item cache lookups would
+    /// dominate wall-clock.
     pub fn try_ensure_features(&mut self, boxes: &[(TrackId, &TrackBox)]) -> Result<()> {
         if self.gate.is_some() {
             let batch = self.gate_collect(boxes.iter().map(|&(t, b)| (t, *b)));
@@ -964,9 +855,9 @@ mod tests {
         let m = model();
         let mut s = ReidSession::new(&m, CostModel::calibrated(), Device::Cpu);
         let b = tb(3, 1);
-        let f1 = s.feature(TrackId(1), &b);
+        let f1 = s.try_feature(TrackId(1), &b).unwrap();
         let cost_after_first = s.elapsed_ms();
-        let f2 = s.feature(TrackId(1), &b);
+        let f2 = s.try_feature(TrackId(1), &b).unwrap();
         assert_eq!(f1, f2);
         assert!(Arc::ptr_eq(&f1, &f2), "cache hit must reuse the allocation");
         assert_eq!(s.elapsed_ms(), cost_after_first, "cache hit must be free");
@@ -981,10 +872,11 @@ mod tests {
         let mut s = ReidSession::new(&m, CostModel::calibrated(), Device::Cpu)
             .with_obs(Obs::new(rec.clone()));
         let b = tb(3, 1);
-        s.feature(TrackId(1), &b);
-        s.feature(TrackId(1), &b);
+        s.try_feature(TrackId(1), &b).unwrap();
+        s.try_feature(TrackId(1), &b).unwrap();
         let b2 = tb(4, 2);
-        s.pair_distance((TrackId(1), &b), (TrackId(2), &b2));
+        s.try_pair_distance((TrackId(1), &b), (TrackId(2), &b2))
+            .unwrap();
         assert_eq!(rec.counter_value("reid.inferences"), s.stats().inferences);
         assert_eq!(rec.counter_value("reid.cache_hits"), s.stats().cache_hits);
         assert_eq!(rec.counter_value("reid.distances"), s.stats().distances);
@@ -1002,7 +894,9 @@ mod tests {
         let m = model();
         let cost = CostModel::calibrated();
         let mut s = ReidSession::new(&m, cost, Device::Cpu);
-        let d = s.pair_distance((TrackId(1), &tb(0, 1)), (TrackId(2), &tb(0, 2)));
+        let d = s
+            .try_pair_distance((TrackId(1), &tb(0, 1)), (TrackId(2), &tb(0, 2)))
+            .unwrap();
         assert!(d > 0.0);
         let expected = 2.0 * cost.cpu_infer_ms + cost.cpu_dist_ms;
         assert!((s.elapsed_ms() - expected).abs() < 1e-9);
@@ -1012,8 +906,12 @@ mod tests {
     fn same_actor_distance_below_cross_actor() {
         let m = model();
         let mut s = ReidSession::new(&m, CostModel::zero(), Device::Cpu);
-        let same = s.pair_distance((TrackId(1), &tb(0, 5)), (TrackId(2), &tb(10, 5)));
-        let cross = s.pair_distance((TrackId(1), &tb(0, 5)), (TrackId(3), &tb(10, 6)));
+        let same = s
+            .try_pair_distance((TrackId(1), &tb(0, 5)), (TrackId(2), &tb(10, 5)))
+            .unwrap();
+        let cross = s
+            .try_pair_distance((TrackId(1), &tb(0, 5)), (TrackId(3), &tb(10, 6)))
+            .unwrap();
         assert!(same < cross, "same {same} cross {cross}");
     }
 
@@ -1030,7 +928,7 @@ mod tests {
             .iter()
             .map(|((t1, b1), (t2, b2))| ((*t1, b1), (*t2, b2)))
             .collect();
-        let ds = s.pair_distances_batch(&borrowed);
+        let ds = s.try_pair_distances_batch(&borrowed).unwrap();
         assert_eq!(ds.len(), 10);
         assert_eq!(s.stats().gpu_rounds, 1);
         assert_eq!(s.stats().inferences, 20);
@@ -1048,10 +946,12 @@ mod tests {
         let other1 = tb(0, 2);
         let other2 = tb(1, 2);
         // The shared box appears in both pairs → only 3 inferences.
-        let ds = s.pair_distances_batch(&[
-            ((TrackId(1), &shared), (TrackId(2), &other1)),
-            ((TrackId(1), &shared), (TrackId(2), &other2)),
-        ]);
+        let ds = s
+            .try_pair_distances_batch(&[
+                ((TrackId(1), &shared), (TrackId(2), &other1)),
+                ((TrackId(1), &shared), (TrackId(2), &other2)),
+            ])
+            .unwrap();
         assert_eq!(ds.len(), 2);
         assert_eq!(s.stats().inferences, 3);
     }
@@ -1063,9 +963,11 @@ mod tests {
         let mut s = ReidSession::new(&m, cost, Device::Cpu);
         let a = tb(0, 1);
         let b = tb(0, 2);
-        s.pair_distance((TrackId(1), &a), (TrackId(2), &b));
+        s.try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
+            .unwrap();
         let before = s.elapsed_ms();
-        s.pair_distance((TrackId(1), &a), (TrackId(2), &b));
+        s.try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
+            .unwrap();
         // Second call: no inference, only one distance.
         assert!((s.elapsed_ms() - before - cost.cpu_dist_ms).abs() < 1e-9);
         assert_eq!(s.stats().inferences, 2);
@@ -1077,7 +979,9 @@ mod tests {
         let mut s = ReidSession::new(&m, CostModel::zero(), Device::Cpu);
         let a = tb(4, 7);
         let b = tb(9, 8);
-        let via_session = s.pair_distance((TrackId(1), &a), (TrackId(2), &b));
+        let via_session = s
+            .try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
+            .unwrap();
         let direct = m.observe_track_box(&a).euclidean(&m.observe_track_box(&b));
         assert!((via_session - direct).abs() < 1e-12);
     }
@@ -1087,10 +991,13 @@ mod tests {
         let m = model();
         let mut s = ReidSession::new(&m, CostModel::zero(), Device::Cpu);
         for i in 0..20u64 {
-            let d = s.normalized_pair_distance(
-                (TrackId(1), &tb(i, i % 5)),
-                (TrackId(2), &tb(i + 1, (i + 1) % 5)),
-            );
+            let d = s
+                .try_pair_distance(
+                    (TrackId(1), &tb(i, i % 5)),
+                    (TrackId(2), &tb(i + 1, (i + 1) % 5)),
+                )
+                .unwrap()
+                / crate::feature::NORMALIZER;
             assert!((0.0..=1.0).contains(&d), "d̃={d}");
         }
     }
@@ -1140,31 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn try_batch_matches_infallible_batch_on_clean_backend() {
-        let m = model();
-        let cost = CostModel::calibrated();
-        let pairs: Vec<_> = (0..6u64)
-            .map(|i| ((TrackId(1), tb(i, 1)), (TrackId(2), tb(i, 2))))
-            .collect();
-        let borrowed: Vec<_> = pairs
-            .iter()
-            .map(|((t1, b1), (t2, b2))| ((*t1, b1), (*t2, b2)))
-            .collect();
-        let mut plain = ReidSession::new(&m, cost, Device::Cpu);
-        let mut faultless = ReidSession::new(&m, cost, Device::Cpu).with_backend(&m);
-        let d1 = plain.pair_distances_batch(&borrowed);
-        let d2 = faultless
-            .try_pair_distances_batch(&borrowed)
-            .expect("clean backend cannot fail");
-        assert_eq!(d1, d2);
-        assert_eq!(
-            plain.elapsed_ms().to_bits(),
-            faultless.elapsed_ms().to_bits()
-        );
-        assert_eq!(plain.stats(), faultless.stats());
-    }
-
-    #[test]
     fn transient_faults_are_retried_and_charged() {
         let m = model();
         let flaky = Flaky {
@@ -1181,7 +1063,9 @@ mod tests {
             .try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
             .expect("succeeds on the third attempt");
         let mut clean = ReidSession::new(&m, cost, Device::Cpu);
-        let d_clean = clean.pair_distance((TrackId(1), &a), (TrackId(2), &b));
+        let d_clean = clean
+            .try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
+            .unwrap();
         assert_eq!(d, d_clean, "retried features must equal clean features");
         assert_eq!(s.stats().retries, 4, "2 retries per box");
         assert_eq!(s.stats().backend_faults, 4);
@@ -1237,8 +1121,9 @@ mod tests {
         let m = model();
         let cost = CostModel::calibrated();
         let mut s = ReidSession::new(&m, cost, Device::Cpu);
-        s.pair_distance((TrackId(1), &tb(0, 1)), (TrackId(2), &tb(0, 2)));
-        s.feature(TrackId(1), &tb(0, 1));
+        s.try_pair_distance((TrackId(1), &tb(0, 1)), (TrackId(2), &tb(0, 2)))
+            .unwrap();
+        s.try_feature(TrackId(1), &tb(0, 1)).unwrap();
         let snap = s.snapshot();
 
         let mut fresh = ReidSession::new(&m, cost, Device::Cpu);
@@ -1247,8 +1132,12 @@ mod tests {
         assert_eq!(fresh.stats(), s.stats());
         assert_eq!(fresh.cached_features(), s.cached_features());
         // Continuing from the restore reproduces the original trajectory.
-        let d1 = s.pair_distance((TrackId(1), &tb(5, 1)), (TrackId(2), &tb(5, 2)));
-        let d2 = fresh.pair_distance((TrackId(1), &tb(5, 1)), (TrackId(2), &tb(5, 2)));
+        let d1 = s
+            .try_pair_distance((TrackId(1), &tb(5, 1)), (TrackId(2), &tb(5, 2)))
+            .unwrap();
+        let d2 = fresh
+            .try_pair_distance((TrackId(1), &tb(5, 1)), (TrackId(2), &tb(5, 2)))
+            .unwrap();
         assert_eq!(d1.to_bits(), d2.to_bits());
         assert_eq!(fresh.elapsed_ms().to_bits(), s.elapsed_ms().to_bits());
         assert_eq!(fresh.snapshot(), s.snapshot());
@@ -1307,25 +1196,12 @@ mod tests {
             .with_gate(crate::gate::GatePolicy::On(GateConfig::always_extract()));
         gated.gate_update_plan(&set);
 
-        let d1 = plain.pair_distances_batch(&borrowed);
-        let d2 = gated.pair_distances_batch(&borrowed);
+        let d1 = plain.try_pair_distances_batch(&borrowed).unwrap();
+        let d2 = gated.try_pair_distances_batch(&borrowed).unwrap();
         assert_eq!(d1, d2);
         assert_eq!(plain.elapsed_ms().to_bits(), gated.elapsed_ms().to_bits());
         assert_eq!(plain.stats(), gated.stats());
         assert_eq!(gated.gate_stats().saved_charges(), 0);
-
-        // The try_* mirror too.
-        let mut plain_t = ReidSession::new(&m, cost, Device::Cpu);
-        let mut gated_t = ReidSession::new(&m, cost, Device::Cpu)
-            .with_gate(crate::gate::GatePolicy::On(GateConfig::always_extract()));
-        gated_t.gate_update_plan(&set);
-        let d3 = plain_t.try_pair_distances_batch(&borrowed).unwrap();
-        let d4 = gated_t.try_pair_distances_batch(&borrowed).unwrap();
-        assert_eq!(d3, d4);
-        assert_eq!(
-            plain_t.elapsed_ms().to_bits(),
-            gated_t.elapsed_ms().to_bits()
-        );
     }
 
     #[test]
@@ -1345,8 +1221,8 @@ mod tests {
             .with_gate(crate::gate::GatePolicy::On(GateConfig::default()));
         gated.gate_update_plan(&set);
 
-        plain.pair_distances_batch(&borrowed);
-        gated.pair_distances_batch(&borrowed);
+        plain.try_pair_distances_batch(&borrowed).unwrap();
+        gated.try_pair_distances_batch(&borrowed).unwrap();
         assert!(
             gated.stats().inferences < plain.stats().inferences,
             "gate must cut inferences: gated {} vs plain {}",
@@ -1391,7 +1267,7 @@ mod tests {
         s.gate_update_plan(&set);
         let track = set.iter().next().unwrap();
         let boxes: Vec<_> = track.boxes.iter().map(|b| (track.id, b)).collect();
-        s.ensure_features(&boxes);
+        s.try_ensure_features(&boxes).unwrap();
         s.flush_gate_obs();
         let snap = s.snapshot();
         assert!(snap.gate.is_some());
@@ -1403,8 +1279,8 @@ mod tests {
         assert_eq!(fresh.snapshot(), snap);
         // The restored plan keeps deciding like the original.
         let extra = tb(30, 1).with_provenance(GtObjectId(1));
-        let f1 = s.feature(TrackId(1), &extra);
-        let f2 = fresh.feature(TrackId(1), &extra);
+        let f1 = s.try_feature(TrackId(1), &extra).unwrap();
+        let f2 = fresh.try_feature(TrackId(1), &extra).unwrap();
         assert_eq!(f1, f2);
         assert_eq!(s.elapsed_ms().to_bits(), fresh.elapsed_ms().to_bits());
     }

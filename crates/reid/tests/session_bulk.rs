@@ -1,4 +1,4 @@
-//! Integration tests for the bulk session APIs (`ensure_features`,
+//! Integration tests for the bulk session APIs (`try_ensure_features`,
 //! `cached_feature`, `charge_distance_batch`) and their consistency with
 //! the per-pair path.
 
@@ -18,12 +18,12 @@ fn ensure_features_is_one_round_and_idempotent() {
     let mut s = ReidSession::new(&model, cost, Device::Gpu { batch: 10 });
     let boxes: Vec<TrackBox> = (0..20).map(|f| tb(f, 1, 1.0)).collect();
     let refs: Vec<(TrackId, &TrackBox)> = boxes.iter().map(|b| (TrackId(1), b)).collect();
-    s.ensure_features(&refs);
+    s.try_ensure_features(&refs).unwrap();
     assert_eq!(s.stats().inferences, 20);
     assert_eq!(s.stats().gpu_rounds, 1);
     let after_first = s.elapsed_ms();
     // Second call: everything cached, nothing charged.
-    s.ensure_features(&refs);
+    s.try_ensure_features(&refs).unwrap();
     assert_eq!(s.elapsed_ms(), after_first);
     assert_eq!(s.stats().inferences, 20);
     // Features are retrievable.
@@ -37,7 +37,8 @@ fn ensure_features_dedupes_within_one_call() {
     let model = AppearanceModel::new(AppearanceConfig::default());
     let mut s = ReidSession::new(&model, CostModel::calibrated(), Device::Cpu);
     let b = tb(3, 1, 1.0);
-    s.ensure_features(&[(TrackId(1), &b), (TrackId(1), &b), (TrackId(1), &b)]);
+    s.try_ensure_features(&[(TrackId(1), &b), (TrackId(1), &b), (TrackId(1), &b)])
+        .unwrap();
     assert_eq!(s.stats().inferences, 1);
 }
 
@@ -48,10 +49,13 @@ fn bulk_features_match_pair_distance_path() {
     let b = tb(5, 2, 0.9);
 
     let mut direct = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-    let d_direct = direct.pair_distance((TrackId(1), &a), (TrackId(2), &b));
+    let d_direct = direct
+        .try_pair_distance((TrackId(1), &a), (TrackId(2), &b))
+        .unwrap();
 
     let mut bulk = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-    bulk.ensure_features(&[(TrackId(1), &a), (TrackId(2), &b)]);
+    bulk.try_ensure_features(&[(TrackId(1), &a), (TrackId(2), &b)])
+        .unwrap();
     let fa = bulk.cached_feature(TrackId(1), a.frame).unwrap();
     let fb = bulk.cached_feature(TrackId(2), b.frame).unwrap();
     assert!((fa.euclidean(&fb) - d_direct).abs() < 1e-12);
@@ -77,9 +81,13 @@ fn provenance_free_boxes_get_stable_features() {
     let model = AppearanceModel::new(AppearanceConfig::default());
     let mut s = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
     let fp = TrackBox::new(FrameIdx(4), BBox::new(50.0, 60.0, 30.0, 70.0));
-    let d1 = s.pair_distance((TrackId(1), &fp), (TrackId(2), &tb(9, 3, 1.0)));
+    let d1 = s
+        .try_pair_distance((TrackId(1), &fp), (TrackId(2), &tb(9, 3, 1.0)))
+        .unwrap();
     let mut s2 = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-    let d2 = s2.pair_distance((TrackId(1), &fp), (TrackId(2), &tb(9, 3, 1.0)));
+    let d2 = s2
+        .try_pair_distance((TrackId(1), &fp), (TrackId(2), &tb(9, 3, 1.0)))
+        .unwrap();
     assert_eq!(d1, d2);
     assert!(d1 > 0.0);
 }

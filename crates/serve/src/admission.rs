@@ -7,7 +7,7 @@
 //! unbounded buffer. All time is the caller's simulated clock (`now_ms`
 //! arguments), so the whole admission state machine replays identically
 //! under test, across thread counts, and across kill-and-resume (the
-//! bucket and quota states ride the `TMSV` envelope bit-exactly as f64
+//! bucket and quota states ride the serve envelope bit-exactly as f64
 //! bit patterns).
 
 /// Per-tenant admission tuning.

@@ -1,14 +1,15 @@
-//! The `TMSV` envelope: crash recovery for the whole daemon.
+//! The serve envelope: crash recovery for the whole daemon.
 //!
 //! [`TmServe::checkpoint`] serializes the daemon's complete data half —
 //! tenant registry, admission-queue contents, token-bucket and quota
 //! clocks (bit-exact f64s), shed state, stats, retained feeds, and each
-//! tenant's fleet checkpoint (`TMFL`, which nests per-shard `TMCK`
-//! blobs) — into one self-describing byte envelope. Killing the process
-//! between cycles and calling [`TmServe::resume`] reconstructs a daemon
-//! whose subsequent behaviour is byte-identical to never having died:
-//! same decisions, same mappings, same counters, same simulated-clock
-//! bits.
+//! tenant's fleet checkpoint (which nests one merger checkpoint per shard)
+//! and optional global-merger checkpoint — into one sealed [`Kind::Serve`]
+//! envelope (`tm_core::checkpoint` owns the header and the checksum).
+//! Killing the process between cycles and calling [`TmServe::resume`]
+//! reconstructs a daemon whose subsequent behaviour is byte-identical to
+//! never having died: same decisions, same mappings, same counters, same
+//! simulated-clock bits.
 //!
 //! The code half — appearance model, cost model, device, [`ServeConfig`],
 //! selector factory, and the live backends — is the caller's to supply,
@@ -27,23 +28,15 @@
 use crate::admission::{AdmissionConfig, QuotaWindow, TokenBucket};
 use crate::server::{Feed, ServeConfig, Submission, Tenant, TenantSpec, TenantStats, TmServe};
 use std::collections::{BTreeMap, VecDeque};
-use tm_core::checkpoint::{put_track_set, take_track_set, Reader, Writer};
+use tm_core::checkpoint::{
+    corrupt, open, put_track_set, seal, take_track_set, Kind, Reader, Writer,
+};
 use tm_core::fleet::FleetIngester;
 use tm_core::global::GlobalMerger;
 use tm_core::selector::CandidateSelector;
 use tm_obs::Level;
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
-use tm_types::{Result, TmError};
-
-/// `"TMSV"` in big-endian ASCII.
-const MAGIC: u64 = 0x544d_5356;
-/// Bump on any layout change; readers reject unknown versions.
-/// v2 appended each tenant's optional global-merger (`TMGL`) blob.
-const VERSION: u64 = 2;
-
-fn corrupt(reason: &str) -> TmError {
-    TmError::invalid("serve-checkpoint", reason)
-}
+use tm_types::Result;
 
 fn put_admission(w: &mut Writer, a: &AdmissionConfig) {
     w.put_u64(a.max_queue as u64);
@@ -116,7 +109,7 @@ struct TenantImage<'a> {
 
 fn take_tenant_image<'a>(r: &mut Reader<'a>) -> Result<TenantImage<'a>> {
     let id = r.take_u64()?;
-    let streams = r.take_u64()? as usize;
+    let streams = r.take_len()?;
     if streams == 0 {
         return Err(corrupt("tenant with zero streams"));
     }
@@ -132,32 +125,33 @@ fn take_tenant_image<'a>(r: &mut Reader<'a>) -> Result<TenantImage<'a>> {
     let shed = r.take_bool()?;
     let cooldown_left = r.take_u64()?;
     let last_breach = r.take_bool()?;
-    let mut prev_elapsed_ms = Vec::with_capacity(streams);
-    for _ in 0..streams {
-        prev_elapsed_ms.push(r.take_f64()?);
-    }
+    let prev_elapsed_ms = (0..streams)
+        .map(|_| r.take_f64())
+        .collect::<Result<Vec<_>>>()?;
     let stats = take_stats(r)?;
-    let mut feeds = Vec::with_capacity(streams);
-    for _ in 0..streams {
-        let frames = r.take_u64()?;
-        let tracks = take_track_set(r)?;
-        feeds.push(Feed { tracks, frames });
-    }
+    let feeds = (0..streams)
+        .map(|_| {
+            let frames = r.take_u64()?;
+            let tracks = take_track_set(r)?;
+            Ok(Feed { tracks, frames })
+        })
+        .collect::<Result<Vec<_>>>()?;
     let queue_len = r.take_len()?;
-    let mut queue = VecDeque::with_capacity(queue_len);
-    for _ in 0..queue_len {
-        let stream = r.take_u64()? as usize;
-        if stream >= streams {
-            return Err(corrupt("queued submission for an out-of-range stream"));
-        }
-        let frames = r.take_u64()?;
-        let tracks = take_track_set(r)?;
-        queue.push_back(Submission {
-            stream,
-            tracks,
-            frames,
-        });
-    }
+    let queue = (0..queue_len)
+        .map(|_| {
+            let stream = r.take_u64()? as usize;
+            if stream >= streams {
+                return Err(corrupt("queued submission for an out-of-range stream"));
+            }
+            let frames = r.take_u64()?;
+            let tracks = take_track_set(r)?;
+            Ok(Submission {
+                stream,
+                tracks,
+                frames,
+            })
+        })
+        .collect::<Result<VecDeque<_>>>()?;
     let fleet_blob = r.take_bytes()?;
     let global_blob = if r.take_bool()? {
         Some(r.take_bytes()?)
@@ -189,50 +183,48 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     /// observability and mutates nothing, so a checkpoint taken between
     /// [`TmServe::run_once`] calls leaves the run's byte-trace untouched.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.put_u64(MAGIC);
-        w.put_u64(VERSION);
-        w.put_f64(self.now_ms);
-        w.put_u64(self.cycles);
-        w.put_u64(self.rejected_unknown);
-        w.put_u64(self.tenants.len() as u64);
-        // BTreeMap iteration is ascending by id: the envelope layout is
-        // deterministic for a given daemon state.
-        for tenant in self.tenants.values() {
-            w.put_u64(tenant.spec.id);
-            w.put_u64(tenant.spec.streams as u64);
-            put_admission(&mut w, &tenant.spec.admission);
-            w.put_f64(tenant.bucket.tokens);
-            w.put_f64(tenant.bucket.last_ms);
-            w.put_f64(tenant.quota.window_start_ms);
-            w.put_u64(tenant.quota.used);
-            w.put_bool(tenant.shed);
-            w.put_u64(tenant.cooldown_left);
-            w.put_bool(tenant.last_breach);
-            for &ms in &tenant.prev_elapsed_ms {
-                w.put_f64(ms);
-            }
-            put_stats(&mut w, &tenant.stats);
-            for feed in &tenant.feeds {
-                w.put_u64(feed.frames);
-                put_track_set(&mut w, &feed.tracks);
-            }
-            w.put_u64(tenant.queue.len() as u64);
-            for sub in &tenant.queue {
-                w.put_u64(sub.stream as u64);
-                w.put_u64(sub.frames);
-                put_track_set(&mut w, &sub.tracks);
-            }
-            w.put_bytes(&tenant.fleet.checkpoint());
-            match &tenant.global {
-                Some(global) => {
-                    w.put_bool(true);
-                    w.put_bytes(&global.checkpoint());
+        seal(Kind::Serve, |w| {
+            w.put_f64(self.now_ms);
+            w.put_u64(self.cycles);
+            w.put_u64(self.rejected_unknown);
+            w.put_u64(self.tenants.len() as u64);
+            // BTreeMap iteration is ascending by id: the envelope layout
+            // is deterministic for a given daemon state.
+            for tenant in self.tenants.values() {
+                w.put_u64(tenant.spec.id);
+                w.put_u64(tenant.spec.streams as u64);
+                put_admission(w, &tenant.spec.admission);
+                w.put_f64(tenant.bucket.tokens);
+                w.put_f64(tenant.bucket.last_ms);
+                w.put_f64(tenant.quota.window_start_ms);
+                w.put_u64(tenant.quota.used);
+                w.put_bool(tenant.shed);
+                w.put_u64(tenant.cooldown_left);
+                w.put_bool(tenant.last_breach);
+                for &ms in &tenant.prev_elapsed_ms {
+                    w.put_f64(ms);
                 }
-                None => w.put_bool(false),
+                put_stats(w, &tenant.stats);
+                for feed in &tenant.feeds {
+                    w.put_u64(feed.frames);
+                    put_track_set(w, &feed.tracks);
+                }
+                w.put_u64(tenant.queue.len() as u64);
+                for sub in &tenant.queue {
+                    w.put_u64(sub.stream as u64);
+                    w.put_u64(sub.frames);
+                    put_track_set(w, &sub.tracks);
+                }
+                w.put_bytes(&tenant.fleet.checkpoint());
+                match &tenant.global {
+                    Some(global) => {
+                        w.put_bool(true);
+                        w.put_bytes(&global.checkpoint());
+                    }
+                    None => w.put_bool(false),
+                }
             }
-        }
-        w.into_bytes()
+        })
     }
 
     /// Reconstructs a daemon from a [`TmServe::checkpoint`] envelope.
@@ -256,13 +248,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         mut backends_for: impl FnMut(u64, usize) -> Option<Vec<&'m dyn InferenceBackend>>,
         bytes: &[u8],
     ) -> Result<(Self, Vec<u64>)> {
-        let mut r = Reader::new(bytes);
-        if r.take_u64()? != MAGIC {
-            return Err(corrupt("bad serve magic"));
-        }
-        if r.take_u64()? != VERSION {
-            return Err(corrupt("unsupported serve version"));
-        }
+        let mut r = open(Kind::Serve, bytes)?;
         let now_ms = r.take_f64()?;
         let cycles = r.take_u64()?;
         let rejected_unknown = r.take_u64()?;

@@ -15,8 +15,8 @@
 //! - **Tiered retention** ([`ServeConfig::retention_horizon_windows`]):
 //!   old windows compact to their accepted merges, bounding resident
 //!   state under indefinite soak.
-//! - **Crash recovery**: the `TMSV` envelope ([`TmServe::checkpoint`] /
-//!   [`TmServe::resume`]) wraps every tenant's fleet checkpoint plus the
+//! - **Crash recovery**: the sealed serve envelope ([`TmServe::checkpoint`]
+//!   / [`TmServe::resume`]) wraps every tenant's fleet checkpoint plus the
 //!   daemon's own registry, queues, and admission clocks; kill-and-resume
 //!   is byte-identical to never having died.
 //! - **Live queries** ([`TmServe::query`]): `tm-query` Count and
@@ -46,7 +46,7 @@
 //!     .unwrap();
 //! assert!(serve.submit(0.0, 1, 0, TrackSet::default(), 100).is_admitted());
 //! serve.run_once(1.0).unwrap();
-//! let envelope = serve.checkpoint(); // TMSV: survives a crash
+//! let envelope = serve.checkpoint(); // sealed: survives a crash
 //! assert!(!envelope.is_empty());
 //! ```
 

@@ -5,8 +5,8 @@
 //! the caller's simulated clock — the daemon has no threads, no wall
 //! clock, no RNG — so an entire multi-tenant chaos soak replays
 //! bit-identically, and killing the process between cycles and resuming
-//! from the `TMSV` envelope (see [`crate::codec`]) is indistinguishable
-//! from never having died.
+//! from its sealed serve envelope (see [`crate::codec`]) is
+//! indistinguishable from never having died.
 //!
 //! ## Backpressure: shed-load ≡ degraded mode
 //!
@@ -78,7 +78,7 @@ impl Default for ServeConfig {
 }
 
 /// Monotonic per-tenant counters (also emitted under the tenant's obs
-/// prefix; these survive kill-and-resume via the `TMSV` envelope).
+/// prefix; these survive kill-and-resume via the serve envelope).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantStats {
     /// Submissions admitted to the queue.

@@ -4,7 +4,7 @@
 //!
 //! 1. **Kill-and-resume is byte-identical** — a daemon checkpointed in the
 //!    middle of a camera outage (breaker open, tenant shed, stash
-//!    non-empty) and resumed from its `TMSV` envelope continues exactly
+//!    non-empty) and resumed from its serve envelope continues exactly
 //!    like the daemon that never died: same decisions, same mappings, same
 //!    counters, same simulated-clock bits.
 //! 2. **Retention compaction is invisible inside the horizon** — a
@@ -79,8 +79,9 @@ fn daemon<'m>(model: &'m AppearanceModel, config: ServeConfig) -> TmServe<'m, TM
     )
 }
 
-/// The CI-pinned crash-recovery test: kill mid-outage, resume from TMSV,
-/// and the continuation is byte-identical to never having died.
+/// The CI-pinned crash-recovery test: kill mid-outage, resume from the
+/// serve envelope, and the continuation is byte-identical to never having
+/// died.
 #[test]
 fn serve_kill_and_resume_is_byte_identical() {
     let model = AppearanceModel::new(AppearanceConfig::default());

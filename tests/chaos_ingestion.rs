@@ -637,7 +637,7 @@ fn camera_outage_mid_transit_recovers_to_the_fault_free_global_mapping() {
 
 /// Acceptance: killing the global merger mid-outage — degraded stash,
 /// open breaker, half-learned topology and all — and resuming from its
-/// `TMGL` checkpoint reproduces the uninterrupted faulty run byte for
+/// global checkpoint reproduces the uninterrupted faulty run byte for
 /// byte: decisions, links, counters, simulated clock bits, and the final
 /// checkpoint itself.
 #[test]
