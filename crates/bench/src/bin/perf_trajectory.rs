@@ -11,8 +11,8 @@
 //!   pairwise-distance kernel, the end-to-end exact scorer on a warm
 //!   scratch, one TMerge selection at the offline shape (105 pairs,
 //!   τ_max = 10 000), and the IoU gating/assignment kernels.
-//! * **cache** — [`tm_reid::SharedFeatureCache`] hit and miss storms at
-//!   1/4/8 shards under 4 threads.
+//! * **cache** — hit and miss storms of 4 lanes, one thread each, over one
+//!   [`tm_reid::BatchScheduler`].
 //! * **ingest** — a reduced `FleetIngester` multi-stream window loop
 //!   (construction through `finish`).
 //!
@@ -21,7 +21,6 @@
 //! previous trajectory point is overwritten; failure exits non-zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use tm_bench::perf::{
     collect_meta, repo_root, speedup, time_iters, BenchCase, BenchReport, CountingAlloc, Timing,
 };
@@ -29,8 +28,8 @@ use tm_core::score::{exact_scores_with, ScoreScratch};
 use tm_core::selector::{CandidateSelector, SelectionInput};
 use tm_core::{FleetIngester, StreamConfig, TMerge, TMergeConfig};
 use tm_reid::{
-    AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchingBackend, BoxKey,
-    CostModel, Device, Feature, InferenceBackend, ReidSession, SharedFeatureCache,
+    AppearanceConfig, AppearanceModel, Attempt, BatchConfig, BatchScheduler, BatchingBackend,
+    BoxKey, CostModel, Device, InferenceBackend, ReidSession,
 };
 use tm_track::assign::{
     iou_threshold_matches, min_cost_assignment_into, AssignmentScratch, BoxMatchScratch,
@@ -307,80 +306,109 @@ fn gate_dot_speedup(t_scalar: Timing, t_simd: Timing) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 2: cache storms
+// Suite 2: lane storms
 // ---------------------------------------------------------------------------
 
 const STORM_THREADS: u64 = 4;
 
+/// Lanes prefetch their keys in rounds of this many, as a session
+/// announces a round's misses before demanding them.
+const STORM_ROUND: usize = 32;
+
+/// Lane `lane` demands storm box `k`: a clean attempt keyed by the lane's
+/// own track id, so only the box content is shared between lanes.
+fn storm_attempt(lane: u64, k: u64) -> Attempt {
+    Attempt {
+        epoch: 0,
+        attempt: 0,
+        key: BoxKey::new(TrackId(lane), FrameIdx(k)),
+    }
+}
+
 fn cache_suite(quick: bool) -> Vec<BenchCase> {
     let iters = if quick { 3 } else { 10 };
     let keys: u64 = if quick { 512 } else { 4096 };
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let boxes: Vec<TrackBox> = (0..keys)
+        .map(|k| {
+            TrackBox::new(
+                FrameIdx(k),
+                BBox::new((k % 64) as f64 * 10.0, 100.0, 40.0, 80.0),
+            )
+            .with_provenance(GtObjectId(k % 97))
+        })
+        .collect();
     let mut cases = Vec::new();
-    for shards in [1usize, 4, 8] {
-        // Hit storm: a pre-warmed cache, every thread reads every key.
-        let cache = Arc::new(SharedFeatureCache::<BoxKey>::with_shards(shards));
-        for k in 0..keys {
-            cache.get_or_compute(BoxKey::new(TrackId(k), FrameIdx(0)), || {
-                Feature::normalized(vec![k as f64, 1.0])
-            });
-        }
-        let t_hits = time_iters(iters, || {
-            std::thread::scope(|s| {
-                for _ in 0..STORM_THREADS {
-                    let cache = Arc::clone(&cache);
-                    s.spawn(move || {
-                        let mut found = 0u64;
-                        for k in 0..keys {
-                            if cache.get(&BoxKey::new(TrackId(k), FrameIdx(0))).is_some() {
-                                found += 1;
-                            }
-                        }
-                        assert_eq!(found, keys);
-                    });
-                }
-            });
-        });
-        cases.push(BenchCase::from_timing(
-            &format!("cache_hits_s{shards}_t{STORM_THREADS}"),
-            t_hits,
-            keys * STORM_THREADS,
-            0,
-            0,
-        ));
 
-        // Miss storm: a cold cache per iteration, threads race to fill it.
-        let computed = AtomicU64::new(0);
-        let alloc = CountingAlloc::snapshot();
-        let t_misses = time_iters(iters, || {
-            let cache = Arc::new(SharedFeatureCache::<BoxKey>::with_shards(shards));
-            let computed = &computed;
-            std::thread::scope(|s| {
-                for w in 0..STORM_THREADS {
-                    let cache = Arc::clone(&cache);
-                    s.spawn(move || {
-                        for k in 0..keys {
-                            let k = (k + w * keys / STORM_THREADS) % keys;
-                            let (_, mine) = cache
-                                .get_or_compute(BoxKey::new(TrackId(k), FrameIdx(1)), || {
-                                    Feature::normalized(vec![k as f64, 2.0])
-                                });
-                            if mine {
-                                computed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-            assert_eq!(cache.len() as u64, keys);
-        });
-        cases.push(BenchCase::from_timing(
-            &format!("cache_misses_s{shards}_t{STORM_THREADS}"),
-            t_misses,
-            keys * STORM_THREADS,
-            computed.load(Ordering::Relaxed),
-            alloc.delta().bytes,
-        ));
+    // Hit storm: a pre-warmed scheduler, every lane demands every key.
+    let warm = BatchScheduler::new(&model, BatchConfig::default());
+    let lane = warm.backend(&model);
+    for (k, b) in (0..keys).zip(&boxes) {
+        lane.try_observe(b, &storm_attempt(0, k));
     }
+    let alloc = CountingAlloc::snapshot();
+    let t_hits = time_iters(iters, || {
+        std::thread::scope(|s| {
+            for w in 0..STORM_THREADS {
+                let lane = warm.backend(&model);
+                let boxes = &boxes;
+                s.spawn(move || {
+                    for (k, b) in (0..keys).zip(boxes) {
+                        let reply = lane.try_observe(b, &storm_attempt(w, k));
+                        assert!(reply.outcome.is_ok());
+                    }
+                });
+            }
+        });
+    });
+    assert_eq!(warm.stats().computed, keys, "a hit storm computes nothing");
+    cases.push(BenchCase::from_timing(
+        &format!("lane_hits_t{STORM_THREADS}"),
+        t_hits,
+        keys * STORM_THREADS,
+        0,
+        alloc.delta().bytes,
+    ));
+
+    // Miss storm: a cold scheduler per iteration; lanes race over rotated
+    // key orders, prefetching each round of keys and then demanding it.
+    let computed = AtomicU64::new(0);
+    let alloc = CountingAlloc::snapshot();
+    let t_misses = time_iters(iters, || {
+        let scheduler = BatchScheduler::new(&model, BatchConfig::default());
+        std::thread::scope(|s| {
+            for w in 0..STORM_THREADS {
+                let lane = scheduler.backend(&model);
+                let boxes = &boxes;
+                s.spawn(move || {
+                    let order: Vec<u64> = (0..keys)
+                        .map(|k| (k + w * keys / STORM_THREADS) % keys)
+                        .collect();
+                    for round in order.chunks(STORM_ROUND) {
+                        let hints: Vec<(&TrackBox, Attempt)> = round
+                            .iter()
+                            .map(|&k| (&boxes[k as usize], storm_attempt(w, k)))
+                            .collect();
+                        lane.prefetch(&hints);
+                        for (b, at) in &hints {
+                            assert!(lane.try_observe(b, at).outcome.is_ok());
+                        }
+                    }
+                });
+            }
+        });
+        let stats = scheduler.stats();
+        assert_eq!(stats.computed, keys, "each key computed once");
+        assert_eq!(stats.requests, keys * STORM_THREADS);
+        computed.fetch_add(stats.computed, Ordering::Relaxed);
+    });
+    cases.push(BenchCase::from_timing(
+        &format!("lane_misses_t{STORM_THREADS}"),
+        t_misses,
+        keys * STORM_THREADS,
+        computed.load(Ordering::Relaxed),
+        alloc.delta().bytes,
+    ));
     cases
 }
 
@@ -422,7 +450,7 @@ fn ingest_suite(quick: bool) -> Vec<BenchCase> {
     let inferences = AtomicU64::new(0);
     let alloc = CountingAlloc::snapshot();
     let t = time_iters(iters, || {
-        let scheduler = BatchScheduler::for_fleet_width(&model, BatchConfig::default(), n_streams);
+        let scheduler = BatchScheduler::new(&model, BatchConfig::default());
         let lanes: Vec<BatchingBackend<'_>> =
             (0..n_streams).map(|_| scheduler.backend(&model)).collect();
         let backends: Vec<&dyn InferenceBackend> =

@@ -45,7 +45,7 @@ pub mod ps;
 pub mod resilience;
 pub mod sampling;
 pub mod score;
-pub mod scratch;
+mod scratch;
 pub mod selector;
 pub mod simd;
 pub mod stream;
@@ -61,7 +61,7 @@ pub use global::{
     TravelProfile,
 };
 pub use lcb::{LcbConfig, LowerConfidenceBound};
-pub use pairs::{all_pairs, build_window_pairs, WindowPairs};
+pub use pairs::{build_window_pairs, WindowPairs};
 pub use pipeline::{
     run_pipeline, run_pipeline_with_backend, PipelineConfig, PipelineReport, SelectorKind,
 };
@@ -69,10 +69,7 @@ pub use ps::{ProportionalSampling, PsConfig};
 pub use resilience::{
     degraded_candidates, DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport,
 };
-pub use score::{
-    exact_scores, exact_scores_with, sum_pairwise_unit_distances, with_score_scratch, ScoreScratch,
-};
-pub use scratch::{Arena, DenseStore};
+pub use score::{exact_scores, exact_scores_with, sum_pairwise_unit_distances, ScoreScratch};
 pub use selector::{CandidateSelector, SelectionInput, SelectionResult};
 pub use stream::{RetentionSummary, StreamConfig, StreamingMerger, WindowDecision};
 pub use tmerge::{TMerge, TMergeConfig};

@@ -108,15 +108,6 @@ pub fn build_window_pairs(
     Ok(out)
 }
 
-/// Convenience: the union of all windows' pair sets (e.g. for treating an
-/// entire MOT-17 video as a single processing unit, §V-A).
-pub fn all_pairs(tracks: &TrackSet, n_frames: u64, window_len: u64) -> Result<Vec<TrackPair>> {
-    Ok(build_window_pairs(tracks, n_frames, window_len)?
-        .into_iter()
-        .flat_map(|wp| wp.pairs)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,20 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_flattens() {
-        let ts = TrackSet::from_tracks(vec![ped(1, 0, 40), ped(2, 0, 40), ped(3, 160, 200)]);
-        let pairs = all_pairs(&ts, 200, 100).unwrap();
-        // (1,2) co-windowed; 3 is too far from both (two windows away).
-        assert_eq!(pairs.len(), 1);
-    }
-
-    #[test]
     fn distant_tracks_never_pair() {
         // Tracks more than a full window apart cannot be polyonymous under
         // the L ≥ 2·L_max assumption, and must not be paired.
         let ts = TrackSet::from_tracks(vec![ped(1, 0, 10), ped(2, 500, 510)]);
-        let pairs = all_pairs(&ts, 600, 100).unwrap();
-        assert!(pairs.is_empty());
+        let wp = build_window_pairs(&ts, 600, 100).unwrap();
+        assert!(wp.iter().all(|w| w.pairs.is_empty()));
     }
 
     #[test]

@@ -24,13 +24,13 @@
 //! ## Scratch reuse
 //!
 //! [`exact_scores_with`] is the allocation-free core: all working state —
-//! the bump [`Arena`] for per-group resolved-pair / missing-box buffers,
-//! the [`DenseStore`] feature-matrix pool, the task list — lives in a
+//! the bump `Arena` for per-group resolved-pair / missing-box buffers,
+//! the `DenseStore` feature-matrix pool, the task list — lives in a
 //! caller-owned [`ScoreScratch`], and results are written into a caller
 //! `Vec`. After warm-up a steady-state window performs **zero** heap
 //! allocations in this path (pinned by `tm-bench/tests/alloc_audit.rs`).
 //! [`exact_scores`] wraps it with a per-thread scratch pool
-//! ([`with_score_scratch`]) so existing callers keep the reuse without
+//! (`with_score_scratch`) so existing callers keep the reuse without
 //! plumbing.
 //!
 //! Both scorers stage their groups through one shared helper
@@ -152,8 +152,8 @@ enum ScoreTask {
 
 /// Reusable working memory for [`exact_scores_with`]: the per-group bump
 /// arena, the dense feature-matrix pool and the task list. Create one per
-/// long-lived loop (or use [`with_score_scratch`]); after warm-up, calls
-/// through it do not allocate.
+/// long-lived loop (or call [`exact_scores`], which pools one per thread);
+/// after warm-up, calls through it do not allocate.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     arena: Arena,
@@ -190,7 +190,7 @@ thread_local! {
 /// and returns it. Windows processed on the same worker thread therefore
 /// share warm buffers; under `TMERGE_THREADS=1` every window in the process
 /// reuses one scratch.
-pub fn with_score_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> R {
+pub(crate) fn with_score_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> R {
     let mut scratch = SCRATCH_POOL
         .with(|p| p.borrow_mut().pop())
         .unwrap_or_default();
@@ -353,7 +353,7 @@ fn exact_scores_reference(
 ) -> Result<Vec<(TrackPair, f64)>> {
     let batch = session.device().batch();
     let arena = Arena::new();
-    let mut store = DenseStore::new();
+    let mut store = DenseStore::default();
     let mut out = Vec::with_capacity(input.pairs.len());
     for group in input.pairs.chunks(batch.max(1)) {
         let (resolved, missing) = stage_group(group, input.tracks, &store, &arena)?;

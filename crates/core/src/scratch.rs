@@ -80,10 +80,7 @@ impl std::fmt::Debug for Arena {
         let chunks = unsafe { &*self.chunks.get() };
         f.debug_struct("Arena")
             .field("chunks", &chunks.len())
-            .field(
-                "capacity_words",
-                &chunks.iter().map(|c| c.words).sum::<usize>(),
-            )
+            .field("capacity_words", &self.capacity_words())
             .finish()
     }
 }
@@ -222,11 +219,6 @@ pub struct DenseStore {
 }
 
 impl DenseStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empties the store, keeping allocated capacity.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -338,7 +330,7 @@ mod tests {
 
     #[test]
     fn dense_store_commits_and_clears() {
-        let mut store = DenseStore::new();
+        let mut store = DenseStore::default();
         let start = store.start_track();
         store.push_row(&[1.0, 2.0]);
         store.push_row(&[3.0, 4.0]);

@@ -6,10 +6,10 @@
 //! the *same* boxes. A [`BatchScheduler`] pools that work: every stream's
 //! session talks to its own [`BatchingBackend`] lane, the lanes enqueue
 //! clean feature requests into one shared size-bounded queue, and batches
-//! are dispatched through the wrapped [`AppearanceModel`] into a shared
-//! content-addressed [`SharedFeatureCache`] so each distinct box is
-//! inferred exactly once fleet-wide — the cross-stream analogue of the
-//! paper's `-B` batched variants.
+//! are dispatched through the wrapped [`AppearanceModel`] into one
+//! content-keyed feature map so each distinct box is inferred exactly once
+//! fleet-wide — the cross-stream analogue of the paper's `-B` batched
+//! variants.
 //!
 //! ## The per-stream invariance contract
 //!
@@ -18,22 +18,32 @@
 //! the reply the wrapped backend would have produced solo. Three design
 //! decisions enforce this:
 //!
-//! 1. **Faults never touch the shared cache.** The lane classifies each
+//! 1. **Faults never touch the shared map.** The lane classifies each
 //!    attempt through [`SplitBackend::classify`] first; `Fault` and
 //!    `Corrupt` replies pass through verbatim, so one stream's outage or
 //!    NaN storm can neither poison a sibling's features nor be papered
 //!    over by them (no cross-stream fault leakage, in either direction).
 //! 2. **Clean features come from a pure model.** [`AttemptClass::Clean`]
 //!    contractually means "the wrapped model's `observe_track_box`" — so a
-//!    cache hit returns the very feature the solo run would have computed,
+//!    map hit returns the very feature the solo run would have computed,
 //!    keyed by full box content ([`FeatureKey`]) to rule out collisions
 //!    between distinct boxes.
-//! 3. **Batching is non-blocking.** Accumulation happens on the session's
+//! 3. **Demand is the deadline.** Accumulation happens on the session's
 //!    *prefetch* hook (advisory, fire-and-forget); a full batch is flushed
 //!    by whoever fills it, and a demand (`try_observe` miss) flushes
-//!    everything pending — the batching "deadline" is demand itself, so no
-//!    lane ever waits on another stream and the fleet is deadlock-free at
-//!    `TMERGE_THREADS=1`.
+//!    everything pending, so no request waits for traffic that may never
+//!    come and the fleet is deadlock-free at `TMERGE_THREADS=1`.
+//!
+//! ## One lock
+//!
+//! The feature map, the pending queue with its dedup set and the
+//! [`BatchStats`] counters sit behind one `Mutex`, and a miss is computed
+//! while it is held. Each distinct content is therefore computed once
+//! fleet-wide by construction: whoever takes the lock next sees the
+//! feature. A lane may wait on the lock while another lane's batch
+//! computes; the lock is never held across a call into a lane (a lane
+//! classifies its attempt before it asks the scheduler), so no lane can
+//! block on itself.
 //!
 //! ## Cost semantics
 //!
@@ -51,27 +61,27 @@
 //!
 //! Per-stream replies, and therefore every per-stream output, are
 //! deterministic for any thread count or interleaving. The scheduler's
-//! own [`BatchStats`] split two ways: `requests` and (on fault-free runs)
-//! `computed` are interleaving-independent, while `dispatches`,
-//! `dispatched_items` and `largest_batch` describe how work happened to
-//! clump and are operational telemetry only — never assert exact values
-//! across thread counts.
+//! own [`BatchStats`] split two ways: `requests` and (on fault-free,
+//! ungated runs) `computed` are interleaving-independent, while
+//! `dispatches`, `dispatched_items` and `largest_batch` describe how work
+//! happened to clump and are operational telemetry only — never assert
+//! exact values across thread counts. A gated run's deferred boxes are
+//! offered as batch fill and never demanded, so whether the last of them
+//! get computed depends on which flush happens to take them.
 
 use crate::appearance::AppearanceModel;
 use crate::backend::{Attempt, AttemptClass, BackendReply, InferenceBackend, SplitBackend};
-use crate::cache::SharedFeatureCache;
 use crate::feature::Feature;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tm_obs::Obs;
 use tm_types::TrackBox;
 
 /// Content identity of a box: the bit patterns of every [`TrackBox`] field.
 ///
-/// The fleet cache is shared across streams whose tracker-assigned IDs are
-/// unrelated, so the per-session `BoxKey` (track, frame) cannot key it.
-/// Hashing the full content is sound for any *pure* appearance model —
+/// The fleet's feature map is shared across streams whose tracker-assigned
+/// IDs are unrelated, so the per-session `BoxKey` (track, frame) cannot key
+/// it. Hashing the full content is sound for any *pure* appearance model —
 /// equal inputs give equal features — and including even the fields the
 /// current model ignores (confidence) keeps the key safe if the model ever
 /// starts reading them.
@@ -128,7 +138,7 @@ impl Default for BatchConfig {
 /// for which fields are deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// Clean feature requests answered (cache hits included).
+    /// Clean feature requests answered (map hits included).
     pub requests: u64,
     /// Features actually computed by the wrapped model — the fleet-wide
     /// inference count. `requests - computed` is the batching saving.
@@ -149,12 +159,46 @@ impl BatchStats {
     }
 }
 
+/// Everything the scheduler's lock guards.
 #[derive(Debug, Default)]
-struct PendingQueue {
+struct State {
+    /// Every feature computed so far, by content.
+    features: HashMap<FeatureKey, Arc<Feature>>,
     /// Requests awaiting dispatch, in arrival order.
     queue: Vec<(FeatureKey, TrackBox)>,
     /// Members of `queue`, for O(1) duplicate suppression.
-    members: HashSet<FeatureKey>,
+    queued: HashSet<FeatureKey>,
+    stats: BatchStats,
+}
+
+impl State {
+    /// The feature for `key`, computed through `model` if absent.
+    fn feature(&mut self, model: &AppearanceModel, key: FeatureKey, tb: &TrackBox) -> Arc<Feature> {
+        let computed = &mut self.stats.computed;
+        let f = self.features.entry(key).or_insert_with(|| {
+            *computed += 1;
+            Arc::new(model.observe_track_box(tb))
+        });
+        Arc::clone(f)
+    }
+
+    /// Dispatches the whole queue in chunks of at most `max_batch`,
+    /// computing every member not in the map yet, and empties it.
+    fn flush(&mut self, model: &AppearanceModel, max_batch: usize) {
+        let mut queue = std::mem::take(&mut self.queue);
+        for chunk in queue.chunks(max_batch) {
+            let n = chunk.len() as u64;
+            self.stats.dispatches += 1;
+            self.stats.dispatched_items += n;
+            self.stats.largest_batch = self.stats.largest_batch.max(n);
+            for (key, tb) in chunk {
+                self.feature(model, *key, tb);
+            }
+        }
+        queue.clear();
+        self.queue = queue;
+        self.queued.clear();
+    }
 }
 
 /// The shared cross-stream batching core. One per fleet; hand each stream
@@ -163,13 +207,7 @@ struct PendingQueue {
 pub struct BatchScheduler<'m> {
     model: &'m AppearanceModel,
     config: BatchConfig,
-    cache: SharedFeatureCache<FeatureKey>,
-    pending: Mutex<PendingQueue>,
-    requests: AtomicU64,
-    computed: AtomicU64,
-    dispatches: AtomicU64,
-    dispatched_items: AtomicU64,
-    largest_batch: AtomicU64,
+    state: Mutex<State>,
     obs: Obs,
 }
 
@@ -178,51 +216,31 @@ impl<'m> BatchScheduler<'m> {
     /// ambient observability scope at construction, so build it inside the
     /// recorder scope whose metrics should see `fleet.batch.*` counters.
     pub fn new(model: &'m AppearanceModel, config: BatchConfig) -> Self {
-        Self::for_fleet_width(model, config, 1)
-    }
-
-    /// [`BatchScheduler::new`] with the shared cache sized for `streams`
-    /// concurrently-ingesting streams
-    /// (see [`SharedFeatureCache::for_fleet_width`]).
-    pub fn for_fleet_width(
-        model: &'m AppearanceModel,
-        config: BatchConfig,
-        streams: usize,
-    ) -> Self {
-        let config = BatchConfig {
-            max_batch: config.max_batch.max(1),
-            ..config
-        };
         Self {
             model,
-            config,
-            cache: SharedFeatureCache::for_fleet_width(streams),
-            pending: Mutex::new(PendingQueue::default()),
-            requests: AtomicU64::new(0),
-            computed: AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            dispatched_items: AtomicU64::new(0),
-            largest_batch: AtomicU64::new(0),
+            config: BatchConfig {
+                max_batch: config.max_batch.max(1),
+                ..config
+            },
+            state: Mutex::new(State::default()),
             obs: tm_obs::current(),
         }
     }
 
-    /// [`BatchScheduler::for_fleet_width`] specialised for one serve-layer
-    /// tenant. The shared cache is sized for the tenant's own `streams`,
-    /// and the dispatch bound is capped at eight outstanding requests per
-    /// stream: a two-camera tenant should not inherit a fleet-wide
-    /// `max_batch` of 32 and sit on a seven-eighths-empty queue waiting
-    /// for traffic its streams will never produce. Batch sizing is purely
-    /// operational — lane replies are contractually identical at any
-    /// dispatch boundary — so tenants of different widths still produce
-    /// byte-identical per-stream output.
+    /// [`BatchScheduler::new`] specialised for one serve-layer tenant of
+    /// `streams` streams: the dispatch bound is capped at eight
+    /// outstanding requests per stream, so a two-camera tenant does not
+    /// inherit a fleet-wide `max_batch` of 32 and sit on a
+    /// seven-eighths-empty queue waiting for traffic its streams will never
+    /// produce. Batch sizing is purely operational — lane replies are
+    /// contractually identical at any dispatch boundary — so tenants of
+    /// different widths still produce byte-identical per-stream output.
     pub fn for_tenant(model: &'m AppearanceModel, config: BatchConfig, streams: usize) -> Self {
-        let streams = streams.max(1);
         let config = BatchConfig {
-            max_batch: config.max_batch.min(streams * 8).max(1),
+            max_batch: config.max_batch.min(streams.max(1) * 8),
             ..config
         };
-        Self::for_fleet_width(model, config, streams)
+        Self::new(model, config)
     }
 
     /// The effective (clamped) configuration.
@@ -242,116 +260,70 @@ impl<'m> BatchScheduler<'m> {
 
     /// Current counters.
     pub fn stats(&self) -> BatchStats {
-        BatchStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            computed: self.computed.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatched_items: self.dispatched_items.load(Ordering::Relaxed),
-            largest_batch: self.largest_batch.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
-    /// Number of fully-computed features in the shared cache.
+    /// Number of features computed (and kept) so far.
     pub fn cached_features(&self) -> usize {
-        self.cache.len()
+        self.lock().features.len()
     }
 
     /// Requests currently queued and not yet dispatched (< `max_batch`).
     pub fn pending_len(&self) -> usize {
-        self.pending
-            .lock()
-            .expect("batch queue poisoned")
-            .queue
-            .len()
+        self.lock().queue.len()
     }
 
-    /// Advisory enqueue from a lane's prefetch. Never blocks on inference
-    /// done elsewhere; flushes one batch if this fills the queue.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("batch scheduler poisoned")
+    }
+
+    /// Advisory enqueue from a lane's prefetch; flushes the queue if this
+    /// fills it.
     fn offer(&self, key: FeatureKey, tb: &TrackBox) {
-        if self.cache.get(&key).is_some() {
-            return;
-        }
-        let full = {
-            let mut q = self.pending.lock().expect("batch queue poisoned");
-            if !q.members.insert(key) {
+        let computed = {
+            let mut s = self.lock();
+            if s.features.contains_key(&key) || !s.queued.insert(key) {
                 return;
             }
-            q.queue.push((key, *tb));
-            if q.queue.len() >= self.config.max_batch {
-                q.members.clear();
-                Some(std::mem::take(&mut q.queue))
-            } else {
-                None
+            s.queue.push((key, *tb));
+            if s.queue.len() < self.config.max_batch {
+                return;
             }
+            let before = s.stats.computed;
+            s.flush(self.model, self.config.max_batch);
+            s.stats.computed - before
         };
-        if let Some(batch) = full {
-            self.dispatch(&batch);
-        }
+        self.obs.counter("fleet.batch.computed", computed);
     }
 
-    /// A lane needs `key` *now*: count the request, serve from cache if
-    /// possible, otherwise flush everything pending (demand is the batch
-    /// deadline) and compute.
+    /// A lane needs `key` *now*: count the request, serve it from the map
+    /// if possible, otherwise flush everything pending together with `key`
+    /// (demand is the batch deadline).
     fn request(&self, key: FeatureKey, tb: &TrackBox) -> Arc<Feature> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("fleet.batch.requests", 1);
-        if let Some(f) = self.cache.get(&key) {
-            return f;
-        }
-        let mut drained = {
-            let mut q = self.pending.lock().expect("batch queue poisoned");
-            q.members.clear();
-            std::mem::take(&mut q.queue)
-        };
-        if !drained.iter().any(|(k, _)| *k == key) {
-            drained.push((key, *tb));
-        }
-        for chunk in drained.chunks(self.config.max_batch) {
-            self.dispatch(chunk);
-        }
-        // The demanded key was in the drained set, so this is a cache hit;
-        // get_or_compute keeps it panic-free regardless.
-        let (f, computed) = self
-            .cache
-            .get_or_compute(key, || self.model.observe_track_box(tb));
-        if computed {
-            self.note_computed(1);
-        }
-        f
-    }
-
-    fn dispatch(&self, batch: &[(FeatureKey, TrackBox)]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.dispatched_items
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.largest_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        let mut computed = 0u64;
-        for (key, tb) in batch {
-            let (_, did) = self
-                .cache
-                .get_or_compute(*key, || self.model.observe_track_box(tb));
-            if did {
-                computed += 1;
+        let (feature, computed) = {
+            let mut s = self.lock();
+            s.stats.requests += 1;
+            if let Some(f) = s.features.get(&key) {
+                return Arc::clone(f);
             }
-        }
-        if computed > 0 {
-            self.note_computed(computed);
-        }
-    }
-
-    fn note_computed(&self, n: u64) {
-        self.computed.fetch_add(n, Ordering::Relaxed);
-        self.obs.counter("fleet.batch.computed", n);
+            if s.queued.insert(key) {
+                s.queue.push((key, *tb));
+            }
+            let before = s.stats.computed;
+            s.flush(self.model, self.config.max_batch);
+            // A hit: the flush computed `key`.
+            let feature = s.feature(self.model, key, tb);
+            (feature, s.stats.computed - before)
+        };
+        self.obs.counter("fleet.batch.computed", computed);
+        feature
     }
 }
 
 /// One stream's lane into a [`BatchScheduler`]. An [`InferenceBackend`]
-/// whose clean replies come from the fleet-shared cache and whose faults
-/// are the wrapped backend's, verbatim. See the module docs for the
+/// whose clean replies come from the fleet-shared feature map and whose
+/// faults are the wrapped backend's, verbatim. See the module docs for the
 /// invariance contract.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchingBackend<'a> {

@@ -32,7 +32,6 @@
 pub mod appearance;
 pub mod backend;
 pub mod batch;
-pub mod cache;
 pub mod cost;
 pub mod feature;
 pub mod gate;
@@ -43,7 +42,6 @@ pub use backend::{
     Attempt, AttemptClass, BackendFault, BackendReply, InferenceBackend, RetryPolicy, SplitBackend,
 };
 pub use batch::{BatchConfig, BatchScheduler, BatchStats, BatchingBackend, FeatureKey};
-pub use cache::{CacheStats, SharedFeatureCache};
 pub use cost::{CostModel, Device, ReidStats, SimClock};
 pub use feature::{Feature, NORMALIZER};
 pub use gate::{GateConfig, GateDecision, GatePlan, GatePolicy, GateStats, TrackPlan};

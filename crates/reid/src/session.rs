@@ -98,17 +98,19 @@ struct Propagation {
     deferred: bool,
 }
 
-/// A gated round, produced by collection and consumed by inference.
+/// One extraction round, produced by collection and consumed by
+/// inference.
 #[derive(Debug, Default)]
-struct GateBatch {
-    /// Boxes to actually extract (gate said Extract, plus donors whose
-    /// feature is not cached yet), deduplicated, in request order.
+struct Round {
+    /// Boxes to actually extract, deduplicated, in request order: every
+    /// uncached box when ungated; with a gate, the boxes it says Extract
+    /// plus donors whose feature is not cached yet.
     misses: Vec<(BoxKey, TrackBox)>,
-    /// Donor-to-target feature propagations (uncharged).
+    /// Donor-to-target feature propagations (uncharged; gated only).
     propagations: Vec<Propagation>,
-    /// Deferred boxes (real box + key), advertised to the backend's
-    /// prefetch lane as low-priority fill behind the demand misses.
-    deferred: Vec<(TrackBox, BoxKey)>,
+    /// Deferred boxes, advertised to the backend's prefetch lane as
+    /// low-priority fill behind the demand misses (gated only).
+    deferred: Vec<(BoxKey, TrackBox)>,
 }
 
 /// A stateful ReID session over one processing unit (typically one window).
@@ -126,12 +128,12 @@ pub struct ReidSession<'m> {
     cache: HashMap<BoxKey, Arc<Feature>>,
     stats: ReidStats,
     obs: Obs,
-    /// Reused dedup set for the miss-collection paths, so steady-state
+    /// Reused dedup set for round collection, so steady-state
     /// (warm-cache) batches allocate nothing. Always left empty between
     /// calls; cloning a session clones an empty set.
     scratch_seen: HashSet<BoxKey>,
-    /// Extraction gate; `None` (policy `Off`) keeps every path on the
-    /// historical code, bit-identical to the pre-gating pipeline.
+    /// Extraction gate; `None` (policy `Off`) makes every uncached box an
+    /// extraction.
     gate: Option<Box<GateRuntime>>,
 }
 
@@ -169,8 +171,8 @@ impl<'m> ReidSession<'m> {
     }
 
     /// Installs an extraction gate (builder-style). [`GatePolicy::Off`]
-    /// (the default) leaves every path on the historical code and is
-    /// bit-identical to a session that never heard of gating.
+    /// (the default) extracts every uncached box, which is what a gate that
+    /// always says Extract does too.
     pub fn with_gate(mut self, policy: GatePolicy) -> Self {
         self.gate = match policy {
             GatePolicy::Off => None,
@@ -326,11 +328,6 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// Cache lookup without any charging.
-    fn cache_get(&self, key: &BoxKey) -> Option<Arc<Feature>> {
-        self.cache.get(key).cloned()
-    }
-
     /// Charges one inference call of `n_new` items and counts it.
     fn charge_inference_round(&mut self, n_new: usize) {
         if n_new == 0 {
@@ -350,32 +347,33 @@ impl<'m> ReidSession<'m> {
     }
 
     // ------------------------------------------------------------------
-    // Gated rounds. Collection consults the plan per uncached box:
-    // Extract → miss; Reuse/Defer → propagate the donor (promoting an
-    // uncached donor to a miss so the cache never holds a value nobody
-    // computed). Inference then charges exactly the misses — one round —
-    // and applies the propagations uncharged, recording provenance.
+    // Extraction rounds. Collection walks the requested boxes, skips
+    // cached and repeated keys, and asks the gate (when one is installed)
+    // about each remaining box: Extract → miss; Reuse/Defer → propagate the
+    // donor, promoting an uncached donor to a miss so the cache never holds
+    // a value nobody computed. Without a gate every remaining box is a
+    // miss. Inference then charges exactly the misses — one round — and
+    // applies the propagations uncharged, recording provenance.
     // ------------------------------------------------------------------
 
-    /// Collects one gated round over `(track, box)` items (deduplicated
-    /// through the reusable scratch set, cache hits skipped).
-    fn gate_collect<I>(&mut self, items: I) -> GateBatch
-    where
-        I: Iterator<Item = (TrackId, TrackBox)>,
-    {
-        let mut rt = self.gate.take().expect("gate_collect on ungated session");
+    /// Collects one round over `(track, box)` items, deduplicated through
+    /// the reusable scratch set, cache hits skipped.
+    fn collect<'a>(&mut self, items: impl IntoIterator<Item = (TrackId, &'a TrackBox)>) -> Round {
         let mut seen = std::mem::take(&mut self.scratch_seen);
-        seen.clear();
-        let mut batch = GateBatch::default();
+        let mut round = Round::default();
         for (t, b) in items {
             let key = BoxKey::new(t, b.frame);
-            if !seen.insert(key) || self.cache_get(&key).is_some() {
+            if self.cache.contains_key(&key) || !seen.insert(key) {
                 continue;
             }
+            let Some(rt) = self.gate.as_deref_mut() else {
+                round.misses.push((key, *b));
+                continue;
+            };
             match rt.plan.decide(t, b.frame, &rt.config) {
                 GateDecision::Extract => {
                     rt.stats.extracts += 1;
-                    batch.misses.push((key, b));
+                    round.misses.push((key, *b));
                 }
                 d @ (GateDecision::Reuse { donor, age } | GateDecision::Defer { donor, age }) => {
                     let deferred = matches!(d, GateDecision::Defer { .. });
@@ -383,17 +381,17 @@ impl<'m> ReidSession<'m> {
                     // A donor nobody extracted yet is promoted to a miss:
                     // the propagation below then copies a real computed
                     // feature, and the charge covers it.
-                    if seen.insert(dkey) && self.cache_get(&dkey).is_none() {
+                    if !self.cache.contains_key(&dkey) && seen.insert(dkey) {
                         rt.stats.extracts += 1;
-                        batch.misses.push((dkey, donor));
+                        round.misses.push((dkey, donor));
                     }
                     if deferred {
                         rt.stats.defers += 1;
-                        batch.deferred.push((b, key));
+                        round.deferred.push((key, *b));
                     } else {
                         rt.stats.reuses += 1;
                     }
-                    batch.propagations.push(Propagation {
+                    round.propagations.push(Propagation {
                         target: key,
                         donor,
                         age,
@@ -404,58 +402,53 @@ impl<'m> ReidSession<'m> {
         }
         seen.clear();
         self.scratch_seen = seen;
-        self.gate = Some(rt);
-        batch
+        round
     }
 
-    /// Inference half of a gated round. The prefetch hint list leads with
-    /// the demand misses and appends the deferred boxes as low-priority
-    /// batch fill — batching backends may use the headroom to precompute
-    /// them, but a deferred box is never cached here unless the backend
-    /// actually computed it (Clean-only caching is the scheduler's own
-    /// invariant). An exhausted retry aborts the round before any
-    /// propagation, exactly like `try_infer_misses`.
-    fn try_gate_infer(&mut self, batch: GateBatch) -> Result<()> {
-        if batch.misses.is_empty() && batch.propagations.is_empty() {
+    /// Inference half of a round. The backend's prefetch hint list leads
+    /// with the demand misses and appends the deferred boxes as
+    /// low-priority batch fill — batching backends may use the headroom to
+    /// precompute them, but a deferred box is never cached here. Every miss
+    /// is then extracted through the backend (with retries) and **one**
+    /// inference call is charged for all of them. An exhausted retry ladder
+    /// aborts the round before any feature is cached or propagated;
+    /// attempt and backoff charges already on the clock stay (failed work
+    /// still costs time), but no inference round is charged.
+    fn try_infer(&mut self, round: Round) -> Result<()> {
+        // A deferred box always comes with its propagation.
+        if round.misses.is_empty() && round.propagations.is_empty() {
             return Ok(());
         }
-        let mut hints: Vec<(&TrackBox, Attempt)> =
-            Vec::with_capacity(batch.misses.len() + batch.deferred.len());
-        for (key, b) in &batch.misses {
-            hints.push((
-                b,
-                Attempt {
-                    epoch: self.epoch,
-                    attempt: 0,
-                    key: *key,
-                },
-            ));
-        }
-        for (b, key) in &batch.deferred {
-            hints.push((
-                b,
-                Attempt {
-                    epoch: self.epoch,
-                    attempt: 0,
-                    key: *key,
-                },
-            ));
-        }
+        let hints: Vec<(&TrackBox, Attempt)> = round
+            .misses
+            .iter()
+            .chain(&round.deferred)
+            .map(|(key, b)| {
+                (
+                    b,
+                    Attempt {
+                        epoch: self.epoch,
+                        attempt: 0,
+                        key: *key,
+                    },
+                )
+            })
+            .collect();
         if !hints.is_empty() {
             self.backend.prefetch(&hints);
         }
         drop(hints);
-        if !batch.misses.is_empty() {
-            let n = batch.misses.len();
+        if !round.misses.is_empty() {
+            let n = round.misses.len();
             let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
-            for (key, b) in &batch.misses {
+            for (key, b) in &round.misses {
                 let f = self.try_observe_retry(*key, b)?;
                 computed.push((*key, Arc::new(f)));
             }
             self.cache.extend(computed);
             self.charge_inference_round(n);
         }
-        self.apply_propagations(&batch.propagations);
+        self.apply_propagations(&round.propagations);
         Ok(())
     }
 
@@ -464,11 +457,11 @@ impl<'m> ReidSession<'m> {
     fn apply_propagations(&mut self, props: &[Propagation]) {
         for p in props {
             let dkey = BoxKey::new(p.target.track, p.donor.frame);
-            let f = match self.cache_get(&dkey) {
-                Some(f) => f,
+            let f = match self.cache.get(&dkey) {
+                Some(f) => Arc::clone(f),
                 // Unreachable (collection promotes uncached donors to
                 // misses), but the hot path stays panic-free: fall back
-                // to the pure model, uncharged, like phase 3.
+                // to the pure model, uncharged.
                 None => Arc::new(self.model.observe_track_box(&p.donor)),
             };
             self.cache.insert(p.target, f);
@@ -485,28 +478,8 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// Phase 1 of a batch: the cache misses among the pairs' boxes,
-    /// deduplicated by a set so large rounds stay linear in the misses.
-    fn collect_pair_misses<'a>(&mut self, pairs: &[BoxPairRef<'a>]) -> Vec<(BoxKey, &'a TrackBox)> {
-        let mut seen = std::mem::take(&mut self.scratch_seen);
-        seen.clear();
-        let mut misses: Vec<(BoxKey, &'a TrackBox)> = Vec::new();
-        for ((ta, ba), (tb, bb)) in pairs {
-            for (t, b) in [(*ta, *ba), (*tb, *bb)] {
-                let key = BoxKey::new(t, b.frame);
-                if !seen.insert(key) || self.cache_get(&key).is_some() {
-                    continue;
-                }
-                misses.push((key, b));
-            }
-        }
-        seen.clear();
-        self.scratch_seen = seen;
-        misses
-    }
-
-    /// Phase 3 of a batch: charges the distance cost and evaluates every
-    /// pair from the (now warm) cache.
+    /// Charges the distance cost and evaluates every pair from the cache,
+    /// which the round before it has warmed.
     fn charged_pair_distances(&mut self, pairs: &[BoxPairRef<'_>]) -> Vec<f64> {
         let ms = self.cost.distance_cost_ms(pairs.len(), self.device);
         self.clock.charge(ms);
@@ -520,19 +493,25 @@ impl<'m> ReidSession<'m> {
         let mut out = Vec::with_capacity(pairs.len());
         for ((ta, ba), (tb, bb)) in pairs {
             self.stats.cache_hits += 2;
-            let fa = self.cached_or_recompute(BoxKey::new(*ta, ba.frame), ba);
-            let fb = self.cached_or_recompute(BoxKey::new(*tb, bb.frame), bb);
-            out.push(fa.euclidean(&fb));
+            let (ka, kb) = (BoxKey::new(*ta, ba.frame), BoxKey::new(*tb, bb.frame));
+            let d = match (self.cache.get(&ka), self.cache.get(&kb)) {
+                (Some(fa), Some(fb)) => fa.euclidean(fb),
+                _ => {
+                    let fa = self.cached_or_recompute(ka, ba);
+                    fa.euclidean(&self.cached_or_recompute(kb, bb))
+                }
+            };
+            out.push(d);
         }
         out
     }
 
-    /// Phase-3 cache read. Phase 2 guarantees every key is cached, but the
-    /// hot path must stay panic-free, so an (unreachable) miss falls back
-    /// to the pure model, uncharged, instead of unwrapping.
+    /// A cache read after a round. The round guarantees every key is
+    /// cached, but the hot path must stay panic-free, so an (unreachable)
+    /// miss falls back to the pure model, uncharged, instead of unwrapping.
     fn cached_or_recompute(&mut self, key: BoxKey, tb: &TrackBox) -> Arc<Feature> {
-        if let Some(f) = self.cache_get(&key) {
-            return f;
+        if let Some(f) = self.cache.get(&key) {
+            return Arc::clone(f);
         }
         let f = Arc::new(self.model.observe_track_box(tb));
         self.cache.insert(key, Arc::clone(&f));
@@ -555,30 +534,9 @@ impl<'m> ReidSession<'m> {
         before - self.cache.len()
     }
 
-    /// The cache misses among `boxes`, deduplicated through the reusable
-    /// scratch set.
-    fn collect_box_misses<'a>(
-        &mut self,
-        boxes: &[(TrackId, &'a TrackBox)],
-    ) -> Vec<(BoxKey, &'a TrackBox)> {
-        let mut seen = std::mem::take(&mut self.scratch_seen);
-        seen.clear();
-        let mut misses: Vec<(BoxKey, &'a TrackBox)> = Vec::new();
-        for (t, b) in boxes {
-            let key = BoxKey::new(*t, b.frame);
-            if !seen.insert(key) || self.cache_get(&key).is_some() {
-                continue;
-            }
-            misses.push((key, b));
-        }
-        seen.clear();
-        self.scratch_seen = seen;
-        misses
-    }
-
     /// Reads a cached feature (populated by a prior extraction).
     pub fn cached_feature(&self, track: TrackId, frame: FrameIdx) -> Option<Arc<Feature>> {
-        self.cache_get(&BoxKey::new(track, frame))
+        self.cache.get(&BoxKey::new(track, frame)).cloned()
     }
 
     /// Charges the cost of `n` pairwise distances computed outside the
@@ -644,58 +602,14 @@ impl<'m> ReidSession<'m> {
     /// vector.
     pub fn try_feature(&mut self, track: TrackId, tb: &TrackBox) -> Result<Arc<Feature>> {
         let key = BoxKey::new(track, tb.frame);
-        if let Some(f) = self.cache_get(&key) {
+        if let Some(f) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             self.obs.counter("reid.cache_hits", 1);
-            return Ok(f);
+            return Ok(Arc::clone(f));
         }
-        if self.gate.is_some() {
-            let batch = self.gate_collect(std::iter::once((track, *tb)));
-            self.try_gate_infer(batch)?;
-            return Ok(self.cached_or_recompute(key, tb));
-        }
-        let f = Arc::new(self.try_observe_retry(key, tb)?);
-        self.cache.insert(key, Arc::clone(&f));
-        self.charge_inference_round(1);
-        Ok(f)
-    }
-
-    /// Extracts every miss (pre-deduplicated) through the backend (with
-    /// retries), then charges **one** inference call for all of them. An
-    /// exhausted retry ladder aborts the round; attempt/backoff charges already on the clock stay
-    /// (failed work still costs time), but no inference round is charged.
-    fn try_infer_misses(&mut self, misses: Vec<(BoxKey, &TrackBox)>) -> Result<()> {
-        if misses.is_empty() {
-            return Ok(());
-        }
-        // Announce the round's full miss list so batching backends (the
-        // fleet's cross-stream scheduler) can form batches. Advisory only:
-        // the default is a no-op and implementations must not affect
-        // replies, so single-stream runs are untouched.
-        let hints: Vec<(&TrackBox, Attempt)> = misses
-            .iter()
-            .map(|&(key, b)| {
-                (
-                    b,
-                    Attempt {
-                        epoch: self.epoch,
-                        attempt: 0,
-                        key,
-                    },
-                )
-            })
-            .collect();
-        self.backend.prefetch(&hints);
-        drop(hints);
-        let n = misses.len();
-        let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
-        for (key, b) in misses {
-            let f = self.try_observe_retry(key, b)?;
-            computed.push((key, Arc::new(f)));
-        }
-        self.cache.extend(computed);
-        self.charge_inference_round(n);
-        Ok(())
+        let round = self.collect([(track, tb)]);
+        self.try_infer(round)?;
+        Ok(self.cached_or_recompute(key, tb))
     }
 
     /// The distance of one BBox pair, extracting whatever features are not
@@ -715,17 +629,8 @@ impl<'m> ReidSession<'m> {
     /// pairwise distances are charged and returned in input order. This is
     /// the primitive behind every `-B` algorithm (§IV-F).
     pub fn try_pair_distances_batch(&mut self, pairs: &[BoxPairRef<'_>]) -> Result<Vec<f64>> {
-        if self.gate.is_some() {
-            let batch = self.gate_collect(
-                pairs
-                    .iter()
-                    .flat_map(|&((ta, ba), (tb, bb))| [(ta, *ba), (tb, *bb)]),
-            );
-            self.try_gate_infer(batch)?;
-            return Ok(self.charged_pair_distances(pairs));
-        }
-        let misses = self.collect_pair_misses(pairs);
-        self.try_infer_misses(misses)?;
+        let round = self.collect(pairs.iter().flat_map(|&(a, b)| [a, b]));
+        self.try_infer(round)?;
         Ok(self.charged_pair_distances(pairs))
     }
 
@@ -735,12 +640,8 @@ impl<'m> ReidSession<'m> {
     /// the exact (baseline) scorer, where per-item cache lookups would
     /// dominate wall-clock.
     pub fn try_ensure_features(&mut self, boxes: &[(TrackId, &TrackBox)]) -> Result<()> {
-        if self.gate.is_some() {
-            let batch = self.gate_collect(boxes.iter().map(|&(t, b)| (t, *b)));
-            return self.try_gate_infer(batch);
-        }
-        let misses = self.collect_box_misses(boxes);
-        self.try_infer_misses(misses)
+        let round = self.collect(boxes.iter().copied());
+        self.try_infer(round)
     }
 
     // ------------------------------------------------------------------

@@ -17,9 +17,14 @@
 //! * **Batch bounds** — the pending queue never holds `max_batch` or more
 //!   entries after an offer, no dispatched batch exceeds `max_batch`, and
 //!   a demand drains the queue entirely.
+//!
+//! Two threaded tests race lanes against each other: however their
+//! prefetches and demands interleave, each distinct content is computed
+//! exactly once and every reply is the bare model's.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Barrier;
 use tm_reid::{
     AppearanceConfig, AppearanceModel, Attempt, AttemptClass, BackendFault, BackendReply,
     BatchConfig, BatchScheduler, BoxKey, Feature, FeatureKey, InferenceBackend, SplitBackend,
@@ -255,4 +260,85 @@ proptest! {
 /// NaN features never compare equal; this detects the corrupt payload.
 fn clean_is_corrupt(f: &Feature) -> bool {
     !f.is_finite()
+}
+
+/// Lanes on several threads demand one content at the same moment: one
+/// computation, every reply the bare model's.
+#[test]
+fn racing_lanes_compute_one_content_once() {
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let sched = BatchScheduler::new(&model, BatchConfig::default());
+    let tb = make_box(9, 9);
+    let want = model.observe_track_box(&tb);
+    let threads = 8u64;
+    let start = Barrier::new(threads as usize);
+    std::thread::scope(|s| {
+        for lane_id in 0..threads {
+            let lane = sched.backend(&model);
+            let (start, tb, want) = (&start, &tb, &want);
+            s.spawn(move || {
+                start.wait();
+                let got = lane.try_observe(tb, &make_attempt(lane_id, 9, 0, 0));
+                assert_eq!(&got.outcome.unwrap(), want);
+            });
+        }
+    });
+    let stats = sched.stats();
+    assert_eq!((stats.requests, stats.computed), (threads, 1));
+    assert_eq!(sched.cached_features(), 1);
+}
+
+/// Lanes on 4 and 8 threads each walk the same contents from a different
+/// offset, prefetching a round and then demanding it, at a `max_batch`
+/// small enough that full-batch flushes fire between demands. However the
+/// threads interleave, each distinct content is computed exactly once,
+/// every reply is the bare model's, every demand is counted, and the last
+/// demand leaves the queue empty.
+#[test]
+fn lane_storm_computes_each_content_once() {
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let contents: Vec<TrackBox> = (0..3u64)
+        .flat_map(|round| (0..100u64).map(move |t| make_box(t, round)))
+        .collect();
+    let distinct: HashSet<FeatureKey> = contents.iter().map(FeatureKey::of).collect();
+    for threads in [4u64, 8] {
+        let sched = BatchScheduler::new(
+            &model,
+            BatchConfig {
+                max_batch: 3,
+                ..BatchConfig::default()
+            },
+        );
+        let start = Barrier::new(threads as usize);
+        std::thread::scope(|s| {
+            for lane_id in 0..threads {
+                let lane = sched.backend(&model);
+                let (start, contents, model) = (&start, &contents, &model);
+                s.spawn(move || {
+                    let n = contents.len();
+                    let offset = lane_id as usize * n / threads as usize;
+                    let order: Vec<&TrackBox> =
+                        (0..n).map(|i| &contents[(i + offset) % n]).collect();
+                    start.wait();
+                    for round in order.chunks(8) {
+                        let hints: Vec<(&TrackBox, Attempt)> = round
+                            .iter()
+                            .map(|tb| (*tb, make_attempt(lane_id, tb.frame.get(), 0, 0)))
+                            .collect();
+                        lane.prefetch(&hints);
+                        for (tb, at) in &hints {
+                            let got = lane.try_observe(tb, at).outcome.unwrap();
+                            assert_eq!(got, model.observe_track_box(tb));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = sched.stats();
+        assert_eq!(stats.computed, distinct.len() as u64, "{threads} threads");
+        assert_eq!(sched.cached_features(), distinct.len());
+        assert_eq!(stats.requests, threads * contents.len() as u64);
+        assert_eq!(sched.pending_len(), 0);
+        assert!(stats.largest_batch <= 3);
+    }
 }
