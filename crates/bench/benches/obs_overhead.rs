@@ -237,7 +237,7 @@ impl<'m> SeedSession<'m> {
 
     /// The seed retry ladder on the clean-backend happy path: one attempt
     /// through the backend seam, latency charge, finiteness check.
-    fn observe_retry(&mut self, key: BoxKey, tb: &TrackBox) -> Feature {
+    fn observe_retry(&mut self, key: BoxKey, tb: &TrackBox) -> Arc<Feature> {
         let at = Attempt {
             epoch: self.epoch,
             attempt: 0,
@@ -269,8 +269,7 @@ impl<'m> SeedSession<'m> {
         let n = misses.len();
         let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
         for (key, b) in misses {
-            let f = self.observe_retry(key, b);
-            computed.push((key, Arc::new(f)));
+            computed.push((key, self.observe_retry(key, b)));
         }
         for (key, f) in computed {
             self.features.insert(key, f);

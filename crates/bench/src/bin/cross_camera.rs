@@ -108,7 +108,6 @@ struct CityRun {
     cross_links: usize,
     learned_pairs: usize,
     reid_inferences: u64,
-    batch_dispatches: u64,
 }
 
 fn run_city(cameras: u64, seed: u64) -> CityRun {
@@ -175,7 +174,6 @@ fn run_city(cameras: u64, seed: u64) -> CityRun {
         cross_links: global.accepted().len(),
         learned_pairs: global.topology().len(),
         reid_inferences: stats.computed,
-        batch_dispatches: stats.dispatches,
     }
 }
 
@@ -238,11 +236,8 @@ fn main() {
         &[row(&r.small), row(&r.large)],
     );
     println!(
-        "learned travel profiles: {} / {}; batch dispatches: {} / {}",
-        r.small.learned_pairs,
-        r.large.learned_pairs,
-        r.small.batch_dispatches,
-        r.large.batch_dispatches
+        "learned travel profiles: {} / {}",
+        r.small.learned_pairs, r.large.learned_pairs
     );
     save_json("cross_camera", &r);
 

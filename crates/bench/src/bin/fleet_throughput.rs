@@ -102,8 +102,6 @@ struct FleetThroughput {
     fleet_inferences: u64,
     saved: u64,
     saving_pct: f64,
-    batch_dispatches: u64,
-    largest_batch: u64,
     per_stream_solo: Vec<u64>,
 }
 
@@ -176,8 +174,6 @@ fn run() -> FleetThroughput {
         fleet_inferences: stats.computed,
         saved,
         saving_pct,
-        batch_dispatches: stats.dispatches,
-        largest_batch: stats.largest_batch,
         per_stream_solo,
     }
 }
@@ -198,8 +194,6 @@ fn main() {
             ],
             vec!["saved".into(), r.saved.to_string()],
             vec!["saving %".into(), format!("{:.1}", r.saving_pct)],
-            vec!["batch dispatches".into(), r.batch_dispatches.to_string()],
-            vec!["largest batch".into(), r.largest_batch.to_string()],
             vec![
                 "per-stream solo calls".into(),
                 r.per_stream_solo

@@ -311,10 +311,6 @@ fn gate_dot_speedup(t_scalar: Timing, t_simd: Timing) {
 
 const STORM_THREADS: u64 = 4;
 
-/// Lanes prefetch their keys in rounds of this many, as a session
-/// announces a round's misses before demanding them.
-const STORM_ROUND: usize = 32;
-
 /// Lane `lane` demands storm box `k`: a clean attempt keyed by the lane's
 /// own track id, so only the box content is shared between lanes.
 fn storm_attempt(lane: u64, k: u64) -> Attempt {
@@ -371,7 +367,7 @@ fn cache_suite(quick: bool) -> Vec<BenchCase> {
     ));
 
     // Miss storm: a cold scheduler per iteration; lanes race over rotated
-    // key orders, prefetching each round of keys and then demanding it.
+    // key orders, demanding each key.
     let computed = AtomicU64::new(0);
     let alloc = CountingAlloc::snapshot();
     let t_misses = time_iters(iters, || {
@@ -381,18 +377,9 @@ fn cache_suite(quick: bool) -> Vec<BenchCase> {
                 let lane = scheduler.backend(&model);
                 let boxes = &boxes;
                 s.spawn(move || {
-                    let order: Vec<u64> = (0..keys)
-                        .map(|k| (k + w * keys / STORM_THREADS) % keys)
-                        .collect();
-                    for round in order.chunks(STORM_ROUND) {
-                        let hints: Vec<(&TrackBox, Attempt)> = round
-                            .iter()
-                            .map(|&k| (&boxes[k as usize], storm_attempt(w, k)))
-                            .collect();
-                        lane.prefetch(&hints);
-                        for (b, at) in &hints {
-                            assert!(lane.try_observe(b, at).outcome.is_ok());
-                        }
+                    for k in (0..keys).map(|k| (k + w * keys / STORM_THREADS) % keys) {
+                        let reply = lane.try_observe(&boxes[k as usize], &storm_attempt(w, k));
+                        assert!(reply.outcome.is_ok());
                     }
                 });
             }

@@ -17,8 +17,8 @@ use tm_core::{
     TMergeConfig, WindowDecision,
 };
 use tm_reid::{
-    AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchingBackend, CostModel,
-    Device, InferenceBackend, RetryPolicy,
+    AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchStats, BatchingBackend,
+    CostModel, Device, GateConfig, GatePolicy, InferenceBackend, RetryPolicy,
 };
 use tm_types::{
     ids::classes, BBox, FrameIdx, GtObjectId, Track, TrackBox, TrackId, TrackPair, TrackSet,
@@ -130,14 +130,19 @@ fn outcome(m: &mut StreamingMerger<'_, TMerge>) -> StreamOutcome {
 }
 
 /// Reference: stream `i` alone, its fault backend installed directly.
-fn solo(model: &AppearanceModel, tracks: &TrackSet, plan: FaultPlan) -> StreamOutcome {
+fn solo(
+    config: StreamConfig,
+    model: &AppearanceModel,
+    tracks: &TrackSet,
+    plan: FaultPlan,
+) -> StreamOutcome {
     let faulty = FaultyModel::new(model, plan);
     let mut m = StreamingMerger::new(
         model,
         CostModel::calibrated(),
         Device::Cpu,
         selector(),
-        stream_config(),
+        config,
     )
     .unwrap()
     .with_backend(&faulty);
@@ -149,13 +154,14 @@ fn solo(model: &AppearanceModel, tracks: &TrackSet, plan: FaultPlan) -> StreamOu
 }
 
 /// The fleet run: every stream's fault backend wrapped in a lane of one
-/// shared batching scheduler. Returns per-stream outcomes plus how many
-/// backend inferences the scheduler saved.
+/// shared batching scheduler. Returns per-stream outcomes, the
+/// scheduler's counters and the shards' summed session inferences.
 fn fleet(
+    config: StreamConfig,
     model: &AppearanceModel,
     feeds: &[TrackSet],
     plans: &[FaultPlan],
-) -> (Vec<StreamOutcome>, u64) {
+) -> (Vec<StreamOutcome>, BatchStats, u64) {
     let faulty: Vec<FaultyModel<'_>> = plans
         .iter()
         .map(|p| FaultyModel::new(model, p.clone()))
@@ -168,7 +174,7 @@ fn fleet(
         model,
         CostModel::calibrated(),
         Device::Cpu,
-        stream_config(),
+        config,
         |_| selector(),
         &backends,
     )
@@ -182,31 +188,41 @@ fn fleet(
     let outs = (0..feeds.len())
         .map(|i| outcome(fleet.shard_mut(i)))
         .collect();
-    (outs, scheduler.stats().saved())
+    let inferences = (0..feeds.len())
+        .map(|i| fleet.shard(i).reid_stats().inferences)
+        .sum();
+    (outs, scheduler.stats(), inferences)
 }
 
-fn assert_fleet_matches_solo(n_streams: usize, plan_for: impl Fn(usize) -> FaultPlan) -> u64 {
+/// Asserts that every stream of an `n_streams` fleet under `config` is
+/// byte-identical to its solo run at each thread count, and returns the
+/// scheduler's counters and the shards' summed inferences for each.
+fn assert_fleet_matches_solo(
+    config: StreamConfig,
+    n_streams: usize,
+    plan_for: impl Fn(usize) -> FaultPlan,
+) -> Vec<(BatchStats, u64)> {
     let model = AppearanceModel::new(AppearanceConfig::default());
     let feeds: Vec<TrackSet> = (0..n_streams).map(stream_tracks).collect();
     let solos: Vec<StreamOutcome> = feeds
         .iter()
         .enumerate()
-        .map(|(i, t)| solo(&model, t, plan_for(i)))
+        .map(|(i, t)| solo(config, &model, t, plan_for(i)))
         .collect();
 
-    let mut saved_last = 0;
+    let mut runs = Vec::new();
     with_thread_counts(|threads| {
         let plans: Vec<FaultPlan> = (0..n_streams).map(&plan_for).collect();
-        let (outs, saved) = fleet(&model, &feeds, &plans);
+        let (outs, stats, inferences) = fleet(config, &model, &feeds, &plans);
         for (i, (got, want)) in outs.iter().zip(&solos).enumerate() {
             assert_eq!(
                 got, want,
                 "stream {i} of {n_streams} diverged from its solo run at TMERGE_THREADS={threads}"
             );
         }
-        saved_last = saved;
+        runs.push((stats, inferences));
     });
-    saved_last
+    runs
 }
 
 /// Fault-free fleets of 1, 2 and 8 streams: every stream byte-identical to
@@ -214,24 +230,57 @@ fn assert_fleet_matches_solo(n_streams: usize, plan_for: impl Fn(usize) -> Fault
 /// scheduler must actually reuse features across streams.
 #[test]
 fn clean_fleet_matches_solo_runs() {
-    assert_fleet_matches_solo(1, |_| FaultPlan::none());
-    assert_fleet_matches_solo(2, |_| FaultPlan::none());
-    let saved = assert_fleet_matches_solo(8, |_| FaultPlan::none());
-    assert!(
-        saved > 0,
-        "8 streams sharing a scene must reuse features across streams"
-    );
+    assert_fleet_matches_solo(stream_config(), 1, |_| FaultPlan::none());
+    assert_fleet_matches_solo(stream_config(), 2, |_| FaultPlan::none());
+    for (stats, _) in assert_fleet_matches_solo(stream_config(), 8, |_| FaultPlan::none()) {
+        assert!(
+            stats.saved() > 0,
+            "8 streams sharing a scene must reuse features across streams"
+        );
+    }
+}
+
+/// Gated fleets of 2 and 8 streams on the clean plan: every stream
+/// byte-identical to its gated solo run at both thread counts, and the
+/// shared scheduler computes only what the shards demanded — `requests` is
+/// the shards' summed inferences, `computed ≤ requests`, and `computed` is
+/// the same at every thread count.
+#[test]
+fn gated_fleet_matches_solo_and_computes_only_demands() {
+    let config = StreamConfig {
+        gate: GatePolicy::On(GateConfig::default()),
+        ..stream_config()
+    };
+    for n_streams in [2, 8] {
+        let runs = assert_fleet_matches_solo(config, n_streams, |_| FaultPlan::none());
+        for (stats, inferences) in &runs {
+            assert_eq!(
+                stats.requests, *inferences,
+                "{n_streams} streams: {stats:?}"
+            );
+            assert!(stats.computed <= stats.requests, "{stats:?}");
+        }
+        assert_eq!(
+            runs[0].0.computed, runs[1].0.computed,
+            "{n_streams} streams"
+        );
+    }
 }
 
 /// Flaky backends (per-stream seeds): faults, retries and latency spikes
 /// replay identically through the batching lanes.
 #[test]
 fn flaky_fleet_matches_solo_runs() {
-    assert_fleet_matches_solo(2, |i| FaultPlan::flaky(100 + i as u64));
-    assert_fleet_matches_solo(8, |i| FaultPlan::flaky(100 + i as u64));
+    assert_fleet_matches_solo(stream_config(), 2, |i| FaultPlan::flaky(100 + i as u64));
+    assert_fleet_matches_solo(stream_config(), 8, |i| FaultPlan::flaky(100 + i as u64));
     // Sanity: the flaky plans actually fired.
     let model = AppearanceModel::new(AppearanceConfig::default());
-    let out = solo(&model, &stream_tracks(0), FaultPlan::flaky(100));
+    let out = solo(
+        stream_config(),
+        &model,
+        &stream_tracks(0),
+        FaultPlan::flaky(100),
+    );
     assert!(out.robustness.backend_faults > 0, "{:?}", out.robustness);
 }
 
@@ -246,11 +295,11 @@ fn hard_down_stream_matches_solo_and_spares_siblings() {
             FaultPlan::none()
         }
     };
-    assert_fleet_matches_solo(3, plan_for);
+    assert_fleet_matches_solo(stream_config(), 3, plan_for);
     // The solo reference itself degraded and re-verified, so the fleet
     // equality above covered the interesting path.
     let model = AppearanceModel::new(AppearanceConfig::default());
-    let out = solo(&model, &stream_tracks(1), plan_for(1));
+    let out = solo(stream_config(), &model, &stream_tracks(1), plan_for(1));
     assert_eq!(out.robustness.degraded_windows, 2, "{:?}", out.robustness);
     assert_eq!(out.robustness.reverified_windows, 2, "{:?}", out.robustness);
 }
@@ -301,7 +350,8 @@ fn fleet_stream_matches_offline_pipeline() {
         FaultPlan::flaky(100),
         FaultPlan::none().with_hard_down(2, 4),
     ] {
-        let (outs, _) = fleet(
+        let (outs, ..) = fleet(
+            stream_config(),
             &model,
             std::slice::from_ref(&tracks),
             std::slice::from_ref(&plan),

@@ -42,11 +42,11 @@ impl InferenceBackend for FaultyModel<'_> {
         // bit-identical to this solo backend.
         match self.classify(at) {
             AttemptClass::Clean { extra_ms } => BackendReply {
-                outcome: Ok(self.model.observe_track_box(tb)),
+                outcome: Ok(self.model.observe_track_box(tb).into()),
                 extra_ms,
             },
             AttemptClass::Corrupt { feature, extra_ms } => BackendReply {
-                outcome: Ok(feature),
+                outcome: Ok(feature.into()),
                 extra_ms,
             },
             AttemptClass::Fault { fault, extra_ms } => BackendReply::fault(fault, extra_ms),
@@ -115,7 +115,7 @@ mod tests {
             let reply = faulty.try_observe(&b, &at(i % 3, 0, i + 1, i));
             assert_eq!(reply.extra_ms.to_bits(), 0.0f64.to_bits());
             let f = reply.outcome.expect("zero plan never fails");
-            assert_eq!(f, m.observe_track_box(&b), "box {i}");
+            assert_eq!(*f, m.observe_track_box(&b), "box {i}");
             assert!(faulty.available(i));
         }
     }
@@ -166,7 +166,7 @@ mod tests {
                 AttemptClass::Clean { extra_ms } => {
                     seen[0] = true;
                     assert_eq!(reply.extra_ms.to_bits(), extra_ms.to_bits());
-                    assert_eq!(reply.outcome.unwrap(), m.observe_track_box(&b));
+                    assert_eq!(*reply.outcome.unwrap(), m.observe_track_box(&b));
                 }
                 AttemptClass::Corrupt { feature, extra_ms } => {
                     seen[1] = true;

@@ -25,9 +25,7 @@
 //! cache and gate state) and the recorder's deterministic aggregates — and
 //! `resume()` reconstructs a merger that continues at the last completed
 //! window with **byte-identical** output to a run that was never
-//! interrupted. The union-find is not serialized: it is rebuilt by
-//! re-unioning the committed merges, which is equivalent for every query
-//! the merger answers. The selector and the appearance model are code, not
+//! interrupted. The selector and the appearance model are code, not
 //! data — `resume()` takes them as arguments and the caller must pass the
 //! same ones (and re-install any fault backend with
 //! [`StreamingMerger::with_backend`]) for identical continuation.
@@ -39,12 +37,12 @@ use crate::selector::CandidateSelector;
 use crate::stream::{
     RetentionSummary, StashedWindow, StreamConfig, StreamingMerger, WindowDecision,
 };
-use crate::union::UnionFind;
 use crate::window::Window;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use tm_reid::{
-    AppearanceModel, BoxKey, FeatureProvenance, GateConfig, GatePolicy, GateSnapshot, GateStats,
-    ReidSession, ReidStats, RetryPolicy, SessionSnapshot, TrackPlan,
+    AppearanceModel, BoxKey, Feature, FeatureProvenance, GateConfig, GatePolicy, GateSnapshot,
+    GateStats, ReidSession, ReidStats, RetryPolicy, SessionSnapshot, TrackPlan,
 };
 use tm_types::{
     BBox, ClassId, FrameIdx, GtObjectId, Result, TmError, Track, TrackBox, TrackId, TrackPair,
@@ -53,8 +51,9 @@ use tm_types::{
 
 /// `TMCK` in ASCII: the first word of every envelope.
 const MAGIC: u64 = 0x544d_434b;
-/// The container layout version. Readers reject any other value.
-const VERSION: u64 = 1;
+/// The container layout version. Readers reject any other value; version
+/// 2 dropped the per-provenance `deferred` word of version 1.
+const VERSION: u64 = 2;
 /// Magic, version and kind words.
 const HEADER_BYTES: usize = 24;
 
@@ -483,7 +482,6 @@ fn put_gate_snapshot(w: &mut Writer, g: &GateSnapshot) {
         put_box_key(w, *target);
         put_box_key(w, p.donor);
         w.put_u64(p.age);
-        w.put_bool(p.deferred);
     }
     w.put_u64(g.plans.len() as u64);
     for (track, plan) in &g.plans {
@@ -507,15 +505,7 @@ fn take_gate_snapshot(r: &mut Reader<'_>) -> Result<GateSnapshot> {
             let target = take_box_key(r)?;
             let donor = take_box_key(r)?;
             let age = r.take_u64()?;
-            let deferred = r.take_bool()?;
-            Ok((
-                target,
-                FeatureProvenance {
-                    donor,
-                    age,
-                    deferred,
-                },
-            ))
+            Ok((target, FeatureProvenance { donor, age }))
         })
         .collect::<Result<_>>()?;
     let n = r.take_len()?;
@@ -561,8 +551,8 @@ pub(crate) fn put_session_snapshot(w: &mut Writer, snap: &SessionSnapshot) {
     w.put_u64(snap.cache.len() as u64);
     for (key, feat) in &snap.cache {
         put_box_key(w, *key);
-        w.put_u64(feat.len() as u64);
-        for &c in feat {
+        w.put_u64(feat.dim() as u64);
+        for &c in feat.as_slice() {
             w.put_f64(c);
         }
     }
@@ -587,12 +577,12 @@ pub(crate) fn take_session_snapshot(r: &mut Reader<'_>) -> Result<SessionSnapsho
         backend_faults: r.take_u64()?,
     };
     let n = r.take_len()?;
-    let cache: Vec<(BoxKey, Vec<f64>)> = (0..n)
+    let cache: Vec<(BoxKey, Arc<Feature>)> = (0..n)
         .map(|_| {
             let key = take_box_key(r)?;
             let len = r.take_len()?;
             let feat: Vec<f64> = (0..len).map(|_| r.take_f64()).collect::<Result<_>>()?;
-            Ok((key, feat))
+            Ok((key, Arc::new(Feature::from_raw(feat))))
         })
         .collect::<Result<_>>()?;
     let gate = if r.take_bool()? {
@@ -804,12 +794,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             .with_gate(config.gate);
         session.restore_snapshot(&session_snap);
 
-        // The union-find is derived state: re-union the committed merges.
-        let mut uf = UnionFind::new();
-        for p in &merged_ids {
-            uf.union(p.lo(), p.hi());
-        }
-
         Ok(StreamingMerger {
             config,
             stream_id,
@@ -820,7 +804,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             watermark,
             prev_ids,
             seen,
-            uf,
             merged_ids,
             breaker,
             stash,
@@ -985,7 +968,7 @@ mod tests {
         m.advance(&tracks, 250).unwrap();
         let bytes = m.checkpoint();
 
-        let mut resumed = StreamingMerger::resume(
+        let resumed = StreamingMerger::resume(
             &model,
             CostModel::calibrated(),
             Device::Cpu,

@@ -21,10 +21,9 @@
 //!
 //! ## Cost semantics
 //!
-//! Each shard's clock is charged only for its own boxes plus the batching
-//! lane's amortized per-request overhead
-//! ([`tm_reid::BatchConfig::amortized_overhead_ms`]); fleet fan-out never
-//! charges simulated time.
+//! Each shard's clock is charged only for its own boxes; a batching lane
+//! adds nothing to a reply's charge, and fleet fan-out never charges
+//! simulated time.
 //!
 //! ## Restart
 //!

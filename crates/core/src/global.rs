@@ -65,7 +65,7 @@ use crate::checkpoint::{
 use crate::exec;
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
-use crate::union::{merge_mapping, UnionFind};
+use crate::union::merge_mapping;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tm_obs::{Obs, Value};
 use tm_reid::{AppearanceModel, CostModel, Device, GatePolicy, InferenceBackend, ReidSession};
@@ -339,7 +339,6 @@ pub struct GlobalMerger<'m, S> {
     watermark: u64,
     seen: BTreeSet<TrackPair>,
     accepted: Vec<TrackPair>,
-    uf: UnionFind,
     stash: Vec<StashedRound>,
     breaker: Breaker,
     counters: RobustnessReport,
@@ -379,7 +378,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             watermark: 0,
             seen: BTreeSet::new(),
             accepted: Vec::new(),
-            uf: UnionFind::new(),
             stash: Vec::new(),
             breaker: Breaker::new(robustness.breaker_threshold),
             counters: RobustnessReport::default(),
@@ -654,11 +652,10 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         candidates
     }
 
-    /// Commits accepted merges: union-find, the accepted log, and the
-    /// topology profile of each pair's directed camera hop.
+    /// Commits accepted merges: the accepted log, and the topology profile
+    /// of each pair's directed camera hop.
     fn commit(&mut self, accepted: &[TrackPair], combined: &TrackSet) {
         for p in accepted {
-            self.uf.union(p.lo(), p.hi());
             self.accepted.push(*p);
             observe_transit(&mut self.topology, *p, combined);
         }
@@ -704,7 +701,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                 window_index: sr.round,
                 pairs: &pairs,
             };
-            let uf = &mut self.uf;
             let accepted = &mut self.accepted;
             let topology = &mut self.topology;
             let config = &self.config;
@@ -723,7 +719,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
                         kept.retain(|p| result.scores.get(p).is_some_and(|&s| s <= threshold));
                     }
                     for p in &kept {
-                        uf.union(p.lo(), p.hi());
                         accepted.push(*p);
                         observe_transit(topology, *p, combined);
                     }
@@ -943,12 +938,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             .with_gate(GatePolicy::Off);
         session.restore_snapshot(&session_snap);
 
-        // The union-find is derived state: re-union the confirmed merges.
-        let mut uf = UnionFind::new();
-        for p in &accepted {
-            uf.union(p.lo(), p.hi());
-        }
-
         Ok(Self {
             config,
             robustness,
@@ -960,7 +949,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
             watermark,
             seen,
             accepted,
-            uf,
             stash,
             breaker,
             counters,

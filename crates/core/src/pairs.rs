@@ -25,12 +25,9 @@ pub struct WindowPairs {
     pub pairs: Vec<TrackPair>,
 }
 
-/// Tracks whose lifetime intersects the first half of `w`.
-///
-/// Linear scan — right for streaming callers whose track set changes
-/// between windows. The batch path ([`build_window_pairs`]) uses a
-/// [`tm_types::FrameIndex`] instead, answering the same query in
-/// O(log n + k) per window.
+/// `T_c`: the tracks whose lifetime intersects the first half of `w`, in
+/// ascending id order. A linear scan of the set per window; both the
+/// streaming merger and [`build_window_pairs`] find `T_c` this way.
 pub fn tracks_in_first_half(tracks: &TrackSet, w: &Window) -> Vec<TrackId> {
     let mut ids: Vec<TrackId> = tracks
         .overlapping_range(w.start, w.half_end)
@@ -44,7 +41,7 @@ pub fn tracks_in_first_half(tracks: &TrackSet, w: &Window) -> Vec<TrackId> {
 /// same-class pair inside `T_c` or across `T_c × T_{c−1}` that `seen` does
 /// not hold yet, in ascending order. The new pairs are added to `seen`, so
 /// no pair is ever examined twice. Shared by [`build_window_pairs`] and
-/// the streaming merger; each finds `T_c` its own way.
+/// the streaming merger.
 pub(crate) fn window_pair_set(
     tracks: &TrackSet,
     cur_ids: &[TrackId],
@@ -92,15 +89,11 @@ pub fn build_window_pairs(
     window_len: u64,
 ) -> Result<Vec<WindowPairs>> {
     let ws = windows(n_frames, window_len)?;
-    let idx = tracks.frame_index();
-    let mut positions: Vec<u32> = Vec::new();
     let mut seen: BTreeSet<TrackPair> = BTreeSet::new();
     let mut out = Vec::with_capacity(ws.len());
     let mut prev_ids: Vec<TrackId> = Vec::new();
     for w in ws {
-        idx.overlapping_positions(w.start, w.half_end, &mut positions);
-        let mut cur_ids: Vec<TrackId> = positions.iter().map(|&p| idx.track(p).id).collect();
-        cur_ids.sort();
+        let cur_ids = tracks_in_first_half(tracks, &w);
         let pairs = window_pair_set(tracks, &cur_ids, &prev_ids, &mut seen);
         out.push(WindowPairs { window: w, pairs });
         prev_ids = cur_ids;
@@ -190,8 +183,8 @@ mod tests {
         assert!(wp.iter().all(|w| w.pairs.is_empty()));
     }
 
-    /// The indexed window scan must produce exactly the pair sets the
-    /// direct per-window filter produces, on a crowded synthetic layout.
+    /// The window walk must produce exactly the pair sets a direct
+    /// reimplementation of Eq. (1) produces, on a crowded synthetic layout.
     #[test]
     fn indexed_pairs_match_direct_filter() {
         // 40 tracks with staggered, overlapping, duplicate and edge-case

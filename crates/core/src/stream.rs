@@ -5,7 +5,7 @@
 //! is the one window walk of the crate: feed it the tracker's output as
 //! frames arrive, and it runs candidate selection for each window as soon
 //! as that window has fully elapsed, maintaining the cross-window pair
-//! deduplication and a running union-find of accepted merges. The offline
+//! deduplication and the list of accepted merges. The offline
 //! [`crate::run_pipeline`] hands it a whole video in one
 //! [`StreamingMerger::finish`] call, and [`crate::FleetIngester`] runs one
 //! merger per stream.
@@ -30,7 +30,6 @@ use crate::exec::{self, ReverifyItem, WindowVerdict};
 use crate::pairs::{tracks_in_first_half, window_pair_set};
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
-use crate::union::UnionFind;
 use crate::voi::{VoiHints, VoiMode};
 use crate::window::Window;
 use std::collections::{BTreeSet, HashMap};
@@ -162,7 +161,6 @@ pub struct StreamingMerger<'m, S> {
     /// Pairs already examined (never re-examined, §II).
     pub(crate) seen: BTreeSet<TrackPair>,
     /// Accepted merges so far.
-    pub(crate) uf: UnionFind,
     pub(crate) merged_ids: Vec<TrackPair>,
     pub(crate) breaker: Breaker,
     /// Degraded windows whose merges are provisional.
@@ -220,7 +218,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             watermark: 0,
             prev_ids: Vec::new(),
             seen: BTreeSet::new(),
-            uf: UnionFind::new(),
             merged_ids: Vec::new(),
             breaker: Breaker::new(robustness.breaker_threshold),
             stash: Vec::new(),
@@ -434,10 +431,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             }
         };
         if mode == DecisionMode::Normal {
-            for p in &candidates {
-                self.uf.union(p.lo(), p.hi());
-                self.merged_ids.push(*p);
-            }
+            self.merged_ids.extend_from_slice(&candidates);
         }
         let decision = WindowDecision {
             window: w,
@@ -472,7 +466,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 pairs: &sw.pairs,
             })
             .collect();
-        let uf = &mut self.uf;
         let merged_ids = &mut self.merged_ids;
         let committed = exec::reverify_windows(
             &items,
@@ -483,12 +476,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             &mut self.breaker,
             &mut self.counters,
             &self.obs,
-            |r| {
-                for p in &r.candidates {
-                    uf.union(p.lo(), p.hi());
-                    merged_ids.push(*p);
-                }
-            },
+            |r| merged_ids.extend_from_slice(&r.candidates),
         )?;
         drop(items);
         self.stash.extend_from_slice(&pending[committed..]);
@@ -498,7 +486,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     /// The current relabelling implied by all merges: each merged group
     /// maps to its smallest id. Provisional (degraded, not yet re-verified)
     /// merges are included, so queries keep working through an outage.
-    pub fn mapping(&mut self) -> HashMap<TrackId, TrackId> {
+    pub fn mapping(&self) -> HashMap<TrackId, TrackId> {
         if self.stash.is_empty() {
             return crate::union::merge_mapping(&self.merged_ids);
         }
@@ -656,10 +644,10 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
     /// (absent from `tracks` or ended before the horizon), and evicts
     /// cached features no live window or pending stash can still touch.
     ///
-    /// Compaction never changes the mapping: committed merges, the
-    /// union-find and the watermark are untouched; only bookkeeping that
-    /// the merging recurrence can no longer consult is dropped. `tracks`
-    /// should be the caller's current (possibly already-pruned) feed.
+    /// Compaction never changes the mapping: committed merges and the
+    /// watermark are untouched; only bookkeeping that the merging
+    /// recurrence can no longer consult is dropped. `tracks` should be the
+    /// caller's current (possibly already-pruned) feed.
     pub fn compact_before(
         &mut self,
         horizon_start: FrameIdx,
@@ -673,10 +661,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         let stash = std::mem::take(&mut self.stash);
         for sw in stash {
             if sw.window.end.get() <= horizon_start.get() {
-                for p in &sw.provisional {
-                    self.uf.union(p.lo(), p.hi());
-                    self.merged_ids.push(*p);
-                }
+                self.merged_ids.extend_from_slice(&sw.provisional);
                 delta.expired_stash_windows += 1;
             } else {
                 self.stash.push(sw);

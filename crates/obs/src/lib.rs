@@ -2,8 +2,8 @@
 //!
 //! Std-only structured observability for the TMerge pipeline: counters,
 //! two-clock span histograms and structured events behind a pluggable
-//! [`Sink`] — a no-op (the default), a deterministic in-memory
-//! [`Recorder`], or a [`JsonlSink`] stream.
+//! [`Sink`] — a no-op (the default) or a deterministic in-memory
+//! [`Recorder`].
 //!
 //! ## The two-clock rule
 //!
@@ -45,8 +45,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as IoWrite;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Sim-clock quantization: ticks per simulated millisecond. Durations are
@@ -119,7 +118,7 @@ pub trait Sink: Send + Sync {
     /// Records a wall-clock duration into the named histogram.
     fn record_wall_ns(&self, name: &str, wall_ns: u64);
     /// Records a structured event. Sinks may aggregate (the [`Recorder`]
-    /// keeps a per-name count) or stream the fields (the [`JsonlSink`]).
+    /// keeps a per-name count) or keep the fields.
     fn event(&self, name: &str, fields: &[(&'static str, Value)]);
     /// Routes a log line (progress output, warnings).
     fn log(&self, level: Level, message: &str);
@@ -347,34 +346,20 @@ impl Span {
 }
 
 // ---------------------------------------------------------------------------
-// Scope plumbing: a thread-local stack over a process-wide default.
+// Scope plumbing: a thread-local stack.
 // ---------------------------------------------------------------------------
 
 thread_local! {
     static SCOPE: RefCell<Vec<Obs>> = const { RefCell::new(Vec::new()) };
 }
 
-fn global_slot() -> &'static Mutex<Obs> {
-    static GLOBAL: OnceLock<Mutex<Obs>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Obs::noop()))
-}
-
-/// Installs the process-wide default handle (returned by [`current`] when
-/// no scope is active). Intended for binaries; tests should prefer
-/// [`scoped`].
-pub fn set_global(obs: Obs) {
-    *global_slot().lock().expect("obs global poisoned") = obs;
-}
-
-/// The innermost scoped handle on this thread, else the process global,
-/// else a disabled handle. `tm_par` re-installs the caller's scope inside
-/// its worker threads, so fan-outs inherit the observer transparently.
+/// The innermost scoped handle on this thread, else a disabled handle.
+/// `tm_par` re-installs the caller's scope inside its worker threads, so
+/// fan-outs inherit the observer transparently.
 pub fn current() -> Obs {
-    let scoped = SCOPE.with(|s| s.borrow().last().cloned());
-    match scoped {
-        Some(obs) => obs,
-        None => global_slot().lock().expect("obs global poisoned").clone(),
-    }
+    SCOPE
+        .with(|s| s.borrow().last().cloned())
+        .unwrap_or_else(Obs::noop)
 }
 
 /// Runs `f` with `obs` as this thread's current handle (unwind-safe: the
@@ -629,108 +614,6 @@ impl Sink for Recorder {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSONL sink: stream every operation as one JSON line.
-// ---------------------------------------------------------------------------
-
-/// Streaming sink writing one JSON object per instrumentation call. Line
-/// *order* is scheduling-dependent under threads; use the [`Recorder`]
-/// for deterministic aggregates.
-pub struct JsonlSink {
-    out: Mutex<Box<dyn IoWrite + Send>>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl JsonlSink {
-    /// Wraps any writer.
-    pub fn new(out: Box<dyn IoWrite + Send>) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Creates (truncates) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(Self::new(Box::new(std::fs::File::create(path)?)))
-    }
-
-    fn write_line(&self, line: String) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
-        let _ = writeln!(out, "{line}");
-    }
-}
-
-impl Sink for JsonlSink {
-    fn counter(&self, name: &str, delta: u64) {
-        self.write_line(format!(
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"delta\":{delta}}}",
-            json_escape(name)
-        ));
-    }
-
-    fn record_sim_ms(&self, name: &str, sim_ms: f64) {
-        self.write_line(format!(
-            "{{\"type\":\"sim_ms\",\"name\":\"{}\",\"ticks\":{}}}",
-            json_escape(name),
-            ticks(sim_ms)
-        ));
-    }
-
-    fn record_wall_ns(&self, name: &str, wall_ns: u64) {
-        self.write_line(format!(
-            "{{\"type\":\"wall_ns\",\"name\":\"{}\",\"ns\":{wall_ns}}}",
-            json_escape(name)
-        ));
-    }
-
-    fn event(&self, name: &str, fields: &[(&'static str, Value)]) {
-        let mut line = format!("{{\"type\":\"event\",\"name\":\"{}\"", json_escape(name));
-        for (k, v) in fields {
-            match v {
-                Value::U64(x) => {
-                    let _ = write!(line, ",\"{}\":{x}", json_escape(k));
-                }
-                Value::I64(x) => {
-                    let _ = write!(line, ",\"{}\":{x}", json_escape(k));
-                }
-                Value::F64(x) => {
-                    let _ = write!(line, ",\"{}\":{x}", json_escape(k));
-                }
-                Value::Str(x) => {
-                    let _ = write!(line, ",\"{}\":\"{}\"", json_escape(k), json_escape(x));
-                }
-            }
-        }
-        line.push('}');
-        self.write_line(line);
-    }
-
-    fn log(&self, level: Level, message: &str) {
-        self.write_line(format!(
-            "{{\"type\":\"log\",\"level\":\"{}\",\"message\":\"{}\"}}",
-            level.as_str(),
-            json_escape(message)
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,47 +761,6 @@ mod tests {
             scoped(obs2, || panic!("boom"))
         }));
         assert!(!current().enabled());
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>, Arc<AtomicUsize>);
-        impl IoWrite for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.1.fetch_add(1, Ordering::Relaxed);
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::new(Box::new(Shared(buf.clone(), Arc::new(AtomicUsize::new(0)))));
-        let obs = Obs::new(Arc::new(sink));
-        obs.counter("c", 1);
-        obs.event(
-            "e",
-            &[("mode", Value::Str("degraded")), ("w", Value::U64(2))],
-        );
-        obs.log(Level::Info, "say \"hi\"");
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "{\"type\":\"counter\",\"name\":\"c\",\"delta\":1}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"type\":\"event\",\"name\":\"e\",\"mode\":\"degraded\",\"w\":2}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"type\":\"log\",\"level\":\"info\",\"message\":\"say \\\"hi\\\"\"}"
-        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! backend is simply the appearance model itself (infallible, zero extra
 //! latency), so the zero-fault path is byte-identical to the historical
 //! direct-model path. Fault injectors (the `tm-chaos` crate) implement this
-//! trait to wrap the model with deterministic, seeded failures.
+//! trait to wrap the model with deterministic, seeded failures. A reply
+//! carries the feature as an `Arc`, so a batching lane and the session
+//! cache share the allocation the model produced.
 //!
 //! Failure handling lives in [`crate::ReidSession`]: each extraction is
 //! retried under a [`RetryPolicy`] with capped exponential backoff, every
@@ -20,6 +22,7 @@
 use crate::appearance::AppearanceModel;
 use crate::feature::Feature;
 use crate::session::BoxKey;
+use std::sync::Arc;
 use tm_types::TrackBox;
 
 /// Context for one extraction attempt, handed to the backend so fault
@@ -68,16 +71,16 @@ pub struct BackendReply {
     /// The feature, or why there isn't one. An `Ok` feature with non-finite
     /// components is treated by the session as a corrupted reply and
     /// retried like a transient fault.
-    pub outcome: Result<Feature, BackendFault>,
+    pub outcome: Result<Arc<Feature>, BackendFault>,
     /// Extra simulated milliseconds this attempt consumed.
     pub extra_ms: f64,
 }
 
 impl BackendReply {
     /// A clean reply: the feature, no extra latency.
-    pub fn ok(feature: Feature) -> Self {
+    pub fn ok(feature: impl Into<Arc<Feature>>) -> Self {
         Self {
-            outcome: Ok(feature),
+            outcome: Ok(feature.into()),
             extra_ms: 0.0,
         }
     }
@@ -109,14 +112,12 @@ pub trait InferenceBackend: std::fmt::Debug + Sync {
         true
     }
 
-    /// Advisory look-ahead: the session announces the full miss list of an
-    /// inference round before extracting box-by-box, so batching backends
-    /// (`crate::BatchScheduler`) can accumulate cross-stream batches.
-    ///
-    /// A prefetch MUST NOT change any subsequent [`Self::try_observe`]
-    /// reply — it may only move *when* a clean feature gets computed, never
-    /// what it is or what it costs the announcing session. The default is a
-    /// no-op, so plain backends are untouched.
+    /// Look-ahead hook: a caller may announce attempts before it makes
+    /// them. A prefetch MUST NOT change any later [`Self::try_observe`]
+    /// reply. The default is a no-op. No backend in the workspace overrides
+    /// it and [`crate::ReidSession`] does not call it — every feature is
+    /// computed when it is demanded; it remains for wrappers that forward
+    /// it, such as `perfbench`'s timing backend.
     fn prefetch(&self, _requests: &[(&TrackBox, Attempt)]) {}
 }
 
@@ -229,7 +230,7 @@ mod tests {
         let reply = m.try_observe(&tb, &at);
         assert_eq!(reply.extra_ms, 0.0);
         let f = reply.outcome.expect("model backend cannot fail");
-        assert_eq!(f, m.observe_track_box(&tb));
+        assert_eq!(*f, m.observe_track_box(&tb));
         assert!(m.available(0) && m.available(u64::MAX));
     }
 

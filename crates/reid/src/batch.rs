@@ -4,19 +4,19 @@
 //! per video stream. Left alone, each session would infer every distinct
 //! box it misses — even when several cameras watch the same scene and miss
 //! the *same* boxes. A [`BatchScheduler`] pools that work: every stream's
-//! session talks to its own [`BatchingBackend`] lane, the lanes enqueue
-//! clean feature requests into one shared size-bounded queue, and batches
-//! are dispatched through the wrapped [`AppearanceModel`] into one
-//! content-keyed feature map so each distinct box is inferred exactly once
-//! fleet-wide — the cross-stream analogue of the paper's `-B` batched
-//! variants.
+//! session talks to its own [`BatchingBackend`] lane, and a lane answers
+//! each clean request from one content-keyed feature map, computing the
+//! feature through the wrapped [`AppearanceModel`] only when no stream has
+//! demanded that content before. Each distinct box is thus inferred
+//! exactly once fleet-wide — the cross-stream analogue of the paper's `-B`
+//! batched variants — and only when a session demands it, so every feature
+//! computed is a feature demanded.
 //!
 //! ## The per-stream invariance contract
 //!
-//! A lane must be behaviorally invisible to its stream: with the default
-//! [`BatchConfig`], every reply a lane produces is **bit-identical** to
-//! the reply the wrapped backend would have produced solo. Three design
-//! decisions enforce this:
+//! A lane must be behaviorally invisible to its stream: every reply a lane
+//! produces is **bit-identical** to the reply the wrapped backend would
+//! have produced solo. Two design decisions enforce this:
 //!
 //! 1. **Faults never touch the shared map.** The lane classifies each
 //!    attempt through [`SplitBackend::classify`] first; `Fault` and
@@ -27,52 +27,31 @@
 //!    contractually means "the wrapped model's `observe_track_box`" — so a
 //!    map hit returns the very feature the solo run would have computed,
 //!    keyed by full box content ([`FeatureKey`]) to rule out collisions
-//!    between distinct boxes.
-//! 3. **Demand is the deadline.** Accumulation happens on the session's
-//!    *prefetch* hook (advisory, fire-and-forget); a full batch is flushed
-//!    by whoever fills it, and a demand (`try_observe` miss) flushes
-//!    everything pending, so no request waits for traffic that may never
-//!    come and the fleet is deadlock-free at `TMERGE_THREADS=1`.
+//!    between distinct boxes. The reply shares the map's `Arc`, and its
+//!    `extra_ms` is the wrapped backend's, so per-stream clocks are
+//!    bit-identical to solo runs.
 //!
 //! ## One lock
 //!
-//! The feature map, the pending queue with its dedup set and the
-//! [`BatchStats`] counters sit behind one `Mutex`, and a miss is computed
-//! while it is held. Each distinct content is therefore computed once
-//! fleet-wide by construction: whoever takes the lock next sees the
-//! feature. A lane may wait on the lock while another lane's batch
-//! computes; the lock is never held across a call into a lane (a lane
-//! classifies its attempt before it asks the scheduler), so no lane can
-//! block on itself.
+//! The feature map and the [`BatchStats`] counters sit behind one `Mutex`,
+//! and a content is computed only while it is held, after a map check, so
+//! each distinct content is computed once fleet-wide by construction. The
+//! lock is never held across a call into a lane (a lane classifies its
+//! attempt before it asks the scheduler), so no lane can block on itself.
 //!
-//! ## Cost semantics
-//!
-//! Clock charging stays where it always was — in each stream's session
-//! (nominal per-item inference charges plus the reply's `extra_ms`), so a
-//! shard pays for its own boxes only. The scheduler adds exactly one knob:
-//! [`BatchConfig::amortized_overhead_ms`], a per-request surcharge on
-//! clean replies modelling a stream's amortized share of batch dispatch
-//! overhead (a GPU-style `gpu_call_overhead_ms / batch_size` stand-in).
-//! The default is `0.0`, under which per-stream clocks are bit-identical
-//! to solo runs; any positive value shifts clocks but never decisions,
-//! because features are unchanged.
-//!
-//! ## What is (and is not) deterministic
+//! ## Determinism
 //!
 //! Per-stream replies, and therefore every per-stream output, are
-//! deterministic for any thread count or interleaving. The scheduler's
-//! own [`BatchStats`] split two ways: `requests` and (on fault-free,
-//! ungated runs) `computed` are interleaving-independent, while
-//! `dispatches`, `dispatched_items` and `largest_batch` describe how work
-//! happened to clump and are operational telemetry only — never assert
-//! exact values across thread counts. A gated run's deferred boxes are
-//! offered as batch fill and never demanded, so whether the last of them
-//! get computed depends on which flush happens to take them.
+//! deterministic for any thread count or interleaving. So are the
+//! scheduler's [`BatchStats`]: `requests` counts the clean attempts the
+//! sessions made and `computed` the distinct contents among them, whichever
+//! lane happens to demand a content first.
 
 use crate::appearance::AppearanceModel;
 use crate::backend::{Attempt, AttemptClass, BackendReply, InferenceBackend, SplitBackend};
 use crate::feature::Feature;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use tm_obs::Obs;
 use tm_types::TrackBox;
@@ -113,29 +92,13 @@ impl FeatureKey {
     }
 }
 
-/// Tuning for a [`BatchScheduler`]. See the module docs for semantics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchConfig {
-    /// Upper bound on one dispatched batch; a prefetch that fills the
-    /// queue to this size flushes it. Clamped to ≥ 1.
-    pub max_batch: usize,
-    /// Per-clean-request amortized batch overhead charged to the
-    /// requesting stream's clock via the reply's `extra_ms`. `0.0`
-    /// (default) keeps per-stream clocks bit-identical to solo runs.
-    pub amortized_overhead_ms: f64,
-}
+/// Configuration of a [`BatchScheduler`]. It has no settings: a lane
+/// computes a missing feature when its session demands it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchConfig {}
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 32,
-            amortized_overhead_ms: 0.0,
-        }
-    }
-}
-
-/// Counters describing one scheduler's life so far. See the module docs
-/// for which fields are deterministic.
+/// Counters describing one scheduler's life so far. All are deterministic
+/// (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Clean feature requests answered (map hits included).
@@ -143,12 +106,9 @@ pub struct BatchStats {
     /// Features actually computed by the wrapped model — the fleet-wide
     /// inference count. `requests - computed` is the batching saving.
     pub computed: u64,
-    /// Batches dispatched (operational).
+    /// Model calls made. Each miss is computed alone when it is demanded,
+    /// so this equals `computed`.
     pub dispatches: u64,
-    /// Total items across dispatched batches (operational).
-    pub dispatched_items: u64,
-    /// Largest single dispatched batch (operational; ≤ `max_batch`).
-    pub largest_batch: u64,
 }
 
 impl BatchStats {
@@ -164,41 +124,7 @@ impl BatchStats {
 struct State {
     /// Every feature computed so far, by content.
     features: HashMap<FeatureKey, Arc<Feature>>,
-    /// Requests awaiting dispatch, in arrival order.
-    queue: Vec<(FeatureKey, TrackBox)>,
-    /// Members of `queue`, for O(1) duplicate suppression.
-    queued: HashSet<FeatureKey>,
     stats: BatchStats,
-}
-
-impl State {
-    /// The feature for `key`, computed through `model` if absent.
-    fn feature(&mut self, model: &AppearanceModel, key: FeatureKey, tb: &TrackBox) -> Arc<Feature> {
-        let computed = &mut self.stats.computed;
-        let f = self.features.entry(key).or_insert_with(|| {
-            *computed += 1;
-            Arc::new(model.observe_track_box(tb))
-        });
-        Arc::clone(f)
-    }
-
-    /// Dispatches the whole queue in chunks of at most `max_batch`,
-    /// computing every member not in the map yet, and empties it.
-    fn flush(&mut self, model: &AppearanceModel, max_batch: usize) {
-        let mut queue = std::mem::take(&mut self.queue);
-        for chunk in queue.chunks(max_batch) {
-            let n = chunk.len() as u64;
-            self.stats.dispatches += 1;
-            self.stats.dispatched_items += n;
-            self.stats.largest_batch = self.stats.largest_batch.max(n);
-            for (key, tb) in chunk {
-                self.feature(model, *key, tb);
-            }
-        }
-        queue.clear();
-        self.queue = queue;
-        self.queued.clear();
-    }
 }
 
 /// The shared cross-stream batching core. One per fleet; hand each stream
@@ -206,7 +132,6 @@ impl State {
 #[derive(Debug)]
 pub struct BatchScheduler<'m> {
     model: &'m AppearanceModel,
-    config: BatchConfig,
     state: Mutex<State>,
     obs: Obs,
 }
@@ -215,37 +140,20 @@ impl<'m> BatchScheduler<'m> {
     /// A scheduler computing clean features through `model`. Captures the
     /// ambient observability scope at construction, so build it inside the
     /// recorder scope whose metrics should see `fleet.batch.*` counters.
-    pub fn new(model: &'m AppearanceModel, config: BatchConfig) -> Self {
+    pub fn new(model: &'m AppearanceModel, _config: BatchConfig) -> Self {
         Self {
             model,
-            config: BatchConfig {
-                max_batch: config.max_batch.max(1),
-                ..config
-            },
             state: Mutex::new(State::default()),
             obs: tm_obs::current(),
         }
     }
 
-    /// [`BatchScheduler::new`] specialised for one serve-layer tenant of
-    /// `streams` streams: the dispatch bound is capped at eight
-    /// outstanding requests per stream, so a two-camera tenant does not
-    /// inherit a fleet-wide `max_batch` of 32 and sit on a
-    /// seven-eighths-empty queue waiting for traffic its streams will never
-    /// produce. Batch sizing is purely operational — lane replies are
-    /// contractually identical at any dispatch boundary — so tenants of
-    /// different widths still produce byte-identical per-stream output.
-    pub fn for_tenant(model: &'m AppearanceModel, config: BatchConfig, streams: usize) -> Self {
-        let config = BatchConfig {
-            max_batch: config.max_batch.min(streams.max(1) * 8),
-            ..config
-        };
+    /// A scheduler for one serve-layer tenant of `streams` streams. Lane
+    /// replies do not depend on the tenant's width, so this is
+    /// [`BatchScheduler::new`], and tenants of any width produce
+    /// byte-identical per-stream output.
+    pub fn for_tenant(model: &'m AppearanceModel, config: BatchConfig, _streams: usize) -> Self {
         Self::new(model, config)
-    }
-
-    /// The effective (clamped) configuration.
-    pub fn config(&self) -> BatchConfig {
-        self.config
     }
 
     /// A per-stream lane over `inner` (the stream's own fault surface —
@@ -268,55 +176,28 @@ impl<'m> BatchScheduler<'m> {
         self.lock().features.len()
     }
 
-    /// Requests currently queued and not yet dispatched (< `max_batch`).
-    pub fn pending_len(&self) -> usize {
-        self.lock().queue.len()
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("batch scheduler poisoned")
     }
 
-    /// Advisory enqueue from a lane's prefetch; flushes the queue if this
-    /// fills it.
-    fn offer(&self, key: FeatureKey, tb: &TrackBox) {
-        let computed = {
-            let mut s = self.lock();
-            if s.features.contains_key(&key) || !s.queued.insert(key) {
-                return;
-            }
-            s.queue.push((key, *tb));
-            if s.queue.len() < self.config.max_batch {
-                return;
-            }
-            let before = s.stats.computed;
-            s.flush(self.model, self.config.max_batch);
-            s.stats.computed - before
-        };
-        self.obs.counter("fleet.batch.computed", computed);
-    }
-
-    /// A lane needs `key` *now*: count the request, serve it from the map
-    /// if possible, otherwise flush everything pending together with `key`
-    /// (demand is the batch deadline).
+    /// A lane demands `key`: count the request and serve it from the map,
+    /// computing it first if no stream demanded it before.
     fn request(&self, key: FeatureKey, tb: &TrackBox) -> Arc<Feature> {
         self.obs.counter("fleet.batch.requests", 1);
-        let (feature, computed) = {
-            let mut s = self.lock();
+        let feature = {
+            let mut guard = self.lock();
+            let s = &mut *guard;
             s.stats.requests += 1;
-            if let Some(f) = s.features.get(&key) {
-                return Arc::clone(f);
+            match s.features.entry(key) {
+                Entry::Occupied(hit) => return Arc::clone(hit.get()),
+                Entry::Vacant(slot) => {
+                    s.stats.computed += 1;
+                    s.stats.dispatches += 1;
+                    Arc::clone(slot.insert(Arc::new(self.model.observe_track_box(tb))))
+                }
             }
-            if s.queued.insert(key) {
-                s.queue.push((key, *tb));
-            }
-            let before = s.stats.computed;
-            s.flush(self.model, self.config.max_batch);
-            // A hit: the flush computed `key`.
-            let feature = s.feature(self.model, key, tb);
-            (feature, s.stats.computed - before)
         };
-        self.obs.counter("fleet.batch.computed", computed);
+        self.obs.counter("fleet.batch.computed", 1);
         feature
     }
 }
@@ -336,29 +217,18 @@ impl InferenceBackend for BatchingBackend<'_> {
         match self.inner.classify(at) {
             AttemptClass::Fault { fault, extra_ms } => BackendReply::fault(fault, extra_ms),
             AttemptClass::Corrupt { feature, extra_ms } => BackendReply {
-                outcome: Ok(feature),
+                outcome: Ok(Arc::new(feature)),
                 extra_ms,
             },
-            AttemptClass::Clean { extra_ms } => {
-                let f = self.shared.request(FeatureKey::of(tb), tb);
-                BackendReply {
-                    outcome: Ok((*f).clone()),
-                    extra_ms: extra_ms + self.shared.config.amortized_overhead_ms,
-                }
-            }
+            AttemptClass::Clean { extra_ms } => BackendReply {
+                outcome: Ok(self.shared.request(FeatureKey::of(tb), tb)),
+                extra_ms,
+            },
         }
     }
 
     fn available(&self, epoch: u64) -> bool {
         self.inner.available(epoch)
-    }
-
-    fn prefetch(&self, requests: &[(&TrackBox, Attempt)]) {
-        for (tb, at) in requests {
-            if let AttemptClass::Clean { .. } = self.inner.classify(at) {
-                self.shared.offer(FeatureKey::of(tb), tb);
-            }
-        }
     }
 }
 
@@ -409,103 +279,27 @@ mod tests {
         let lane_a = sched.backend(&m);
         let lane_b = sched.backend(&m);
         let b = tb(3, 1.0, 9);
-        // Different per-stream BoxKeys, same content → one computation.
+        // Different per-stream BoxKeys, same content → one computation,
+        // one shared allocation.
         let fa = lane_a.try_observe(&b, &at(0, 1, 3)).outcome.unwrap();
         let fb = lane_b.try_observe(&b, &at(0, 900, 3)).outcome.unwrap();
-        assert_eq!(fa, fb);
+        assert!(Arc::ptr_eq(&fa, &fb));
         let s = sched.stats();
         assert_eq!((s.requests, s.computed, s.saved()), (2, 1, 1));
     }
 
     #[test]
-    fn tenant_sizing_caps_the_dispatch_bound_per_stream() {
-        let m = model();
-        // A narrow tenant gets a proportionally small dispatch bound…
-        let narrow = BatchScheduler::for_tenant(&m, BatchConfig::default(), 2);
-        assert_eq!(narrow.config().max_batch, 16);
-        // …a wide tenant keeps the configured one…
-        let wide = BatchScheduler::for_tenant(&m, BatchConfig::default(), 8);
-        assert_eq!(wide.config().max_batch, 32);
-        // …and degenerate widths still clamp to a working scheduler whose
-        // replies match the bare model.
-        let degenerate = BatchScheduler::for_tenant(
-            &m,
-            BatchConfig {
-                max_batch: 0,
-                ..BatchConfig::default()
-            },
-            0,
-        );
-        assert_eq!(degenerate.config().max_batch, 1);
-        let lane = degenerate.backend(&m);
-        let b = tb(1, 2.0, 4);
-        assert_eq!(
-            lane.try_observe(&b, &at(0, 1, 1)).outcome.unwrap(),
-            m.try_observe(&b, &at(0, 1, 1)).outcome.unwrap()
-        );
-    }
-
-    #[test]
-    fn prefetch_fills_batches_and_demand_flushes_the_rest() {
-        let m = model();
-        let sched = BatchScheduler::new(
-            &m,
-            BatchConfig {
-                max_batch: 3,
-                ..BatchConfig::default()
-            },
-        );
-        let lane = sched.backend(&m);
-        let boxes: Vec<TrackBox> = (0..5).map(|i| tb(i, 2.0 * i as f64, i)).collect();
-        let hints: Vec<(&TrackBox, Attempt)> = boxes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b, at(0, 1, i as u64)))
-            .collect();
-        lane.prefetch(&hints);
-        // 5 offers at max_batch=3: one full batch flushed, 2 still queued.
-        assert_eq!(sched.pending_len(), 2);
-        assert_eq!(sched.cached_features(), 3);
-        let s = sched.stats();
-        assert_eq!(s.largest_batch, 3);
-        assert_eq!(s.computed, 3);
-        // Demanding any box (even an unqueued one) drains the queue.
-        let extra = tb(99, 0.5, 42);
-        lane.try_observe(&extra, &at(0, 1, 99));
-        assert_eq!(sched.pending_len(), 0);
-        assert_eq!(sched.stats().computed, 6);
-        assert!(sched.stats().largest_batch <= 3);
-    }
-
-    #[test]
-    fn duplicate_offers_are_suppressed() {
+    fn demands_compute_each_content_once() {
         let m = model();
         let sched = BatchScheduler::new(&m, BatchConfig::default());
         let lane = sched.backend(&m);
-        let b = tb(1, 1.0, 1);
-        lane.prefetch(&[(&b, at(0, 1, 1)), (&b, at(0, 2, 1))]);
-        assert_eq!(sched.pending_len(), 1);
-        // Already-cached content is not re-queued either.
-        lane.try_observe(&b, &at(0, 1, 1));
-        lane.prefetch(&[(&b, at(0, 3, 1))]);
-        assert_eq!(sched.pending_len(), 0);
-    }
-
-    #[test]
-    fn amortized_overhead_is_charged_per_clean_request() {
-        let m = model();
-        let sched = BatchScheduler::new(
-            &m,
-            BatchConfig {
-                amortized_overhead_ms: 1.5,
-                ..BatchConfig::default()
-            },
-        );
-        let lane = sched.backend(&m);
-        let b = tb(1, 1.0, 1);
-        assert_eq!(lane.try_observe(&b, &at(0, 1, 1)).extra_ms, 1.5);
-        // Cache hits pay it too: it models the stream's share of dispatch
-        // overhead, not the compute.
-        assert_eq!(lane.try_observe(&b, &at(0, 2, 1)).extra_ms, 1.5);
+        // Five contents, the first demanded again under another key.
+        let boxes: Vec<TrackBox> = (0..5).map(|i| tb(i, 2.0 * i as f64, i)).collect();
+        for (i, b) in boxes.iter().chain(&boxes[..1]).enumerate() {
+            lane.try_observe(b, &at(0, 1, i as u64));
+        }
+        let s = sched.stats();
+        assert_eq!((s.requests, s.computed, s.dispatches), (6, 5, 5));
+        assert_eq!(sched.cached_features(), 5);
     }
 }

@@ -7,13 +7,12 @@
 //! * **extract** a fresh feature (the box is an *anchor*: the track is
 //!   young, just reappeared after an occlusion gap, is overdue for a
 //!   periodic refresh, or sits in a crowded frame where appearance is
-//!   ambiguous),
+//!   ambiguous), or
 //! * **reuse** the nearest preceding anchor's feature for the same
-//!   track, with an age-based confidence decay, or
-//! * **defer** the box — still propagating the donor feature for
-//!   scoring, but additionally advertising the real box to the
-//!   [`crate::BatchScheduler`] prefetch lane as low-priority batch fill
-//!   (never cached as Clean unless the backend actually computes it).
+//!   track, with an age-based confidence decay. The session counts a
+//!   reuse whose decayed confidence falls below
+//!   [`GateConfig::defer_below`] as a *deferral* ([`GateStats::defers`]),
+//!   a label only: the donor stands in either way.
 //!
 //! The plan is a pure function of tracker state (box frames, gaps, and
 //! co-frame crowding from [`tm_types::FrameIndex`]) — it never looks at
@@ -48,9 +47,11 @@ pub struct GateConfig {
     pub max_reuse_age: u64,
     /// Propagated confidence decays as `0.5^(age / decay_half_life)`.
     pub decay_half_life: f64,
-    /// Reuse whose decayed confidence falls below this becomes a
-    /// deferral (donor still propagated, real box offered as batch
-    /// headroom).
+    /// A reuse whose decayed confidence falls below this is counted in
+    /// [`GateStats::defers`] rather than `reuses`. A telemetry label only:
+    /// the donor is propagated either way, and no decision, charge or
+    /// backend call depends on it. It stays because the `reid.gate.defer`
+    /// counter and `perfbench`'s `gate.defer` row report that split.
     pub defer_below: f64,
     /// A co-frame box of another track with IoU at or above this makes
     /// the frame ambiguous for the track: extract.
@@ -126,14 +127,6 @@ pub enum GateDecision {
         /// Frame distance from donor to this box.
         age: u64,
     },
-    /// Propagate `donor`'s feature, and offer the real box to the
-    /// prefetch lane as low-priority batch fill.
-    Defer {
-        /// The anchor box whose feature stands in for this box.
-        donor: TrackBox,
-        /// Frame distance from donor to this box.
-        age: u64,
-    },
 }
 
 /// Decision counters, accumulated by the session and flushed once per
@@ -144,9 +137,10 @@ pub struct GateStats {
     /// Boxes the gate sent to fresh extraction (including donors
     /// promoted to extraction on behalf of a reuse).
     pub extracts: u64,
-    /// Boxes that reused a donor feature.
+    /// Boxes that reused a donor feature at or above the confidence floor.
     pub reuses: u64,
-    /// Boxes deferred to the prefetch lane.
+    /// Boxes that reused a donor feature below the confidence floor
+    /// ([`GateConfig::defer_below`]).
     pub defers: u64,
 }
 
@@ -222,11 +216,7 @@ impl GatePlan {
         if age > cfg.max_reuse_age {
             return GateDecision::Extract;
         }
-        if cfg.confidence(age) < cfg.defer_below {
-            GateDecision::Defer { donor, age }
-        } else {
-            GateDecision::Reuse { donor, age }
-        }
+        GateDecision::Reuse { donor, age }
     }
 
     /// Number of tracks with at least one planned box.
@@ -378,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_reuse_becomes_deferral_then_extraction() {
+    fn stale_reuse_stays_reuse_then_becomes_extraction() {
         let cfg = GateConfig {
             fresh_frames: 1,
             refresh_interval: 100,
@@ -390,11 +380,11 @@ mod tests {
         };
         let set = lone_track(&(0..10).collect::<Vec<_>>());
         let ds = decisions(&set, &cfg);
-        // confidence(age) = 0.5^(age/4): >= 0.6 through age 2, below after.
+        // Low confidence (0.5^(age/4) < 0.6 from age 3) is the session's
+        // label; the plan reuses through max_reuse_age.
         assert!(matches!(ds[1].1, GateDecision::Reuse { age: 1, .. }));
-        assert!(matches!(ds[2].1, GateDecision::Reuse { age: 2, .. }));
-        assert!(matches!(ds[3].1, GateDecision::Defer { age: 3, .. }));
-        assert!(matches!(ds[6].1, GateDecision::Defer { age: 6, .. }));
+        assert!(matches!(ds[3].1, GateDecision::Reuse { age: 3, .. }));
+        assert!(matches!(ds[6].1, GateDecision::Reuse { age: 6, .. }));
         // Beyond max_reuse_age the donor is too old: extract.
         assert_eq!(ds[7].1, GateDecision::Extract);
     }

@@ -15,7 +15,9 @@
 //! every later request for it is a free cache hit. Sharing features
 //! *across* sessions is the batching layer's job ([`crate::batch`]), which
 //! sits behind the [`InferenceBackend`]: a session still charges every
-//! extraction it requests.
+//! extraction it requests, and caches the `Arc` the backend replied with.
+//! With a gate installed, a round's misses are only the boxes it extracts;
+//! a reused box takes its donor's feature and asks the backend for nothing.
 //!
 //! ## Fallible extraction
 //!
@@ -62,8 +64,7 @@ impl BoxKey {
 pub type BoxPairRef<'a> = ((TrackId, &'a TrackBox), (TrackId, &'a TrackBox));
 
 /// Where a propagated feature came from: the anchor (donor) box whose
-/// feature stands in for the target box, how old it was, and whether the
-/// target was additionally deferred to the prefetch lane. Lets cost
+/// feature stands in for the target box, and how old it was. Lets cost
 /// accounting prove that exactly the performed extractions were charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureProvenance {
@@ -71,8 +72,6 @@ pub struct FeatureProvenance {
     pub donor: BoxKey,
     /// Frame distance from donor to target.
     pub age: u64,
-    /// True when the target was also offered as low-priority batch fill.
-    pub deferred: bool,
 }
 
 /// The gating state a gated session carries (policy `On`): the per-track
@@ -95,7 +94,6 @@ struct Propagation {
     target: BoxKey,
     donor: TrackBox,
     age: u64,
-    deferred: bool,
 }
 
 /// One extraction round, produced by collection and consumed by
@@ -108,9 +106,6 @@ struct Round {
     misses: Vec<(BoxKey, TrackBox)>,
     /// Donor-to-target feature propagations (uncharged; gated only).
     propagations: Vec<Propagation>,
-    /// Deferred boxes, advertised to the backend's prefetch lane as
-    /// low-priority fill behind the demand misses (gated only).
-    deferred: Vec<(BoxKey, TrackBox)>,
 }
 
 /// A stateful ReID session over one processing unit (typically one window).
@@ -349,7 +344,7 @@ impl<'m> ReidSession<'m> {
     // ------------------------------------------------------------------
     // Extraction rounds. Collection walks the requested boxes, skips
     // cached and repeated keys, and asks the gate (when one is installed)
-    // about each remaining box: Extract → miss; Reuse/Defer → propagate the
+    // about each remaining box: Extract → miss; Reuse → propagate the
     // donor, promoting an uncached donor to a miss so the cache never holds
     // a value nobody computed. Without a gate every remaining box is a
     // miss. Inference then charges exactly the misses — one round — and
@@ -370,80 +365,48 @@ impl<'m> ReidSession<'m> {
                 round.misses.push((key, *b));
                 continue;
             };
-            match rt.plan.decide(t, b.frame, &rt.config) {
-                GateDecision::Extract => {
-                    rt.stats.extracts += 1;
-                    round.misses.push((key, *b));
-                }
-                d @ (GateDecision::Reuse { donor, age } | GateDecision::Defer { donor, age }) => {
-                    let deferred = matches!(d, GateDecision::Defer { .. });
-                    let dkey = BoxKey::new(t, donor.frame);
-                    // A donor nobody extracted yet is promoted to a miss:
-                    // the propagation below then copies a real computed
-                    // feature, and the charge covers it.
-                    if !self.cache.contains_key(&dkey) && seen.insert(dkey) {
-                        rt.stats.extracts += 1;
-                        round.misses.push((dkey, donor));
-                    }
-                    if deferred {
-                        rt.stats.defers += 1;
-                        round.deferred.push((key, *b));
-                    } else {
-                        rt.stats.reuses += 1;
-                    }
-                    round.propagations.push(Propagation {
-                        target: key,
-                        donor,
-                        age,
-                        deferred,
-                    });
-                }
+            let GateDecision::Reuse { donor, age } = rt.plan.decide(t, b.frame, &rt.config) else {
+                rt.stats.extracts += 1;
+                round.misses.push((key, *b));
+                continue;
+            };
+            let dkey = BoxKey::new(t, donor.frame);
+            // A donor nobody extracted yet is promoted to a miss: the
+            // propagation below then shares a real computed feature, and
+            // the charge covers it.
+            if !self.cache.contains_key(&dkey) && seen.insert(dkey) {
+                rt.stats.extracts += 1;
+                round.misses.push((dkey, donor));
             }
+            // A low-confidence reuse is labelled a deferral.
+            if rt.config.confidence(age) < rt.config.defer_below {
+                rt.stats.defers += 1;
+            } else {
+                rt.stats.reuses += 1;
+            }
+            round.propagations.push(Propagation {
+                target: key,
+                donor,
+                age,
+            });
         }
         seen.clear();
         self.scratch_seen = seen;
         round
     }
 
-    /// Inference half of a round. The backend's prefetch hint list leads
-    /// with the demand misses and appends the deferred boxes as
-    /// low-priority batch fill — batching backends may use the headroom to
-    /// precompute them, but a deferred box is never cached here. Every miss
-    /// is then extracted through the backend (with retries) and **one**
-    /// inference call is charged for all of them. An exhausted retry ladder
-    /// aborts the round before any feature is cached or propagated;
-    /// attempt and backoff charges already on the clock stay (failed work
-    /// still costs time), but no inference round is charged.
+    /// Inference half of a round. Each miss is extracted through the
+    /// backend (with retries) and **one** inference call is charged for all
+    /// of them. An exhausted retry ladder aborts the round before any
+    /// feature is cached or propagated; attempt and backoff charges already
+    /// on the clock stay (failed work still costs time), but no inference
+    /// round is charged.
     fn try_infer(&mut self, round: Round) -> Result<()> {
-        // A deferred box always comes with its propagation.
-        if round.misses.is_empty() && round.propagations.is_empty() {
-            return Ok(());
-        }
-        let hints: Vec<(&TrackBox, Attempt)> = round
-            .misses
-            .iter()
-            .chain(&round.deferred)
-            .map(|(key, b)| {
-                (
-                    b,
-                    Attempt {
-                        epoch: self.epoch,
-                        attempt: 0,
-                        key: *key,
-                    },
-                )
-            })
-            .collect();
-        if !hints.is_empty() {
-            self.backend.prefetch(&hints);
-        }
-        drop(hints);
         if !round.misses.is_empty() {
             let n = round.misses.len();
             let mut computed: Vec<(BoxKey, Arc<Feature>)> = Vec::with_capacity(n);
             for (key, b) in &round.misses {
-                let f = self.try_observe_retry(*key, b)?;
-                computed.push((*key, Arc::new(f)));
+                computed.push((*key, self.try_observe_retry(*key, b)?));
             }
             self.cache.extend(computed);
             self.charge_inference_round(n);
@@ -466,14 +429,9 @@ impl<'m> ReidSession<'m> {
             };
             self.cache.insert(p.target, f);
             if let Some(rt) = &mut self.gate {
-                rt.provenance.insert(
-                    p.target,
-                    FeatureProvenance {
-                        donor: dkey,
-                        age: p.age,
-                        deferred: p.deferred,
-                    },
-                );
+                let (donor, age) = (dkey, p.age);
+                rt.provenance
+                    .insert(p.target, FeatureProvenance { donor, age });
             }
         }
     }
@@ -559,7 +517,7 @@ impl<'m> ReidSession<'m> {
     /// One extraction through the backend with retry/backoff. Charges every
     /// attempt's backend-reported extra latency and, after each failure
     /// short of the last, the policy's backoff — all in simulated time.
-    fn try_observe_retry(&mut self, key: BoxKey, tb: &TrackBox) -> Result<Feature> {
+    fn try_observe_retry(&mut self, key: BoxKey, tb: &TrackBox) -> Result<Arc<Feature>> {
         let max = self.retry.max_attempts.max(1);
         let mut last_reason = "";
         for attempt in 0..max {
@@ -648,13 +606,13 @@ impl<'m> ReidSession<'m> {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Captures the session's mutable state (clock, counters and every
-    /// cached feature, in canonical key order).
+    /// Captures the session's mutable state (clock, counters and a handle
+    /// on every cached feature, in canonical key order).
     pub fn snapshot(&self) -> SessionSnapshot {
-        let mut cache: Vec<(BoxKey, Vec<f64>)> = self
+        let mut cache: Vec<(BoxKey, Arc<Feature>)> = self
             .cache
             .iter()
-            .map(|(k, f)| (*k, f.as_slice().to_vec()))
+            .map(|(k, f)| (*k, Arc::clone(f)))
             .collect();
         cache.sort_by_key(|(k, _)| *k);
         let gate = self.gate.as_ref().map(|rt| {
@@ -678,17 +636,17 @@ impl<'m> ReidSession<'m> {
     }
 
     /// Restores a snapshot taken by [`ReidSession::snapshot`]: the clock
-    /// and counters are set (not re-charged) and the cache is rebuilt
-    /// verbatim, so the resumed session is indistinguishable from the one
-    /// that was checkpointed.
+    /// and counters are set (not re-charged) and the cache shares the
+    /// snapshot's features, so the resumed session is indistinguishable
+    /// from the one that was checkpointed.
     pub fn restore_snapshot(&mut self, snap: &SessionSnapshot) {
         self.clock.set_elapsed_ms(snap.elapsed_ms);
         self.stats = snap.stats;
-        self.cache.clear();
-        for (k, comps) in &snap.cache {
-            self.cache
-                .insert(*k, Arc::new(Feature::from_raw(comps.clone())));
-        }
+        self.cache = snap
+            .cache
+            .iter()
+            .map(|(k, f)| (*k, Arc::clone(f)))
+            .collect();
         self.gate = snap.gate.as_ref().map(|g| {
             Box::new(GateRuntime {
                 config: g.config,
@@ -702,9 +660,9 @@ impl<'m> ReidSession<'m> {
 }
 
 /// A session's mutable state as captured by [`ReidSession::snapshot`].
-/// Features are dumped as raw components (restored verbatim via
-/// [`Feature::from_raw`]) and the cache is sorted by key, so equal sessions
-/// produce equal snapshots.
+/// Features are shared handles (checkpoints write their raw components and
+/// read them back verbatim via [`Feature::from_raw`]) and the cache is
+/// sorted by key, so equal sessions produce equal snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// Simulated time consumed when the snapshot was taken.
@@ -712,7 +670,7 @@ pub struct SessionSnapshot {
     /// Work counters at snapshot time.
     pub stats: ReidStats,
     /// Cache contents in ascending key order.
-    pub cache: Vec<(BoxKey, Vec<f64>)>,
+    pub cache: Vec<(BoxKey, Arc<Feature>)>,
     /// Gate runtime state; `None` for ungated sessions, so pre-gating
     /// snapshots compare (and serialize) exactly as before.
     pub gate: Option<GateSnapshot>,
@@ -932,7 +890,7 @@ mod tests {
             if at.attempt < self.fail_first {
                 if self.corrupt {
                     crate::backend::BackendReply {
-                        outcome: Ok(Feature::from_raw(vec![f64::NAN, 0.0])),
+                        outcome: Ok(Arc::new(Feature::from_raw(vec![f64::NAN, 0.0]))),
                         extra_ms: 1.5,
                     }
                 } else {
@@ -1155,6 +1113,41 @@ mod tests {
             "each saved charge is one propagated feature"
         );
         assert_eq!(gated.stats().distances, plain.stats().distances);
+    }
+
+    #[test]
+    fn gated_lane_computes_exactly_what_the_session_charges() {
+        let m = model();
+        let sched = crate::BatchScheduler::new(&m, crate::BatchConfig::default());
+        let lane = sched.backend(&m);
+        let frames: Vec<u64> = (0..24).collect();
+        let set = gate_tracks(&[(1, &frames), (2, &frames), (3, &frames)]);
+        let pairs = track_pairs(&set);
+        let borrowed: Vec<_> = pairs
+            .iter()
+            .map(|((t1, b1), (t2, b2))| ((*t1, b1), (*t2, b2)))
+            .collect();
+        let config = GateConfig::default();
+        let mut s = ReidSession::new(&m, CostModel::calibrated(), Device::Cpu)
+            .with_backend(&lane)
+            .with_gate(crate::gate::GatePolicy::On(config));
+        s.gate_update_plan(&set);
+        s.try_pair_distances_batch(&borrowed).unwrap();
+        // Nothing is computed that the session did not demand and charge.
+        let b = sched.stats();
+        assert_eq!(b.computed, b.requests);
+        assert_eq!(b.requests, s.stats().inferences);
+        assert_eq!(sched.cached_features() as u64, b.computed);
+        // Reuses below the confidence floor are counted as deferrals.
+        let gs = s.gate_stats();
+        let low = set
+            .iter()
+            .flat_map(|t| t.boxes.iter().map(move |b| (t.id, b.frame)))
+            .filter_map(|(t, f)| s.feature_provenance(t, f))
+            .filter(|p| config.confidence(p.age) < config.defer_below)
+            .count();
+        assert!(gs.defers > 0 && gs.reuses > 0, "{gs:?}");
+        assert_eq!(gs.defers, low as u64);
     }
 
     #[test]

@@ -1,26 +1,22 @@
 //! Property tests for the cross-stream batching backend.
 //!
-//! Four invariants pin the `BatchingBackend` contract from
+//! Three invariants pin the `BatchingBackend` contract from
 //! `crates/reid/src/batch.rs`:
 //!
 //! * **Reply transparency** — for any fault mix and any request sequence,
-//!   a lane's reply is the wrapped backend's reply, bit for bit, plus the
-//!   amortized overhead on clean replies only. Charges therefore never
-//!   exceed the per-stream serial run's charges plus the documented
-//!   surcharge.
-//! * **Answered exactly once** — every request gets exactly one reply, and
-//!   each distinct clean box content is computed at most once fleet-wide
-//!   (`computed` ≤ distinct contents ≤ `requests`).
+//!   a lane's reply is the wrapped backend's reply, bit for bit, charges
+//!   included.
+//! * **Computed once, on demand** — every request gets exactly one reply,
+//!   and after each demand the shared map holds exactly the distinct box
+//!   contents whose attempts so far were Clean, each computed once
+//!   fleet-wide (`computed` = distinct clean contents ≤ `requests`).
 //! * **No cross-stream fault leakage** — a faulting or corrupting stream
 //!   never receives a sibling's cached clean feature, and its corrupt
 //!   payloads never enter the shared cache.
-//! * **Batch bounds** — the pending queue never holds `max_batch` or more
-//!   entries after an offer, no dispatched batch exceeds `max_batch`, and
-//!   a demand drains the queue entirely.
 //!
 //! Two threaded tests race lanes against each other: however their
-//! prefetches and demands interleave, each distinct content is computed
-//! exactly once and every reply is the bare model's.
+//! demands interleave, each distinct content is computed exactly once and
+//! every reply is the bare model's.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -67,11 +63,11 @@ impl InferenceBackend for HashFlaky<'_> {
     fn try_observe(&self, tb: &TrackBox, at: &Attempt) -> BackendReply {
         match self.classify(at) {
             AttemptClass::Clean { extra_ms } => BackendReply {
-                outcome: Ok(self.model.observe_track_box(tb)),
+                outcome: Ok(self.model.observe_track_box(tb).into()),
                 extra_ms,
             },
             AttemptClass::Corrupt { feature, extra_ms } => BackendReply {
-                outcome: Ok(feature),
+                outcome: Ok(feature.into()),
                 extra_ms,
             },
             AttemptClass::Fault { fault, extra_ms } => BackendReply::fault(fault, extra_ms),
@@ -132,26 +128,20 @@ fn make_attempt(track: u64, frame: u64, epoch: u64, attempt: u32) -> Attempt {
 }
 
 proptest! {
-    /// Reply transparency + exactly-once compute: the lane's outcome is the
-    /// inner backend's outcome bit for bit; clean replies pay exactly the
-    /// amortized overhead on top of the inner charge (so total charges are
-    /// the serial run's plus the documented surcharge and nothing else);
-    /// each distinct clean content is computed at most once.
+    /// Reply transparency + computed once, on demand: the lane's outcome
+    /// and charge are the inner backend's bit for bit, and after each
+    /// request the map holds exactly the distinct clean contents demanded
+    /// so far, each computed in one model call.
     #[test]
     fn lane_is_transparent_for_any_fault_mix(
         specs in requests_strategy(),
         seed in 0u64..1000,
         fault_pct in 0u64..40,
         corrupt_pct in 0u64..40,
-        overhead_steps in 0u64..4,
     ) {
         let model = AppearanceModel::new(AppearanceConfig::default());
         let inner = HashFlaky { model: &model, seed, fault_pct, corrupt_pct };
-        let overhead = overhead_steps as f64 * 0.25;
-        let sched = BatchScheduler::new(&model, BatchConfig {
-            amortized_overhead_ms: overhead,
-            ..BatchConfig::default()
-        });
+        let sched = BatchScheduler::new(&model, BatchConfig::default());
         let lane = sched.backend(&inner);
 
         let mut clean_requests = 0u64;
@@ -161,18 +151,15 @@ proptest! {
             let at = make_attempt(track, frame, epoch, attempt);
             let got = lane.try_observe(&tb, &at);
             let want = inner.try_observe(&tb, &at);
-            let clean = matches!(inner.classify(&at), AttemptClass::Clean { .. });
-            if clean {
+            if matches!(inner.classify(&at), AttemptClass::Clean { .. }) {
                 clean_requests += 1;
                 distinct_clean.insert(FeatureKey::of(&tb));
-                prop_assert_eq!(
-                    got.extra_ms.to_bits(),
-                    (want.extra_ms + overhead).to_bits(),
-                    "clean reply must charge inner + overhead"
-                );
-            } else {
-                prop_assert_eq!(got.extra_ms.to_bits(), want.extra_ms.to_bits());
             }
+            let stats = sched.stats();
+            prop_assert_eq!(stats.computed, distinct_clean.len() as u64);
+            prop_assert_eq!(stats.dispatches, stats.computed);
+            prop_assert_eq!(sched.cached_features(), distinct_clean.len());
+            prop_assert_eq!(got.extra_ms.to_bits(), want.extra_ms.to_bits());
             match (got.outcome, want.outcome) {
                 (Ok(g), Ok(w)) => prop_assert!(
                     g == w || (clean_is_corrupt(&g) && clean_is_corrupt(&w)),
@@ -184,8 +171,6 @@ proptest! {
         }
         let stats = sched.stats();
         prop_assert_eq!(stats.requests, clean_requests, "every clean request counted once");
-        prop_assert!(stats.computed <= distinct_clean.len() as u64,
-            "computed {} > distinct clean contents {}", stats.computed, distinct_clean.len());
         prop_assert!(stats.computed <= stats.requests);
     }
 
@@ -222,39 +207,6 @@ proptest! {
         // re-served to the clean stream is finite.
         prop_assert_eq!(sched.stats().computed, sched.cached_features() as u64);
     }
-
-    /// Batch bounds: offers never leave `max_batch` or more pending, no
-    /// dispatched batch exceeds `max_batch`, and a demand drains the queue.
-    #[test]
-    fn queue_and_batches_respect_bounds(
-        specs in requests_strategy(),
-        max_batch in 1usize..6,
-    ) {
-        let model = AppearanceModel::new(AppearanceConfig::default());
-        let sched = BatchScheduler::new(&model, BatchConfig {
-            max_batch,
-            ..BatchConfig::default()
-        });
-        let lane = sched.backend(&model);
-
-        for &(track, frame, epoch, attempt) in &specs {
-            let tb = make_box(track, frame);
-            let at = make_attempt(track, frame, epoch, attempt);
-            lane.prefetch(&[(&tb, at)]);
-            prop_assert!(sched.pending_len() < max_batch,
-                "offer left {} pending at max_batch {}", sched.pending_len(), max_batch);
-        }
-        let s = sched.stats();
-        prop_assert!(s.largest_batch <= max_batch as u64);
-        // Demand is the deadline: one request flushes everything.
-        let tb = make_box(99, 99);
-        lane.try_observe(&tb, &make_attempt(99, 99, 0, 0));
-        prop_assert_eq!(sched.pending_len(), 0);
-        let s = sched.stats();
-        prop_assert!(s.largest_batch <= max_batch as u64);
-        // Everything dispatched was computed exactly once per content.
-        prop_assert_eq!(s.computed, sched.cached_features() as u64);
-    }
 }
 
 /// NaN features never compare equal; this detects the corrupt payload.
@@ -279,7 +231,7 @@ fn racing_lanes_compute_one_content_once() {
             s.spawn(move || {
                 start.wait();
                 let got = lane.try_observe(tb, &make_attempt(lane_id, 9, 0, 0));
-                assert_eq!(&got.outcome.unwrap(), want);
+                assert_eq!(*got.outcome.unwrap(), *want);
             });
         }
     });
@@ -288,12 +240,10 @@ fn racing_lanes_compute_one_content_once() {
     assert_eq!(sched.cached_features(), 1);
 }
 
-/// Lanes on 4 and 8 threads each walk the same contents from a different
-/// offset, prefetching a round and then demanding it, at a `max_batch`
-/// small enough that full-batch flushes fire between demands. However the
-/// threads interleave, each distinct content is computed exactly once,
-/// every reply is the bare model's, every demand is counted, and the last
-/// demand leaves the queue empty.
+/// Lanes on 4 and 8 threads each demand the same contents, each lane from
+/// a different offset. However the threads interleave, each distinct
+/// content is computed exactly once, every reply is the bare model's and
+/// every demand is counted.
 #[test]
 fn lane_storm_computes_each_content_once() {
     let model = AppearanceModel::new(AppearanceConfig::default());
@@ -302,13 +252,7 @@ fn lane_storm_computes_each_content_once() {
         .collect();
     let distinct: HashSet<FeatureKey> = contents.iter().map(FeatureKey::of).collect();
     for threads in [4u64, 8] {
-        let sched = BatchScheduler::new(
-            &model,
-            BatchConfig {
-                max_batch: 3,
-                ..BatchConfig::default()
-            },
-        );
+        let sched = BatchScheduler::new(&model, BatchConfig::default());
         let start = Barrier::new(threads as usize);
         std::thread::scope(|s| {
             for lane_id in 0..threads {
@@ -320,16 +264,10 @@ fn lane_storm_computes_each_content_once() {
                     let order: Vec<&TrackBox> =
                         (0..n).map(|i| &contents[(i + offset) % n]).collect();
                     start.wait();
-                    for round in order.chunks(8) {
-                        let hints: Vec<(&TrackBox, Attempt)> = round
-                            .iter()
-                            .map(|tb| (*tb, make_attempt(lane_id, tb.frame.get(), 0, 0)))
-                            .collect();
-                        lane.prefetch(&hints);
-                        for (tb, at) in &hints {
-                            let got = lane.try_observe(tb, at).outcome.unwrap();
-                            assert_eq!(got, model.observe_track_box(tb));
-                        }
+                    for tb in order {
+                        let at = make_attempt(lane_id, tb.frame.get(), 0, 0);
+                        let got = lane.try_observe(tb, &at).outcome.unwrap();
+                        assert_eq!(*got, model.observe_track_box(tb));
                     }
                 });
             }
@@ -338,7 +276,5 @@ fn lane_storm_computes_each_content_once() {
         assert_eq!(stats.computed, distinct.len() as u64, "{threads} threads");
         assert_eq!(sched.cached_features(), distinct.len());
         assert_eq!(stats.requests, threads * contents.len() as u64);
-        assert_eq!(sched.pending_len(), 0);
-        assert!(stats.largest_batch <= 3);
     }
 }

@@ -60,21 +60,11 @@ pub struct AssignStats {
     pub gated_matches: u64,
     /// [`iou_threshold_matches`] calls that fell back to the dense solve.
     pub dense_fallbacks: u64,
-    /// Detections featurized fresh by a selectively-featurizing tracker
-    /// (zero when selective featurization is off — see
-    /// `DeepSortConfig::selective_featurize`).
-    pub features_extracted: u64,
-    /// Detections that reused a matched track's gallery feature instead
-    /// of being featurized.
-    pub features_reused: u64,
 }
 
 impl AssignStats {
     /// Emits the accumulated counts to `obs` and resets them. Call once
-    /// per video / metric computation, not per frame. The featurization
-    /// counters only exist when a tracker ran selective featurization, so
-    /// they are dropped at zero — trackers that never gate keep their
-    /// historical counter set byte-for-byte.
+    /// per video / metric computation, not per frame.
     pub fn flush(&mut self, obs: &tm_obs::Obs) {
         if obs.enabled() {
             obs.counter("assign.dense_solves", self.dense_solves);
@@ -82,10 +72,6 @@ impl AssignStats {
             obs.counter("assign.components", self.components);
             obs.counter("assign.gated_matches", self.gated_matches);
             obs.counter("assign.dense_fallbacks", self.dense_fallbacks);
-            if self.features_extracted > 0 || self.features_reused > 0 {
-                obs.counter("assign.features_extracted", self.features_extracted);
-                obs.counter("assign.features_reused", self.features_reused);
-            }
         }
         *self = Self::default();
     }

@@ -34,14 +34,6 @@ pub struct DeepSortConfig {
     /// Depth of the matching cascade: tracks are matched in increasing
     /// time-since-update order up to this age.
     pub cascade_depth: u64,
-    /// Reuse the overlapping track's EMA gallery feature for unambiguous
-    /// detections instead of featurizing them — the tracker-side analogue
-    /// of the session's extraction gate. A detection is unambiguous when
-    /// exactly one *recent* track (time_since_update == 0, gallery
-    /// present) overlaps it at IoU ≥ `iou_min_recent`, and that track
-    /// overlaps no other detection as strongly. Off by default: the
-    /// default tracker is bit-identical to the pre-gating DeepSORT.
-    pub selective_featurize: bool,
     /// Lifecycle parameters.
     pub lifecycle: LifecycleConfig,
 }
@@ -54,7 +46,6 @@ impl Default for DeepSortConfig {
             iou_min_recent: 0.2,
             feature_momentum: 0.8,
             cascade_depth: 15,
-            selective_featurize: false,
             lifecycle: LifecycleConfig {
                 max_age: 15,
                 min_hits: 3,
@@ -84,46 +75,6 @@ impl<'m> DeepSort<'m> {
             scratch: AssocScratch::new(),
         }
     }
-
-    /// Featurizes `detections` selectively: a detection with exactly one
-    /// strongly-overlapping recent track (which itself overlaps no other
-    /// detection as strongly) inherits that track's gallery feature; every
-    /// other detection is featurized fresh. Counted into the assignment
-    /// stats so the savings surface as `assign.features_{extracted,reused}`.
-    fn selective_features(&mut self, detections: &[Detection]) -> Vec<Feature> {
-        let gate = self.config.iou_min_recent;
-        // candidate[di] = (number of recent overlapping tracks, last such
-        // track); claims[ti] = number of detections that track overlaps.
-        let mut candidate: Vec<(usize, usize)> = vec![(0, usize::MAX); detections.len()];
-        let mut claims: Vec<usize> = vec![0; self.manager.active.len()];
-        for (ti, t) in self.manager.active.iter().enumerate() {
-            if t.time_since_update != 0 || t.feature.is_none() {
-                continue;
-            }
-            for (di, d) in detections.iter().enumerate() {
-                if t.predicted.iou(&d.bbox) >= gate {
-                    candidate[di].0 += 1;
-                    candidate[di].1 = ti;
-                    claims[ti] += 1;
-                }
-            }
-        }
-        let stats = &mut self.scratch.assign.stats;
-        detections
-            .iter()
-            .zip(&candidate)
-            .map(|(d, &(n, ti))| {
-                if n == 1 && claims[ti] == 1 {
-                    if let Some(f) = &self.manager.active[ti].feature {
-                        stats.features_reused += 1;
-                        return f.clone();
-                    }
-                }
-                stats.features_extracted += 1;
-                self.model.observe_detection(d)
-            })
-            .collect()
-    }
 }
 
 impl Tracker for DeepSort<'_> {
@@ -133,14 +84,10 @@ impl Tracker for DeepSort<'_> {
 
     fn step(&mut self, _frame: FrameIdx, detections: &[Detection]) {
         self.manager.predict_all();
-        let det_features: Vec<Feature> = if self.config.selective_featurize {
-            self.selective_features(detections)
-        } else {
-            detections
-                .iter()
-                .map(|d| self.model.observe_detection(d))
-                .collect()
-        };
+        let det_features: Vec<Feature> = detections
+            .iter()
+            .map(|d| self.model.observe_detection(d))
+            .collect();
 
         let mut det_matched = vec![false; detections.len()];
 
@@ -316,70 +263,6 @@ mod tests {
                 t.len()
             );
         }
-    }
-
-    #[test]
-    fn selective_featurization_keeps_identity_and_saves_extractions() {
-        use std::sync::Arc;
-        let m = model();
-        let frames: Vec<Vec<Detection>> = (0..50u64)
-            .map(|f| {
-                vec![
-                    det(f, 10.0 + 3.0 * f as f64, 100.0, 1),
-                    det(f, 10.0 + 3.0 * f as f64, 500.0, 2),
-                ]
-            })
-            .collect();
-        let rec = Arc::new(tm_obs::Recorder::new());
-        let tracks = tm_obs::scoped(tm_obs::Obs::new(rec.clone()), || {
-            let mut ds = DeepSort::new(
-                DeepSortConfig {
-                    selective_featurize: true,
-                    ..DeepSortConfig::default()
-                },
-                &m,
-            );
-            track_video(&mut ds, &frames)
-        });
-        // Quality unchanged on a clean video…
-        assert_eq!(tracks.len(), 2);
-        for t in tracks.iter() {
-            assert_eq!(t.majority_actor().unwrap().1, 50);
-        }
-        // …with most featurizations replaced by gallery reuse.
-        let snap = rec.snapshot();
-        let counter = |name: &str| {
-            snap.lines()
-                .find(|l| l.contains(name))
-                .and_then(|l| l.split_whitespace().last())
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0)
-        };
-        let reused = counter("assign.features_reused");
-        let extracted = counter("assign.features_extracted");
-        assert_eq!(extracted + reused, 100, "every detection gets a feature");
-        assert!(
-            reused > extracted,
-            "steady tracking must reuse more than it extracts ({reused} vs {extracted})"
-        );
-    }
-
-    #[test]
-    fn default_config_never_touches_featurization_counters() {
-        use std::sync::Arc;
-        let m = model();
-        let frames: Vec<Vec<Detection>> = (0..20u64)
-            .map(|f| vec![det(f, 10.0 + 3.0 * f as f64, 100.0, 1)])
-            .collect();
-        let rec = Arc::new(tm_obs::Recorder::new());
-        tm_obs::scoped(tm_obs::Obs::new(rec.clone()), || {
-            track_video(&mut DeepSort::new(DeepSortConfig::default(), &m), &frames)
-        });
-        let snap = rec.snapshot();
-        assert!(
-            !snap.contains("assign.features_"),
-            "ungated DeepSORT must keep the historical counter set: {snap}"
-        );
     }
 
     #[test]

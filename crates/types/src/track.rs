@@ -251,12 +251,10 @@ impl TrackSet {
         self.tracks.iter().map(|t| t.id)
     }
 
-    /// Tracks whose lifetime intersects the frame range `[start, end)`.
-    ///
-    /// This is a linear filter over the whole set — fine for a one-off
-    /// query. Repeated range scans (per-window pair construction, per-frame
-    /// metric loops) should build a [`FrameIndex`] once via
-    /// [`TrackSet::frame_index`] and query that instead.
+    /// Tracks whose lifetime intersects the frame range `[start, end)`, in
+    /// insertion order: a linear filter over the whole set, which is how
+    /// window pair construction finds each window's tracks. Per-frame
+    /// loops should build a [`FrameIndex`] once instead.
     pub fn overlapping_range(
         &self,
         start: FrameIdx,
@@ -381,19 +379,13 @@ impl FromIterator<Track> for TrackSet {
     }
 }
 
-/// A frame-interval index over a [`TrackSet`] snapshot.
-///
-/// Two query families, both answered without rescanning every track:
-///
-/// * **Interval queries** — which tracks live in a frame range
-///   ([`FrameIndex::overlapping_positions`]), backed by a span list sorted
-///   by first frame plus a max-last-frame segment tree, O(log n + k) per
-///   query instead of O(n).
-/// * **Per-frame queries** — the boxes present in one frame
-///   ([`FrameIndex::boxes_at`], in track insertion order, which is what the
-///   metric loops historically iterated) and the position of a given track
-///   id inside that frame's list ([`FrameIndex::position_at`]), replacing
-///   the per-frame linear `position()` scans of the CLEAR-MOT sticky pass.
+/// A per-frame index over a [`TrackSet`] snapshot: the boxes present in
+/// one frame ([`FrameIndex::boxes_at`], in track insertion order, which is
+/// what the metric loops historically iterated), the position of a given
+/// track id inside that frame's list ([`FrameIndex::position_at`],
+/// replacing the per-frame linear `position()` scans of the CLEAR-MOT
+/// sticky pass) and co-frame crowding ([`FrameIndex::crowding`], the
+/// extraction gate's ambiguity signal), all without rescanning every track.
 ///
 /// Tracks are addressed by their *position* (insertion order index) in the
 /// underlying set; [`FrameIndex::track`] resolves a position back to the
@@ -401,13 +393,6 @@ impl FromIterator<Track> for TrackSet {
 #[derive(Debug, Clone)]
 pub struct FrameIndex<'a> {
     set: &'a TrackSet,
-    /// Non-empty track positions sorted by (first frame, position).
-    order: Vec<u32>,
-    /// First frames, parallel to `order` (ascending).
-    firsts: Vec<u64>,
-    /// Segment tree over the last frames of `order` (max), 1-based heap
-    /// layout.
-    seg: Vec<u64>,
     /// Sorted distinct frames that hold at least one box.
     frame_keys: Vec<u64>,
     /// CSR offsets into `frame_entries` / `frame_by_id`.
@@ -423,41 +408,6 @@ pub struct FrameIndex<'a> {
 
 impl<'a> FrameIndex<'a> {
     fn build(set: &'a TrackSet) -> Self {
-        let mut order: Vec<u32> = (0..set.tracks.len() as u32)
-            .filter(|&i| !set.tracks[i as usize].is_empty())
-            .collect();
-        order.sort_by_key(|&i| {
-            (
-                set.tracks[i as usize]
-                    .first_frame()
-                    .expect("non-empty")
-                    .get(),
-                i,
-            )
-        });
-        let firsts: Vec<u64> = order
-            .iter()
-            .map(|&i| {
-                set.tracks[i as usize]
-                    .first_frame()
-                    .expect("non-empty")
-                    .get()
-            })
-            .collect();
-        let lasts: Vec<u64> = order
-            .iter()
-            .map(|&i| {
-                set.tracks[i as usize]
-                    .last_frame()
-                    .expect("non-empty")
-                    .get()
-            })
-            .collect();
-        let mut seg = vec![0u64; 4 * order.len().max(1)];
-        if !lasts.is_empty() {
-            Self::seg_build(&mut seg, &lasts, 1, 0, lasts.len());
-        }
-
         // Per-frame CSR: distinct frames, then a stable counting-sort
         // scatter so each frame's entries keep track insertion order.
         let mut frame_keys: Vec<u64> = set
@@ -504,48 +454,11 @@ impl<'a> FrameIndex<'a> {
 
         Self {
             set,
-            order,
-            firsts,
-            seg,
             frame_keys,
             frame_starts,
             frame_entries,
             frame_by_id,
         }
-    }
-
-    fn seg_build(seg: &mut [u64], lasts: &[u64], node: usize, lo: usize, hi: usize) {
-        if hi - lo == 1 {
-            seg[node] = lasts[lo];
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        Self::seg_build(seg, lasts, 2 * node, lo, mid);
-        Self::seg_build(seg, lasts, 2 * node + 1, mid, hi);
-        seg[node] = seg[2 * node].max(seg[2 * node + 1]);
-    }
-
-    /// Collects, into `out`, the `order` indices in `[lo, hi) ∩ [0, limit)`
-    /// whose last frame is ≥ `start`.
-    fn seg_collect(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        limit: usize,
-        start: u64,
-        out: &mut Vec<u32>,
-    ) {
-        if lo >= limit || self.seg[node] < start {
-            return;
-        }
-        if hi - lo == 1 {
-            out.push(self.order[lo]);
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.seg_collect(2 * node, lo, mid, limit, start, out);
-        self.seg_collect(2 * node + 1, mid, hi, limit, start, out);
     }
 
     /// The underlying track at insertion position `pos`.
@@ -556,24 +469,6 @@ impl<'a> FrameIndex<'a> {
     /// The last frame holding any box, if the set is non-empty.
     pub fn max_frame(&self) -> Option<FrameIdx> {
         self.frame_keys.last().map(|&f| FrameIdx(f))
-    }
-
-    /// Appends to `out` the positions of all tracks whose lifetime
-    /// intersects `[start, end)`, in ascending position (= insertion)
-    /// order — the same tracks [`TrackSet::overlapping_range`] yields.
-    pub fn overlapping_positions(&self, start: FrameIdx, end: FrameIdx, out: &mut Vec<u32>) {
-        out.clear();
-        if self.order.is_empty() {
-            return;
-        }
-        // Candidates: the prefix with first_frame < end; among those, keep
-        // last_frame >= start via the segment tree.
-        let limit = self.firsts.partition_point(|&f| f < end.get());
-        if limit == 0 {
-            return;
-        }
-        self.seg_collect(1, 0, self.firsts.len(), limit, start.get(), out);
-        out.sort_unstable();
     }
 
     /// The boxes present in `frame` as `(track position, box)`, in track
@@ -787,51 +682,11 @@ mod tests {
         fn empty_set_and_empty_tracks() {
             let idx_owner = TrackSet::new();
             let idx = idx_owner.frame_index();
-            let mut out = Vec::new();
-            idx.overlapping_positions(FrameIdx(0), FrameIdx(100), &mut out);
-            assert!(out.is_empty());
             assert_eq!(idx.max_frame(), None);
-
-            let s = TrackSet::from_tracks(vec![Track::new(TrackId(1), ClassId(1))]);
-            let idx = s.frame_index();
-            idx.overlapping_positions(FrameIdx(0), FrameIdx(100), &mut out);
-            assert!(out.is_empty(), "empty tracks never overlap a range");
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The interval query returns exactly the tracks the naive
-            /// linear filter returns, in the same (insertion) order.
-            #[test]
-            fn overlapping_positions_equal_linear_filter(
-                spans in proptest::collection::vec(
-                    (0u64..200, 0u64..40, any::<bool>()), 0..20),
-                start in 0u64..220,
-                len in 0u64..80,
-            ) {
-                let tracks: Vec<Track> = spans
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(first, span, empty))| {
-                        let frames: Vec<u64> = if empty {
-                            Vec::new()
-                        } else {
-                            (first..=first + span).collect()
-                        };
-                        track(i as u64 + 1, &frames)
-                    })
-                    .collect();
-                let s = TrackSet::from_tracks(tracks);
-                let idx = s.frame_index();
-                let (start, end) = (FrameIdx(start), FrameIdx(start + len));
-                let mut out = Vec::new();
-                idx.overlapping_positions(start, end, &mut out);
-                let got: Vec<TrackId> = out.iter().map(|&p| idx.track(p).id).collect();
-                let expected: Vec<TrackId> =
-                    s.overlapping_range(start, end).map(|t| t.id).collect();
-                prop_assert_eq!(got, expected);
-            }
 
             /// Per-frame lookups agree with scanning every track.
             #[test]
