@@ -12,7 +12,9 @@
 //! Payloads crafted past the checksum (edited, then re-sealed through
 //! [`seal`] so they reach the field readers) also give typed errors: shard
 //! and stream counts of 2⁴⁰ and 2⁶², 32-bit fields at 2³² + 1, window and
-//! round lengths the walks cannot step by, and two shard blobs swapped.
+//! round lengths the walks cannot step by, two shard blobs swapped, and a
+//! session's distinct feature count of 2⁴⁰ or a cache key naming the value
+//! at that count.
 //! Each crafted case first re-seals the untouched payload and checks that
 //! it resumes, so the error is the edit's.
 
@@ -391,6 +393,26 @@ fn wrong_kinds_and_trailing_words_are_typed_errors() {
     }
 }
 
+/// Word offsets of the distinct-value count and of the last cache key's
+/// value number in a payload that ends with an ungated session snapshot,
+/// as the global merger's does: the count `D`, `D` values (a dimension
+/// word, then `model()`'s four components), the key count `N`, `N` keys
+/// (track, frame, value number), then the gate flag. Value numbers follow
+/// first appearance, so `D` is one past the largest.
+fn session_tail(w: &[u64]) -> (usize, usize) {
+    const VALUE_WORDS: usize = 5;
+    let last = w.len() - 2;
+    (1..w.len() / 3)
+        .find_map(|n| {
+            let n_at = w.len().checked_sub(2 + 3 * n)?;
+            let d = (0..n).map(|k| w[last - 3 * k]).max()? + 1;
+            let values = usize::try_from(d).ok()?.checked_mul(VALUE_WORDS)?;
+            let d_at = n_at.checked_sub(1 + values)?;
+            (w[n_at] == n as u64 && w[d_at] == d).then_some((d_at, last))
+        })
+        .expect("the payload ends with a session snapshot")
+}
+
 /// Re-seals `bytes` with payload word `at` set to `value`, after checking
 /// that the untouched payload re-sealed still resumes.
 fn craft(resumers: &Resumers<'_>, kind: Kind, bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
@@ -464,4 +486,18 @@ fn crafted_payloads_are_typed_errors() {
     resumers.must_fail(Kind::Fleet, &reseal(Kind::Fleet, &swapped), &|| {
         "shard blobs swapped".into()
     });
+
+    // The session snapshot's feature values: a key naming the value at
+    // the distinct count, and a distinct count of 2^40.
+    let name = "global after a round";
+    let bytes = &find(name).bytes;
+    let w = words(bytes);
+    let (d_at, last) = session_tail(&w);
+    for (at, value, what) in [
+        (last, w[d_at], "feature index at the distinct count"),
+        (d_at, 1 << 40, "distinct feature count 2^40"),
+    ] {
+        let bad = craft(&resumers, Kind::Global, bytes, at, value);
+        resumers.must_fail(Kind::Global, &bad, &|| format!("{name}: {what}"));
+    }
 }

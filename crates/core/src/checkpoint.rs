@@ -25,7 +25,9 @@
 //! cache and gate state) and the recorder's deterministic aggregates — and
 //! `resume()` reconstructs a merger that continues at the last completed
 //! window with **byte-identical** output to a run that was never
-//! interrupted. The selector and the appearance model are code, not
+//! interrupted. The session writes each distinct feature value once and
+//! every cache key as a reference to it, so a reused box resumes sharing
+//! its donor's `Arc`. The selector and the appearance model are code, not
 //! data — `resume()` takes them as arguments and the caller must pass the
 //! same ones (and re-install any fault backend with
 //! [`StreamingMerger::with_backend`]) for identical continuation.
@@ -38,11 +40,11 @@ use crate::stream::{
     RetentionSummary, StashedWindow, StreamConfig, StreamingMerger, WindowDecision,
 };
 use crate::window::Window;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use tm_reid::{
-    AppearanceModel, BoxKey, Feature, FeatureProvenance, GateConfig, GatePolicy, GateSnapshot,
-    GateStats, ReidSession, ReidStats, RetryPolicy, SessionSnapshot, TrackPlan,
+    AppearanceModel, BoxKey, Feature, GateConfig, GatePolicy, GateSnapshot, GateStats, ReidSession,
+    ReidStats, RetryPolicy, SessionSnapshot, TrackPlan,
 };
 use tm_types::{
     BBox, ClassId, FrameIdx, GtObjectId, Result, TmError, Track, TrackBox, TrackId, TrackPair,
@@ -51,9 +53,9 @@ use tm_types::{
 
 /// `TMCK` in ASCII: the first word of every envelope.
 const MAGIC: u64 = 0x544d_434b;
-/// The container layout version. Readers reject any other value; version
-/// 2 dropped the per-provenance `deferred` word of version 1.
-const VERSION: u64 = 2;
+/// The container layout version; readers reject any other value. Version
+/// 3 dropped the gate's provenance and writes each feature value once.
+const VERSION: u64 = 3;
 /// Magic, version and kind words.
 const HEADER_BYTES: usize = 24;
 
@@ -477,12 +479,6 @@ fn put_gate_snapshot(w: &mut Writer, g: &GateSnapshot) {
     put_gate_config(w, &g.config);
     put_gate_stats(w, &g.stats);
     put_gate_stats(w, &g.flushed);
-    w.put_u64(g.provenance.len() as u64);
-    for (target, p) in &g.provenance {
-        put_box_key(w, *target);
-        put_box_key(w, p.donor);
-        w.put_u64(p.age);
-    }
     w.put_u64(g.plans.len() as u64);
     for (track, plan) in &g.plans {
         w.put_u64(track.get());
@@ -499,15 +495,6 @@ fn take_gate_snapshot(r: &mut Reader<'_>) -> Result<GateSnapshot> {
     let config = take_gate_config(r)?;
     let stats = take_gate_stats(r)?;
     let flushed = take_gate_stats(r)?;
-    let n = r.take_len()?;
-    let provenance: Vec<(BoxKey, FeatureProvenance)> = (0..n)
-        .map(|_| {
-            let target = take_box_key(r)?;
-            let donor = take_box_key(r)?;
-            let age = r.take_u64()?;
-            Ok((target, FeatureProvenance { donor, age }))
-        })
-        .collect::<Result<_>>()?;
     let n = r.take_len()?;
     let plans: Vec<(TrackId, TrackPlan)> = (0..n)
         .map(|_| {
@@ -532,14 +519,16 @@ fn take_gate_snapshot(r: &mut Reader<'_>) -> Result<GateSnapshot> {
         config,
         stats,
         flushed,
-        provenance,
         plans,
     })
 }
 
 /// Serializes a [`SessionSnapshot`] (clock, work counters, feature cache,
-/// gate state) into the word stream. Shared by the merger and the global
-/// merger checkpoints ([`crate::global`]).
+/// gate state) into the word stream: the distinct feature values, each
+/// once and numbered by first appearance over the sorted keys, then every
+/// key with its value's number. Values are told apart by bit pattern, never
+/// by `Arc` address, so equal sessions write equal bytes. Shared by the
+/// merger and the global merger checkpoints ([`crate::global`]).
 pub(crate) fn put_session_snapshot(w: &mut Writer, snap: &SessionSnapshot) {
     w.put_f64(snap.elapsed_ms);
     w.put_u64(snap.stats.inferences);
@@ -548,13 +537,30 @@ pub(crate) fn put_session_snapshot(w: &mut Writer, snap: &SessionSnapshot) {
     w.put_u64(snap.stats.gpu_rounds);
     w.put_u64(snap.stats.retries);
     w.put_u64(snap.stats.backend_faults);
-    w.put_u64(snap.cache.len() as u64);
-    for (key, feat) in &snap.cache {
-        put_box_key(w, *key);
+    let mut numbers: HashMap<Vec<u64>, u64> = HashMap::new();
+    let mut values: Vec<&Feature> = Vec::new();
+    let refs: Vec<u64> = snap
+        .cache
+        .iter()
+        .map(|(_, feat)| {
+            let bits = feat.as_slice().iter().map(|c| c.to_bits()).collect();
+            *numbers.entry(bits).or_insert_with(|| {
+                values.push(feat);
+                values.len() as u64 - 1
+            })
+        })
+        .collect();
+    w.put_u64(values.len() as u64);
+    for feat in values {
         w.put_u64(feat.dim() as u64);
         for &c in feat.as_slice() {
             w.put_f64(c);
         }
+    }
+    w.put_u64(snap.cache.len() as u64);
+    for ((key, _), value) in snap.cache.iter().zip(refs) {
+        put_box_key(w, *key);
+        w.put_u64(value);
     }
     match &snap.gate {
         Some(g) => {
@@ -577,12 +583,22 @@ pub(crate) fn take_session_snapshot(r: &mut Reader<'_>) -> Result<SessionSnapsho
         backend_faults: r.take_u64()?,
     };
     let n = r.take_len()?;
+    let values: Vec<Arc<Feature>> = (0..n)
+        .map(|_| {
+            let len = r.take_len()?;
+            let feat: Vec<f64> = (0..len).map(|_| r.take_f64()).collect::<Result<_>>()?;
+            Ok(Arc::new(Feature::from_raw(feat)))
+        })
+        .collect::<Result<_>>()?;
+    let n = r.take_len()?;
     let cache: Vec<(BoxKey, Arc<Feature>)> = (0..n)
         .map(|_| {
             let key = take_box_key(r)?;
-            let len = r.take_len()?;
-            let feat: Vec<f64> = (0..len).map(|_| r.take_f64()).collect::<Result<_>>()?;
-            Ok((key, Arc::new(Feature::from_raw(feat))))
+            let value = usize::try_from(r.take_u64()?)
+                .ok()
+                .and_then(|i| values.get(i))
+                .ok_or_else(|| corrupt("feature index past the distinct count"))?;
+            Ok((key, Arc::clone(value)))
         })
         .collect::<Result<_>>()?;
     let gate = if r.take_bool()? {
@@ -1108,6 +1124,49 @@ mod tests {
             full.session.gate_stats(),
             "gate decision counters must survive the kill"
         );
+    }
+
+    #[test]
+    fn resumed_reuses_share_their_donors_feature() {
+        let (model, tracks) = fixture();
+        let mut live = StreamingMerger::new(
+            &model,
+            CostModel::calibrated(),
+            Device::Cpu,
+            selector(),
+            gated_config(),
+        )
+        .unwrap();
+        live.advance(&tracks, 250).unwrap();
+        let resumed = StreamingMerger::resume(
+            &model,
+            CostModel::calibrated(),
+            Device::Cpu,
+            selector(),
+            &live.checkpoint(),
+        )
+        .unwrap();
+        let cfg = GateConfig::default();
+        let mut plan = tm_reid::GatePlan::default();
+        plan.update(&tracks, &cfg);
+        let mut reused = 0;
+        for t in tracks.iter() {
+            for b in &t.boxes {
+                let tm_reid::GateDecision::Reuse { donor, .. } = plan.decide(t.id, b.frame, &cfg)
+                else {
+                    continue;
+                };
+                for m in [&live, &resumed] {
+                    let feature = |frame| m.session.cached_feature(t.id, frame);
+                    let (Some(f), Some(d)) = (feature(b.frame), feature(donor.frame)) else {
+                        continue;
+                    };
+                    assert!(Arc::ptr_eq(&f, &d), "{:?} frame {}", t.id, b.frame.get());
+                    reused += 1;
+                }
+            }
+        }
+        assert!(reused > 0, "the fixture must cache reused boxes");
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //! [`Kind::Fleet`] envelope (see [`crate::checkpoint`]);
 //! [`FleetIngester::resume`] restores every shard at its last completed
 //! window, with the same byte-identity guarantee as a single resumed
-//! merger. Batching lanes are stateless beyond their shared feature cache,
-//! which is derived data (features are recomputable), so the caller simply
-//! constructs fresh lanes on resume.
+//! merger. Onto fewer backends than shards it resumes the leading prefix
+//! and reports the skipped streams through observability
+//! (`fleet.resume.skipped_shards` and a warning each). Batching lanes are
+//! stateless beyond their shared feature cache, which is derived data
+//! (features are recomputable), so the caller simply constructs fresh
+//! lanes on resume.
 
 use crate::checkpoint::{open, seal, Kind};
 use crate::selector::CandidateSelector;
@@ -107,7 +110,8 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
         &self.shards[i]
     }
 
-    /// Stream `i`'s shard, mutably (e.g. for [`StreamingMerger::mapping`]).
+    /// Stream `i`'s shard, mutably (e.g. for [`StreamingMerger::set_shed`]
+    /// or [`StreamingMerger::compact_before`]).
     pub fn shard_mut(&mut self, i: usize) -> &mut StreamingMerger<'m, S> {
         &mut self.shards[i]
     }
@@ -186,35 +190,19 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
     /// tolerated superset — the shrink-a-tenant restart case, where a
     /// stream was decommissioned between checkpoint and resume. The
     /// leading `backends.len()` shards resume; the trailing shards are
-    /// skipped with a typed warning (see
-    /// [`FleetIngester::resume_reporting`] to observe which). A checkpoint
-    /// describing *fewer* streams than `backends` is still a hard error:
-    /// inventing fresh state for a stream the caller expects to have
-    /// history would silently violate the byte-identity contract.
+    /// skipped, counted as `fleet.resume.skipped_shards` and logged as a
+    /// warning naming each stream id. A checkpoint describing *fewer*
+    /// streams than `backends` is still a hard error: inventing fresh state
+    /// for a stream the caller expects to have history would silently
+    /// violate the byte-identity contract.
     pub fn resume(
-        model: &'m AppearanceModel,
-        session_cost: CostModel,
-        device: Device,
-        make_selector: impl FnMut(usize) -> S,
-        backends: &[&'m dyn InferenceBackend],
-        bytes: &[u8],
-    ) -> Result<Self> {
-        let (fleet, _skipped) =
-            Self::resume_reporting(model, session_cost, device, make_selector, backends, bytes)?;
-        Ok(fleet)
-    }
-
-    /// [`FleetIngester::resume`], also returning the stream ids of any
-    /// superset shards that were present in the checkpoint but skipped
-    /// because no backend was supplied for them.
-    pub fn resume_reporting(
         model: &'m AppearanceModel,
         session_cost: CostModel,
         device: Device,
         mut make_selector: impl FnMut(usize) -> S,
         backends: &[&'m dyn InferenceBackend],
         bytes: &[u8],
-    ) -> Result<(Self, Vec<u64>)> {
+    ) -> Result<Self> {
         if backends.is_empty() {
             return Err(invalid("a fleet needs at least one stream backend"));
         }
@@ -238,24 +226,23 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
             r.take_bytes()?;
         }
         r.finish()?;
-        // Shard `i` carries stream id `i` (checked above for every resumed
-        // shard, and the checksum covers the skipped ones' bytes), so a
-        // skipped shard's id is its position.
-        let skipped: Vec<u64> = (backends.len() as u64..n as u64).collect();
         let obs = tm_obs::current();
         // Announce the skips only after every shard restore: restoring a
         // shard replaces the ambient recorder's whole state, so anything
-        // emitted earlier would be silently clobbered.
-        if !skipped.is_empty() {
-            obs.counter("fleet.resume.skipped_shards", skipped.len() as u64);
-            for id in &skipped {
+        // emitted earlier would be silently clobbered. Shard `i` carries
+        // stream id `i` (checked above for every resumed shard, and the
+        // checksum covers the skipped ones' bytes), so a skipped shard's id
+        // is its position.
+        if n > backends.len() {
+            obs.counter("fleet.resume.skipped_shards", (n - backends.len()) as u64);
+            for id in backends.len()..n {
                 obs.log(
                     tm_obs::Level::Warn,
                     &format!("fleet resume: skipping checkpointed stream {id} (no backend supplied; stream decommissioned?)"),
                 );
             }
         }
-        Ok((Self { shards, obs }, skipped))
+        Ok(Self { shards, obs })
     }
 }
 
@@ -500,8 +487,8 @@ mod tests {
         // shard with a typed warning instead of a count-mismatch error.
         let rec = Arc::new(tm_obs::Recorder::new());
         let two: Vec<&dyn InferenceBackend> = vec![&model; 2];
-        let (mut resumed, skipped) = tm_obs::scoped(tm_obs::Obs::new(rec.clone()), || {
-            FleetIngester::resume_reporting(
+        let mut resumed = tm_obs::scoped(tm_obs::Obs::new(rec.clone()), || {
+            FleetIngester::resume(
                 &model,
                 CostModel::calibrated(),
                 Device::Cpu,
@@ -512,7 +499,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(resumed.len(), 2);
-        assert_eq!(skipped, vec![2]);
         assert_eq!(rec.counter_value("fleet.resume.skipped_shards"), 1);
         assert!(rec
             .logs()

@@ -23,6 +23,10 @@
 //! agree as long as updates see the same track prefixes — which the
 //! checkpoint layer guarantees by serializing the plan verbatim.
 //!
+//! A track's plan lives while the track is in the feed: each update drops
+//! the plans of tracks absent from it, about which nothing asks (window
+//! pairs and stash re-verification are built from the same feed).
+//!
 //! [`GatePolicy::Off`] short-circuits everything: an ungated session
 //! never constructs a plan and is bit-identical to the pre-gating
 //! pipeline (clock, charges, cache, snapshots).
@@ -107,11 +111,6 @@ impl GatePolicy {
             GatePolicy::On(cfg) => Some(cfg),
         }
     }
-
-    /// True when gating is on.
-    pub fn is_on(&self) -> bool {
-        matches!(self, GatePolicy::On(_))
-    }
 }
 
 /// The gate's verdict for one box.
@@ -172,7 +171,8 @@ pub struct TrackPlan {
     pub anchors: Vec<TrackBox>,
 }
 
-/// The per-track extraction plan for a whole [`TrackSet`].
+/// The per-track extraction plan for the [`TrackSet`] a session plans
+/// against: one [`TrackPlan`] per track in the latest update's feed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GatePlan {
     /// Plans keyed by track, ordered for deterministic serialization.
@@ -181,10 +181,12 @@ pub struct GatePlan {
 
 impl GatePlan {
     /// Extends the plan over boxes appended to `tracks` since the last
-    /// update. Previously planned prefixes are never revisited, so the
-    /// decision stream is stable across incremental (streaming) and
-    /// batch (pipeline / resume) construction.
+    /// update, and drops the plans of tracks no longer in `tracks`.
+    /// Previously planned prefixes are never revisited, so the decision
+    /// stream is stable across incremental (streaming) and batch
+    /// (pipeline / resume) construction.
     pub fn update(&mut self, tracks: &TrackSet, cfg: &GateConfig) {
+        self.tracks.retain(|id, _| tracks.get(*id).is_some());
         let index = tracks.frame_index();
         for track in tracks.iter() {
             let plan = self.tracks.entry(track.id).or_default();
@@ -463,6 +465,26 @@ mod tests {
             incr.update(&partial, &cfg);
         }
         assert_eq!(batch.export(), incr.export());
+    }
+
+    #[test]
+    fn plans_leave_with_their_tracks() {
+        let cfg = GateConfig::default();
+        let mut set = lone_track(&[0, 1, 2, 3]);
+        set.insert(Track::with_boxes(
+            TrackId(2),
+            ClassId(1),
+            (0..4).map(|f| tb(f, 50.0)).collect(),
+        ));
+        let mut plan = GatePlan::default();
+        plan.update(&set, &cfg);
+        assert_eq!(plan.len(), 2);
+        let rolled = lone_track(&[0, 1, 2, 3, 4]);
+        plan.update(&rolled, &cfg);
+        assert_eq!(plan.len(), 1);
+        let mut fresh = GatePlan::default();
+        fresh.update(&rolled, &cfg);
+        assert_eq!(plan, fresh, "the surviving track keeps its plan");
     }
 
     #[test]

@@ -45,6 +45,4 @@ pub use batch::{BatchConfig, BatchScheduler, BatchStats, BatchingBackend, Featur
 pub use cost::{CostModel, Device, ReidStats, SimClock};
 pub use feature::{Feature, NORMALIZER};
 pub use gate::{GateConfig, GateDecision, GatePlan, GatePolicy, GateStats, TrackPlan};
-pub use session::{
-    BoxKey, BoxPairRef, FeatureProvenance, GateSnapshot, ReidSession, SessionSnapshot,
-};
+pub use session::{BoxKey, BoxPairRef, GateSnapshot, ReidSession, SessionSnapshot};

@@ -17,7 +17,9 @@
 //! sits behind the [`InferenceBackend`]: a session still charges every
 //! extraction it requests, and caches the `Arc` the backend replied with.
 //! With a gate installed, a round's misses are only the boxes it extracts;
-//! a reused box takes its donor's feature and asks the backend for nothing.
+//! a reused box takes its donor's feature — the same `Arc` — and asks the
+//! backend for nothing. A gated session keeps only what decisions read:
+//! the plans of the tracks in its feed and its decision counters.
 //!
 //! ## Fallible extraction
 //!
@@ -63,37 +65,23 @@ impl BoxKey {
 /// `(track, box)` references.
 pub type BoxPairRef<'a> = ((TrackId, &'a TrackBox), (TrackId, &'a TrackBox));
 
-/// Where a propagated feature came from: the anchor (donor) box whose
-/// feature stands in for the target box, and how old it was. Lets cost
-/// accounting prove that exactly the performed extractions were charged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureProvenance {
-    /// The anchor whose feature was propagated.
-    pub donor: BoxKey,
-    /// Frame distance from donor to target.
-    pub age: u64,
-}
-
 /// The gating state a gated session carries (policy `On`): the per-track
-/// plan, decision counters with their flush high-water mark, and the
-/// provenance of every propagated feature. Boxed so ungated sessions pay
-/// one pointer.
+/// plan and the decision counters with their flush high-water mark.
+/// Boxed so ungated sessions pay one pointer.
 #[derive(Debug, Clone)]
 struct GateRuntime {
     config: GateConfig,
     plan: GatePlan,
     stats: GateStats,
     flushed: GateStats,
-    provenance: HashMap<BoxKey, FeatureProvenance>,
 }
 
-/// One propagation the gate scheduled: copy the donor's cached feature to
-/// the target key instead of extracting.
+/// One propagation the gate scheduled: share the donor's cached feature
+/// with the target key instead of extracting.
 #[derive(Debug, Clone, Copy)]
 struct Propagation {
     target: BoxKey,
     donor: TrackBox,
-    age: u64,
 }
 
 /// One extraction round, produced by collection and consumed by
@@ -176,7 +164,6 @@ impl<'m> ReidSession<'m> {
                 plan: GatePlan::default(),
                 stats: GateStats::default(),
                 flushed: GateStats::default(),
-                provenance: HashMap::new(),
             })),
         };
         self
@@ -191,8 +178,9 @@ impl<'m> ReidSession<'m> {
     }
 
     /// Extends the gate's extraction plan over boxes appended to `tracks`
-    /// since the last call (no-op when the gate is off). Free: planning
-    /// charges nothing and never touches features.
+    /// since the last call and drops the plans of tracks no longer in it
+    /// (no-op when the gate is off). Free: planning charges nothing and
+    /// never touches features.
     pub fn gate_update_plan(&mut self, tracks: &TrackSet) {
         if let Some(rt) = &mut self.gate {
             rt.plan.update(tracks, &rt.config);
@@ -202,17 +190,6 @@ impl<'m> ReidSession<'m> {
     /// Gate decision counters (all-zero when the gate is off).
     pub fn gate_stats(&self) -> GateStats {
         self.gate.as_ref().map(|rt| rt.stats).unwrap_or_default()
-    }
-
-    /// Provenance of a propagated feature: `Some` exactly when the box's
-    /// cached feature was reused from a donor rather than extracted, so
-    /// `inferences` + propagations accounts for every cached entry.
-    pub fn feature_provenance(&self, track: TrackId, frame: FrameIdx) -> Option<FeatureProvenance> {
-        self.gate
-            .as_ref()?
-            .provenance
-            .get(&BoxKey::new(track, frame))
-            .copied()
     }
 
     /// Flushes gate decision counters accumulated since the previous
@@ -287,11 +264,6 @@ impl<'m> ReidSession<'m> {
         self.device
     }
 
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Simulated time consumed so far.
     pub fn elapsed_ms(&self) -> f64 {
         self.clock.elapsed_ms()
@@ -348,7 +320,7 @@ impl<'m> ReidSession<'m> {
     // donor, promoting an uncached donor to a miss so the cache never holds
     // a value nobody computed. Without a gate every remaining box is a
     // miss. Inference then charges exactly the misses — one round — and
-    // applies the propagations uncharged, recording provenance.
+    // applies the propagations uncharged.
     // ------------------------------------------------------------------
 
     /// Collects one round over `(track, box)` items, deduplicated through
@@ -384,11 +356,7 @@ impl<'m> ReidSession<'m> {
             } else {
                 rt.stats.reuses += 1;
             }
-            round.propagations.push(Propagation {
-                target: key,
-                donor,
-                age,
-            });
+            round.propagations.push(Propagation { target: key, donor });
         }
         seen.clear();
         self.scratch_seen = seen;
@@ -415,8 +383,8 @@ impl<'m> ReidSession<'m> {
         Ok(())
     }
 
-    /// Copies each donor's cached feature to its target key and records
-    /// provenance. Uncharged: propagation moves an `Arc`, not the model.
+    /// Shares each donor's cached feature with its target key. Uncharged:
+    /// propagation clones an `Arc`, not the model's work.
     fn apply_propagations(&mut self, props: &[Propagation]) {
         for p in props {
             let dkey = BoxKey::new(p.target.track, p.donor.frame);
@@ -428,11 +396,6 @@ impl<'m> ReidSession<'m> {
                 None => Arc::new(self.model.observe_track_box(&p.donor)),
             };
             self.cache.insert(p.target, f);
-            if let Some(rt) = &mut self.gate {
-                let (donor, age) = (dkey, p.age);
-                rt.provenance
-                    .insert(p.target, FeatureProvenance { donor, age });
-            }
         }
     }
 
@@ -615,17 +578,11 @@ impl<'m> ReidSession<'m> {
             .map(|(k, f)| (*k, Arc::clone(f)))
             .collect();
         cache.sort_by_key(|(k, _)| *k);
-        let gate = self.gate.as_ref().map(|rt| {
-            let mut provenance: Vec<(BoxKey, FeatureProvenance)> =
-                rt.provenance.iter().map(|(k, v)| (*k, *v)).collect();
-            provenance.sort_by_key(|(k, _)| *k);
-            GateSnapshot {
-                config: rt.config,
-                stats: rt.stats,
-                flushed: rt.flushed,
-                provenance,
-                plans: rt.plan.export(),
-            }
+        let gate = self.gate.as_ref().map(|rt| GateSnapshot {
+            config: rt.config,
+            stats: rt.stats,
+            flushed: rt.flushed,
+            plans: rt.plan.export(),
         });
         SessionSnapshot {
             elapsed_ms: self.clock.elapsed_ms(),
@@ -653,16 +610,16 @@ impl<'m> ReidSession<'m> {
                 plan: GatePlan::import(g.plans.clone()),
                 stats: g.stats,
                 flushed: g.flushed,
-                provenance: g.provenance.iter().copied().collect(),
             })
         });
     }
 }
 
 /// A session's mutable state as captured by [`ReidSession::snapshot`].
-/// Features are shared handles (checkpoints write their raw components and
-/// read them back verbatim via [`Feature::from_raw`]) and the cache is
-/// sorted by key, so equal sessions produce equal snapshots.
+/// Features are shared handles — a reused box holds its donor's — and the
+/// cache is sorted by key, so equal sessions produce equal snapshots.
+/// Checkpoints write each distinct value once, with every key referring
+/// to it, and resume shares one handle per value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// Simulated time consumed when the snapshot was taken.
@@ -677,8 +634,8 @@ pub struct SessionSnapshot {
 }
 
 /// The gate runtime as captured by [`ReidSession::snapshot`]: config,
-/// counters with their flush mark, provenance and per-track plans, all in
-/// canonical order so equal gated sessions produce equal snapshots.
+/// counters with their flush mark and the plans of the tracks in the feed,
+/// in canonical order so equal gated sessions produce equal snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateSnapshot {
     /// The configuration the gate was running.
@@ -688,8 +645,6 @@ pub struct GateSnapshot {
     /// Counter values at the last `flush_gate_obs` (so a resumed session
     /// flushes only post-restore deltas).
     pub flushed: GateStats,
-    /// Propagated-feature provenance in ascending target-key order.
-    pub provenance: Vec<(BoxKey, FeatureProvenance)>,
     /// Per-track plans in ascending `TrackId` order.
     pub plans: Vec<(TrackId, TrackPlan)>,
 }
@@ -1064,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn gated_session_saves_charges_and_records_provenance() {
+    fn gated_session_saves_charges_and_shares_donor_features() {
         let m = model();
         let cost = CostModel::calibrated();
         let frames: Vec<u64> = (0..24).collect();
@@ -1075,9 +1030,10 @@ mod tests {
             .map(|((t1, b1), (t2, b2))| ((*t1, b1), (*t2, b2)))
             .collect();
 
+        let config = GateConfig::default();
         let mut plain = ReidSession::new(&m, cost, Device::Cpu);
-        let mut gated = ReidSession::new(&m, cost, Device::Cpu)
-            .with_gate(crate::gate::GatePolicy::On(GateConfig::default()));
+        let mut gated =
+            ReidSession::new(&m, cost, Device::Cpu).with_gate(crate::gate::GatePolicy::On(config));
         gated.gate_update_plan(&set);
 
         plain.try_pair_distances_batch(&borrowed).unwrap();
@@ -1095,23 +1051,25 @@ mod tests {
             gated.stats().inferences,
             "charges must equal performed extractions"
         );
-        // Every cached feature is either an extraction or has provenance.
-        let mut propagated = 0usize;
+        assert_eq!(
+            gated.cached_features() as u64,
+            gated.stats().inferences + gs.saved_charges(),
+            "every cached feature is an extraction or a saved charge"
+        );
+        // Every box the plan reuses holds its donor's feature.
+        let mut plan = GatePlan::default();
+        plan.update(&set, &config);
         for t in set.iter() {
             for b in &t.boxes {
-                assert!(gated.cached_feature(t.id, b.frame).is_some());
-                if let Some(p) = gated.feature_provenance(t.id, b.frame) {
-                    propagated += 1;
-                    assert!(p.age > 0);
-                    assert!(gated.cached_feature(p.donor.track, p.donor.frame).is_some());
+                let f = gated.cached_feature(t.id, b.frame).expect("box cached");
+                if let GateDecision::Reuse { donor, .. } = plan.decide(t.id, b.frame, &config) {
+                    let d = gated
+                        .cached_feature(t.id, donor.frame)
+                        .expect("donor cached");
+                    assert!(Arc::ptr_eq(&f, &d), "{:?} frame {}", t.id, b.frame.get());
                 }
             }
         }
-        assert_eq!(
-            propagated as u64,
-            gs.saved_charges(),
-            "each saved charge is one propagated feature"
-        );
         assert_eq!(gated.stats().distances, plain.stats().distances);
     }
 
@@ -1140,11 +1098,15 @@ mod tests {
         assert_eq!(sched.cached_features() as u64, b.computed);
         // Reuses below the confidence floor are counted as deferrals.
         let gs = s.gate_stats();
+        let mut plan = GatePlan::default();
+        plan.update(&set, &config);
         let low = set
             .iter()
             .flat_map(|t| t.boxes.iter().map(move |b| (t.id, b.frame)))
-            .filter_map(|(t, f)| s.feature_provenance(t, f))
-            .filter(|p| config.confidence(p.age) < config.defer_below)
+            .filter(|&(t, f)| {
+                matches!(plan.decide(t, f, &config), GateDecision::Reuse { age, .. }
+                    if config.confidence(age) < config.defer_below)
+            })
             .count();
         assert!(gs.defers > 0 && gs.reuses > 0, "{gs:?}");
         assert_eq!(gs.defers, low as u64);

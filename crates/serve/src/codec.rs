@@ -284,7 +284,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
             // more shards than backends (decommissioned streams) and
             // reports the skips itself, under this tenant's prefix.
             let fleet = tm_obs::scoped(obs.clone(), || {
-                FleetIngester::resume_reporting(
+                FleetIngester::resume(
                     model,
                     session_cost,
                     device,
@@ -292,8 +292,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
                     &backends,
                     image.fleet_blob,
                 )
-            })?
-            .0;
+            })?;
             let streams = backends.len();
             if streams < image.spec.streams {
                 image.spec.streams = streams;

@@ -531,17 +531,16 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     /// Answers a query against `(tenant, stream)`'s in-flight merged state
     /// — the retained feed relabeled through the shard's current mapping
     /// (provisional merges included, so queries keep working through
-    /// outages and shed-load). Pure read: ingestion state other than the
-    /// mapping memo is untouched.
-    pub fn query(&mut self, tenant: u64, stream: usize, query: Query) -> Result<QueryAnswer> {
+    /// outages and shed-load). A pure read: no ingestion state changes.
+    pub fn query(&self, tenant: u64, stream: usize, query: Query) -> Result<QueryAnswer> {
         let t = self
             .tenants
-            .get_mut(&tenant)
+            .get(&tenant)
             .ok_or_else(|| invalid("unknown tenant"))?;
         if stream >= t.spec.streams {
             return Err(invalid("unknown stream"));
         }
-        let mapping = t.fleet.shard_mut(stream).mapping();
+        let mapping = t.fleet.shard(stream).mapping();
         let merged = t.feeds[stream].tracks.relabeled(&mapping);
         Ok(evaluate(&merged, query))
     }
@@ -583,7 +582,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         self.tenants.get(&tenant).map(|t| &t.fleet)
     }
 
-    /// A tenant's fleet, mutably (e.g. for `StreamingMerger::mapping`).
+    /// A tenant's fleet, mutably (e.g. for `StreamingMerger::set_shed`).
     pub fn fleet_mut(&mut self, tenant: u64) -> Option<&mut FleetIngester<'m, S>> {
         self.tenants.get_mut(&tenant).map(|t| &mut t.fleet)
     }
@@ -631,10 +630,10 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     /// per-shard merges composed with confirmed cross-camera links.
     /// `None` when the tenant is unknown or global resolution is off.
     pub fn global_mapping(
-        &mut self,
+        &self,
         tenant: u64,
     ) -> Option<std::collections::HashMap<TrackId, TrackId>> {
-        let t = self.tenants.get_mut(&tenant)?;
+        let t = self.tenants.get(&tenant)?;
         let global = t.global.as_ref()?;
         let shards: Vec<&[tm_types::TrackPair]> = (0..t.spec.streams)
             .map(|i| t.fleet.shard(i).accepted())

@@ -13,7 +13,9 @@
 //!    answers agree.
 //! 3. **Resident state is bounded under a 10k-window soak** — with a
 //!    retention horizon configured, stash/dedup/cache/decision/feed
-//!    footprints stay flat no matter how long the stream runs.
+//!    footprints stay flat no matter how long the stream runs; a shorter
+//!    gated run pins the gate's state the same way, through the size of
+//!    its checkpoint envelope.
 //! 4. **Tenant churn + camera outages shed load only via typed rejections
 //!    or degraded windows** — and once faults clear, the surviving
 //!    always-on tenant's final mapping equals a fault-free solo run.
@@ -22,7 +24,9 @@ use proptest::prelude::*;
 use tm_chaos::{FaultPlan, FaultyModel, TenantChurn, TenantChurnConfig};
 use tm_core::{StreamConfig, StreamingMerger, TMerge, TMergeConfig};
 use tm_query::Query;
-use tm_reid::{AppearanceConfig, AppearanceModel, CostModel, Device, InferenceBackend};
+use tm_reid::{
+    AppearanceConfig, AppearanceModel, CostModel, Device, GateConfig, GatePolicy, InferenceBackend,
+};
 use tm_serve::{Admission, AdmissionConfig, RejectReason, ServeConfig, TenantSpec, TmServe};
 use tm_synth::{TenantWorkload, TenantWorkloadConfig};
 
@@ -328,6 +332,71 @@ fn soak_retention_bounds_resident_state() {
     // fragments merge into one long-lived object.
     let answer = serve.query(1, 0, Query::Count { min_frames: 300 }).unwrap();
     assert_eq!(answer.len(), 2, "one merged object per actor: {answer:?}");
+}
+
+/// The gated twin of the soak above, short enough to run by default: a
+/// gated session's state — feature cache, gate plans, counters — stays as
+/// flat as the rest, so the checkpoint envelope at cycle 150 is within
+/// 1.25× of the one at cycle 50. Same traffic: one tenant, one stream, two
+/// actors, horizon 6, ten windows a cycle, rolling snapshots.
+#[test]
+fn gated_retention_keeps_the_envelope_flat() {
+    let model = AppearanceModel::new(AppearanceConfig::default());
+    let w = TenantWorkload::new(TenantWorkloadConfig {
+        actors: 2,
+        ..TenantWorkloadConfig::default()
+    });
+    const HORIZON: u64 = 6;
+    const WINDOWS_PER_CYCLE: u64 = 10;
+    let config = ServeConfig {
+        stream: StreamConfig {
+            gate: GatePolicy::On(GateConfig::default()),
+            ..stream_config()
+        },
+        ..serve_config(Some(HORIZON))
+    };
+    let mut serve = daemon(&model, config);
+    let backends: [&dyn InferenceBackend; 1] = [&model];
+    serve
+        .register(
+            TenantSpec {
+                id: 1,
+                streams: 1,
+                admission: open_admission(),
+            },
+            &backends,
+        )
+        .unwrap();
+
+    let stride = WINDOW / 2;
+    let mut envelopes = Vec::new();
+    for c in 0..150 {
+        let frames = (c + 1) * WINDOWS_PER_CYCLE * stride;
+        let lo = frames.saturating_sub((HORIZON + WINDOWS_PER_CYCLE + 8) * stride + 2 * WINDOW);
+        let feed = w.tracks_range(1, 0, lo, frames);
+        assert!(
+            serve.submit(c as f64, 1, 0, feed, frames).is_admitted(),
+            "cycle {c}"
+        );
+        serve.run_once(c as f64 + 0.5).unwrap();
+        if c + 1 == 50 || c + 1 == 150 {
+            envelopes.push(serve.checkpoint().len());
+        }
+    }
+    assert!(
+        serve
+            .fleet(1)
+            .unwrap()
+            .shard(0)
+            .gate_stats()
+            .saved_charges()
+            > 0
+    );
+    let (early, late) = (envelopes[0], envelopes[1]);
+    assert!(
+        late * 4 <= early * 5,
+        "envelope grew from {early} bytes at cycle 50 to {late} at cycle 150"
+    );
 }
 
 /// The flagship chaos soak: tenants join, leave and burst on a seeded
