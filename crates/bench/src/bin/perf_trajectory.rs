@@ -9,8 +9,9 @@
 //! * **kernels** — the dense scoring dot product (SIMD vs the pinned
 //!   scalar reference — the ≥ 1.5× speedup gate lives here), the blocked
 //!   pairwise-distance kernel, the end-to-end exact scorer on a warm
-//!   scratch, one TMerge selection at the offline shape (105 pairs,
-//!   τ_max = 10 000), and the IoU gating/assignment kernels.
+//!   scratch, TMerge selections at the offline shape (105 pairs,
+//!   τ_max = 10 000) and at a city shard window's (one pair, the same
+//!   budget), and the IoU gating/assignment kernels.
 //! * **cache** — hit and miss storms of 4 lanes, one thread each, over one
 //!   [`tm_reid::BatchScheduler`].
 //! * **ingest** — a reduced `FleetIngester` multi-stream window loop
@@ -202,31 +203,15 @@ fn kernels_suite(quick: bool) -> Vec<BenchCase> {
             sel_pairs.push(TrackPair::new(TrackId(a), TrackId(b)).unwrap());
         }
     }
-    let sel_input = SelectionInput {
-        pairs: &sel_pairs,
-        tracks: &sel_tracks,
-        k: 0.05,
-        voi: None,
-    };
-    let tmerge = TMerge::new(TMergeConfig {
-        seed: 1,
-        ..TMergeConfig::default()
-    });
-    let (mut pulls, mut sel_inferences) = (0, 0);
-    let alloc = CountingAlloc::snapshot();
-    let t_select = time_iters(if quick { 2 } else { 10 }, || {
-        let mut session = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-        let r = tmerge.select(&sel_input, &mut session).expect("select");
-        pulls = r.distance_evals;
-        sel_inferences = session.stats().inferences;
-    });
-    cases.push(BenchCase::from_timing(
-        &format!("tmerge_select_{}x{}_cpu", sel_pairs.len(), pulls),
-        t_select,
-        pulls,
-        sel_inferences,
-        alloc.delta().bytes,
-    ));
+    cases.push(time_selection(&model, &sel_tracks, &sel_pairs, quick));
+    // The same budget on one pair of two 200-box tracks, a city shard
+    // window's shape: every round has one live arm, a forced pick.
+    let lone_tracks = TrackSet::from_tracks(vec![
+        track(1, 30, 0, 200, 0.0),
+        track(2, 30, 260, 200, 120.0),
+    ]);
+    let lone_pair = [TrackPair::new(TrackId(1), TrackId(2)).unwrap()];
+    cases.push(time_selection(&model, &lone_tracks, &lone_pair, quick));
 
     // IoU gating: dense mask-and-solve and grid-gated sparse paths.
     let mut seed = 77u64;
@@ -287,6 +272,41 @@ fn kernels_suite(quick: bool) -> Vec<BenchCase> {
     ));
 
     cases
+}
+
+/// Times one TMerge selection over `pairs` at K = 5%, τ_max = 10 000 on
+/// CPU with ULB on, as `tmerge_select_<pairs>x<pulls>_cpu`.
+fn time_selection(
+    model: &AppearanceModel,
+    tracks: &TrackSet,
+    pairs: &[TrackPair],
+    quick: bool,
+) -> BenchCase {
+    let input = SelectionInput {
+        pairs,
+        tracks,
+        k: 0.05,
+        voi: None,
+    };
+    let tmerge = TMerge::new(TMergeConfig {
+        seed: 1,
+        ..TMergeConfig::default()
+    });
+    let (mut pulls, mut inferences) = (0, 0);
+    let alloc = CountingAlloc::snapshot();
+    let t = time_iters(if quick { 2 } else { 10 }, || {
+        let mut session = ReidSession::new(model, CostModel::zero(), Device::Cpu);
+        let r = tmerge.select(&input, &mut session).expect("select");
+        pulls = r.distance_evals;
+        inferences = session.stats().inferences;
+    });
+    BenchCase::from_timing(
+        &format!("tmerge_select_{}x{}_cpu", pairs.len(), pulls),
+        t,
+        pulls,
+        inferences,
+        alloc.delta().bytes,
+    )
 }
 
 /// The hard perf gate: on hosts running the AVX2+FMA path, the SIMD dot

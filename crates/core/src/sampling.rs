@@ -19,7 +19,9 @@
 //! whose bracket meets the cut are refined, to a bracket from two `ln`s,
 //! and only if that still meets it, to an exact replay. A round that takes
 //! one arm chooses it among a shortlist: the arms whose bracket reaches
-//! the smallest upper end.
+//! the smallest upper end. A round of one live arm is a forced pick: the
+//! arm wins whatever it draws, so its uniforms are skipped unread and no
+//! product, bracket or pick is computed.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
@@ -491,7 +493,9 @@ impl Slot {
 /// choice is made again. For `take = 1` all of this runs over a shortlist:
 /// the arms whose lower end reaches the smallest upper end, usually two or
 /// three. Counts above 2¹⁹ and the rare draws the bounds exclude take the
-/// exact draw at once. Buffers are kept across rounds.
+/// exact draw at once. A round of one arm reads none of its uniforms: it
+/// only skips them, and its pick is that arm. Buffers are kept across
+/// rounds.
 #[derive(Debug)]
 pub(crate) struct ThompsonDraws {
     build: ProductBuild,
@@ -526,6 +530,11 @@ impl ThompsonDraws {
     /// `Beta::new(s[i], f[i])?.sample(rng)` in that order does. Replaces the
     /// previous round. A zero count is a typed `beta_shape` error, and leaves
     /// no round drawn.
+    ///
+    /// A round of one arm is a forced pick: the arm wins whatever it draws,
+    /// so its uniforms are skipped unread, at any count, and no product or
+    /// bracket is made. Its slot keeps an unbounded bracket that no pick
+    /// reads.
     pub fn draw(
         &mut self,
         rng: &mut StdRng,
@@ -536,6 +545,7 @@ impl ThompsonDraws {
     ) -> Result<()> {
         self.slots.clear();
         self.slots.reserve(live.len());
+        let forced = live.len() == 1;
         for &i in live {
             let (s, f, bias) = (s[i], f[i], bias[i]);
             // Counts start at 1 and only ever increment, so this can only
@@ -554,12 +564,15 @@ impl ThompsonDraws {
                 bias,
                 x: Product::ONE,
                 y: Product::ONE,
-                lo: 0.0,
-                mid: 0.0,
-                hi: 0.0,
+                lo: f64::NEG_INFINITY,
+                mid: bias,
+                hi: f64::INFINITY,
                 tier: Tier::Coarse,
             };
-            if s <= MAX_BRACKET_COUNT && f <= MAX_BRACKET_COUNT {
+            // A lone arm skips its words at any count: `Beta` takes ⌊shape⌋
+            // uniforms a side and no fractional one for an integer shape,
+            // so skipping `S + F` words leaves `rng` where it would.
+            if forced || (s <= MAX_BRACKET_COUNT && f <= MAX_BRACKET_COUNT) {
                 // The products are drawn below, from the saved state; skip
                 // their uniforms. SplitMix64's state steps by a constant, so
                 // the compiler folds this loop into one multiply-add.
@@ -572,7 +585,9 @@ impl ThompsonDraws {
             }
             self.slots.push(slot);
         }
-        self.fill();
+        if !forced {
+            self.fill();
+        }
         Ok(())
     }
 
@@ -626,6 +641,11 @@ impl ThompsonDraws {
         self.order.clear();
         if take == 0 {
             return &[];
+        }
+        if n == 1 {
+            // A forced pick: the lone arm, whatever it drew.
+            self.order.push(0);
+            return &self.order;
         }
         if shortlist {
             self.shortlist();
@@ -914,6 +934,14 @@ mod tests {
         draws.draw(rng, &live, &s, &f, &bias).unwrap();
     }
 
+    /// Draws one arm's coarse bracket from the next `s + f` uniforms, which
+    /// are consumed: the slot the arm holds in a round of several arms (a
+    /// round of one arm alone is a forced pick, and brackets nothing).
+    fn bracketed(draws: &mut ThompsonDraws, rng: &mut StdRng, arm: (u64, u64, f64)) {
+        draw_all(draws, rng, &[arm]);
+        draws.fill();
+    }
+
     /// The coarse bracket, unmargined (widened by `r₀`, not `4·r₀`), and
     /// the fine centre and radius of the `Be(a, b)` draw from the next
     /// `a + b` uniforms, which are consumed; products through this
@@ -923,7 +951,7 @@ mod tests {
         let mut draws = ThompsonDraws::new();
         // NaNs past the uniforms: an unmasked last row would poison a side.
         draws.buf = vec![f64::NAN; (a + b) as usize + 2 * LANES];
-        draw_all(&mut draws, rng, &[(a, b, 0.0)]);
+        bracketed(&mut draws, rng, (a, b, 0.0));
         let Slot { x, y, .. } = draws.slots[0];
         let coarse = coarse_bracket(x, y, a + b).map(|(_, _, hi)| {
             let d = (x.e + y.e + 1) as f64;
@@ -1151,11 +1179,7 @@ mod tests {
         let (s, f) = (20, 30);
         let slot = |seed, bias| {
             let mut draws = ThompsonDraws::new();
-            draw_all(
-                &mut draws,
-                &mut StdRng::seed_from_u64(seed),
-                &[(s, f, bias)],
-            );
+            bracketed(&mut draws, &mut StdRng::seed_from_u64(seed), (s, f, bias));
             draws.slots.pop().expect("one arm")
         };
         let fine_centre = |seed| {
@@ -1215,16 +1239,48 @@ mod tests {
 
     #[test]
     fn counts_above_the_bracket_limit_take_the_exact_draw() {
+        // Beside a second arm: a lone arm would be a forced pick, drawn
+        // not at all.
         let mut rng = StdRng::seed_from_u64(4);
         let mut exact_rng = rng.clone();
         let mut draws = ThompsonDraws::new();
         let s = MAX_BRACKET_COUNT + 1;
-        draw_all(&mut draws, &mut rng, &[(s, 3, 0.25)]);
+        draw_all(&mut draws, &mut rng, &[(s, 3, 0.25), (2, 2, 0.0)]);
         let d = exact_draw(&mut exact_rng, s, 3) + 0.25;
+        exact_draw(&mut exact_rng, 2, 2);
         let slot = &draws.slots[0];
         assert_eq!(slot.tier, Tier::Exact);
         assert_eq!((slot.lo, slot.mid, slot.hi), (d, d, d));
         assert_eq!(rng.next_u64(), exact_rng.next_u64());
+    }
+
+    #[test]
+    fn a_lone_arm_is_picked_without_reading_a_uniform() {
+        for (s, f) in [(1, 1), (1, 2), (700, 300), (MAX_BRACKET_COUNT + 1, 3)] {
+            // The arm sits at index 2 of the arrays, alone in the live list.
+            let (counts_s, counts_f, bias) = ([5, 5, s], [5, 5, f], [0.0, 0.0, 0.5]);
+            let mut rng = StdRng::seed_from_u64(s ^ f);
+            let mut exact_rng = rng.clone();
+            Beta::new(s as f64, f as f64)
+                .unwrap()
+                .sample(&mut exact_rng);
+            let mut draws = ThompsonDraws::new();
+            draws
+                .draw(&mut rng, &[2], &counts_s, &counts_f, &bias)
+                .unwrap();
+            assert_eq!(draws.smallest(1), &[0], "Be({s}, {f})");
+            assert_eq!(draws.smallest(4), &[0], "Be({s}, {f}), take 4");
+            assert!(draws.buf.is_empty(), "Be({s}, {f}): uniforms were read");
+            assert_eq!(rng.next_u64(), exact_rng.next_u64(), "Be({s}, {f})");
+        }
+        // A zero count is still the typed error, and draws no round.
+        let mut draws = ThompsonDraws::new();
+        let mut rng = StdRng::seed_from_u64(6);
+        match draws.draw(&mut rng, &[0], &[0], &[3], &[0.0]) {
+            Err(TmError::InvalidConfig { param, .. }) => assert_eq!(param, "beta_shape"),
+            other => panic!("Be(0, 3): {other:?}"),
+        }
+        assert!(draws.slots.is_empty());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!    (`sampling::ThompsonDraws`, built once per selection for the CPU's
 //!    product build) that reach the exact sampler's decisions from
 //!    brackets: most draws need no `ln`, few need two, and almost none is
-//!    computed exactly,
+//!    computed exactly. A round with one live pair is a forced pick: the
+//!    draws skip its uniforms and compute nothing, and the loop charges
+//!    its scan to the simulated clock as for any other round,
 //! 2. samples one of that pair's BBox pairs **without replacement**,
 //!    computes its normalized ReID distance `d̃`,
 //! 3. flips a Bernoulli coin with success probability `d̃`; success
@@ -964,13 +966,15 @@ mod tests {
     /// shapes, the live list rebuilt every round, the round's shapes
     /// pushed as they stand and picked by `select_nth_unstable_by` among
     /// all live arms (the certified draws, whose decisions `sampling`'s
-    /// battery pins to exact `Beta` draws), and ULB's bounds computed per
-    /// arm and cut by two selections.
+    /// battery pins to exact `Beta` draws), a lone live arm drawn exactly
+    /// through `Beta`, and ULB's bounds computed per arm and cut by two
+    /// selections.
     fn select_reference(
         config: &TMergeConfig,
         input: &SelectionInput<'_>,
         session: &mut ReidSession<'_>,
     ) -> Result<SelectionResult> {
+        use rand_distr::{Beta, Distribution};
         use std::cmp::Ordering;
 
         struct RefArm<'a> {
@@ -1056,14 +1060,23 @@ mod tests {
             session.charge_thompson_scan(live.len());
             let budget_left = (config.tau_max - tau) as usize;
             let take = batch.min(live.len()).min(budget_left).max(1);
-            let shapes = |shape: fn(&RefArm<'_>) -> f64| -> Vec<u64> {
-                live.iter().map(|&i| shape(&arms[i]) as u64).collect()
+            let chosen = if let [i] = live[..] {
+                // A lone arm is drawn through `rand_distr::Beta` itself and
+                // wins whatever it drew.
+                Beta::new(arms[i].s, arms[i].f)
+                    .expect("counts ≥ 1 are valid shapes")
+                    .sample(&mut rng);
+                vec![0]
+            } else {
+                let shapes = |shape: fn(&RefArm<'_>) -> f64| -> Vec<u64> {
+                    live.iter().map(|&i| shape(&arms[i]) as u64).collect()
+                };
+                let (s, f) = (shapes(|a| a.s), shapes(|a| a.f));
+                let bias: Vec<f64> = live.iter().map(|&i| arms[i].bias).collect();
+                let positions: Vec<usize> = (0..live.len()).collect();
+                draws.draw(&mut rng, &positions, &s, &f, &bias)?;
+                draws.smallest_among_all(take).to_vec()
             };
-            let (s, f) = (shapes(|a| a.s), shapes(|a| a.f));
-            let bias: Vec<f64> = live.iter().map(|&i| arms[i].bias).collect();
-            let positions: Vec<usize> = (0..live.len()).collect();
-            draws.draw(&mut rng, &positions, &s, &f, &bias)?;
-            let chosen = draws.smallest_among_all(take).to_vec();
             let mut items = Vec::new();
             for &pos in &chosen {
                 let arm = &mut arms[live[pos]];
@@ -1148,16 +1161,20 @@ mod tests {
         })
     }
 
-    /// A random selection problem and its `τ_max`, of one of two kinds.
+    /// A random selection problem and its `τ_max`, of one of three kinds.
     /// Wide: 18–24 tracks, most of them short (1–6 boxes, so their pairs'
     /// pools of box pairs run out), and 1–150 of their pairs. Deep: 4–6
     /// tracks of 20–30 boxes, all of their pairs, and a budget of up to
     /// 8,000 pulls, so that pairs gather the hundreds of samples ULB needs
     /// to lock in and prune. Tracks belong to six actors and are placed so
     /// that BetaInit's 200 px threshold splits them; pairs come in random
-    /// order.
+    /// order. Forced: see [`forced_scenario`].
     fn scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64) {
-        let deep = g.random_range(0..2u32) == 0;
+        let kind = g.random_range(0..3u32);
+        if kind == 2 {
+            return forced_scenario(g);
+        }
+        let deep = kind == 0;
         let count = if deep {
             g.random_range(4..=6u64)
         } else {
@@ -1192,6 +1209,34 @@ mod tests {
         }
         let tau_max = g.random_range(0..=if deep { 8000 } else { 1500 });
         (tracks, pairs, tau_max)
+    }
+
+    /// A city shard window's shape, where most rounds have one live arm:
+    /// one pair of two 100–200-box tracks, alone or beside a pair of two
+    /// 1-box tracks that runs out on its first pull, and a budget of up to
+    /// 2,000 pulls.
+    fn forced_scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64) {
+        let mut lens = vec![g.random_range(100..=200usize), g.random_range(100..=200)];
+        if g.random_range(0..2u32) == 0 {
+            lens.extend([1, 1]);
+        }
+        let tracks = TrackSet::from_tracks(
+            (1..)
+                .zip(&lens)
+                .map(|(id, &len)| {
+                    let (actor, start) = (g.random_range(0..2u64), g.random_range(0..60u64));
+                    track(id, actor, start, len, g.random_range(0.0..900.0))
+                })
+                .collect(),
+        );
+        let mut pairs: Vec<TrackPair> = (1..=lens.len() as u64)
+            .step_by(2)
+            .map(|a| TrackPair::new(TrackId(a), TrackId(a + 1)).unwrap())
+            .collect();
+        if g.random_range(0..2u32) == 0 {
+            pairs.reverse();
+        }
+        (tracks, pairs, g.random_range(0..=2000))
     }
 
     /// VoI hints over `pairs`: none, random weights, or weights with

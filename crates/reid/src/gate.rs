@@ -221,16 +221,6 @@ impl GatePlan {
         GateDecision::Reuse { donor, age }
     }
 
-    /// Number of tracks with at least one planned box.
-    pub fn len(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// True when no track has been planned.
-    pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
-    }
-
     /// Per-track plans in ascending `TrackId` order (for snapshots).
     pub fn export(&self) -> Vec<(TrackId, TrackPlan)> {
         self.tracks.iter().map(|(k, v)| (*k, v.clone())).collect()
@@ -478,10 +468,10 @@ mod tests {
         ));
         let mut plan = GatePlan::default();
         plan.update(&set, &cfg);
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.export().len(), 2);
         let rolled = lone_track(&[0, 1, 2, 3, 4]);
         plan.update(&rolled, &cfg);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.export().len(), 1);
         let mut fresh = GatePlan::default();
         fresh.update(&rolled, &cfg);
         assert_eq!(plan, fresh, "the surviving track keeps its plan");

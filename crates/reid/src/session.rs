@@ -21,6 +21,14 @@
 //! backend for nothing. A gated session keeps only what decisions read:
 //! the plans of the tracks in its feed and its decision counters.
 //!
+//! A batch of pair distances reads each pair's two cached features once.
+//! Its fully cached prefix is computed from the borrowed features; at the
+//! first pair with a missing feature, one round is collected over that
+//! pair and the rest, inferred, and read. The cached prefix holds no miss,
+//! gate decision or propagation, so the round is the one a round over the
+//! whole batch would be. The distances and their cache hits are charged
+//! once for the batch, after any inference round.
+//!
 //! ## Fallible extraction
 //!
 //! Every feature flows through an [`InferenceBackend`] (default: the
@@ -399,34 +407,6 @@ impl<'m> ReidSession<'m> {
         }
     }
 
-    /// Charges the distance cost and evaluates every pair from the cache,
-    /// which the round before it has warmed.
-    fn charged_pair_distances(&mut self, pairs: &[BoxPairRef<'_>]) -> Vec<f64> {
-        let ms = self.cost.distance_cost_ms(pairs.len(), self.device);
-        self.clock.charge(ms);
-        self.stats.distances += pairs.len() as u64;
-        if self.obs.enabled() {
-            self.obs.counter("reid.distances", pairs.len() as u64);
-            // The per-pair loop below counts a hit for each side.
-            self.obs.counter("reid.cache_hits", 2 * pairs.len() as u64);
-            self.obs.record_sim_ms("reid.distance", ms);
-        }
-        let mut out = Vec::with_capacity(pairs.len());
-        for ((ta, ba), (tb, bb)) in pairs {
-            self.stats.cache_hits += 2;
-            let (ka, kb) = (BoxKey::new(*ta, ba.frame), BoxKey::new(*tb, bb.frame));
-            let d = match (self.cache.get(&ka), self.cache.get(&kb)) {
-                (Some(fa), Some(fb)) => fa.euclidean(fb),
-                _ => {
-                    let fa = self.cached_or_recompute(ka, ba);
-                    fa.euclidean(&self.cached_or_recompute(kb, bb))
-                }
-            };
-            out.push(d);
-        }
-        out
-    }
-
     /// A cache read after a round. The round guarantees every key is
     /// cached, but the hot path must stay panic-free, so an (unreachable)
     /// miss falls back to the pure model, uncharged, instead of unwrapping.
@@ -547,12 +527,35 @@ impl<'m> ReidSession<'m> {
     ///
     /// All features missing from the cache are inferred in a single call
     /// (one GPU round with one launch overhead, or a CPU loop), then the
-    /// pairwise distances are charged and returned in input order. This is
-    /// the primitive behind every `-B` algorithm (§IV-F).
+    /// pairwise distances are charged and returned in input order. Each
+    /// cached feature is read once (see the module docs). This is the
+    /// primitive behind every `-B` algorithm (§IV-F).
     pub fn try_pair_distances_batch(&mut self, pairs: &[BoxPairRef<'_>]) -> Result<Vec<f64>> {
-        let round = self.collect(pairs.iter().flat_map(|&(a, b)| [a, b]));
-        self.try_infer(round)?;
-        Ok(self.charged_pair_distances(pairs))
+        let key = |(t, b): (TrackId, &TrackBox)| BoxKey::new(t, b.frame);
+        let mut out = Vec::with_capacity(pairs.len());
+        for &(a, b) in pairs {
+            let (Some(fa), Some(fb)) = (self.cache.get(&key(a)), self.cache.get(&key(b))) else {
+                break;
+            };
+            out.push(fa.euclidean(fb));
+        }
+        let rest = &pairs[out.len()..];
+        if !rest.is_empty() {
+            let round = self.collect(rest.iter().flat_map(|&(a, b)| [a, b]));
+            self.try_infer(round)?;
+            for &(a, b) in rest {
+                let fa = self.cached_or_recompute(key(a), a.1);
+                out.push(fa.euclidean(&self.cached_or_recompute(key(b), b.1)));
+            }
+        }
+        self.charge_distance_batch(pairs.len());
+        // Every distance read a cached feature for each side.
+        let hits = 2 * pairs.len() as u64;
+        self.stats.cache_hits += hits;
+        if self.obs.enabled() {
+            self.obs.counter("reid.cache_hits", hits);
+        }
+        Ok(out)
     }
 
     /// Ensures every listed box has a cached feature, inferring all misses
@@ -785,6 +788,30 @@ mod tests {
         // Second call: no inference, only one distance.
         assert!((s.elapsed_ms() - before - cost.cpu_dist_ms).abs() < 1e-9);
         assert_eq!(s.stats().inferences, 2);
+    }
+
+    #[test]
+    fn a_batch_reads_its_cached_prefix_and_infers_only_the_rest() {
+        let m = model();
+        let cost = CostModel::calibrated();
+        let (a, b, c, d) = (tb(0, 1), tb(0, 2), tb(1, 1), tb(1, 2));
+        let cached = [(TrackId(1), &a), (TrackId(2), &b)];
+        let missing = [(TrackId(1), &c), (TrackId(2), &d)];
+        let mut s = ReidSession::new(&m, cost, Device::Gpu { batch: 10 });
+        s.try_ensure_features(&cached).unwrap();
+        let mut twin = s.clone();
+        let ds = s
+            .try_pair_distances_batch(&[(cached[0], cached[1]), (missing[0], missing[1])])
+            .unwrap();
+        let direct = |x, y| m.observe_track_box(x).euclidean(&m.observe_track_box(y));
+        assert_eq!(ds, [direct(&a, &b), direct(&c, &d)]);
+        // One more inference round, for the second pair's two boxes only.
+        assert_eq!(s.stats().gpu_rounds, 2);
+        assert_eq!(s.stats().inferences, 4);
+        assert_eq!(s.stats().cache_hits, 4);
+        twin.try_ensure_features(&missing).unwrap();
+        twin.charge_distance_batch(2);
+        assert_eq!(s.elapsed_ms().to_bits(), twin.elapsed_ms().to_bits());
     }
 
     #[test]

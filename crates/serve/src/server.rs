@@ -25,13 +25,13 @@ use crate::admission::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use tm_core::fleet::FleetIngester;
-use tm_core::global::{compose_global_mapping, GlobalConfig, GlobalMerger};
+use tm_core::global::{GlobalConfig, GlobalMerger};
 use tm_core::selector::CandidateSelector;
 use tm_core::stream::{RetentionSummary, StreamConfig};
 use tm_obs::{Level, Obs};
 use tm_query::{evaluate, Query, QueryAnswer};
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
-use tm_types::{FrameIdx, Result, TmError, Track, TrackId, TrackSet};
+use tm_types::{FrameIdx, Result, TmError, Track, TrackSet};
 
 fn invalid(reason: &str) -> TmError {
     TmError::invalid("serve", reason)
@@ -623,22 +623,6 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     /// A tenant's global merger, if enabled.
     pub fn global(&self, tenant: u64) -> Option<&GlobalMerger<'m, S>> {
         self.tenants.get(&tenant)?.global.as_ref()
-    }
-
-    /// The tenant-wide identity mapping over namespaced global ids
-    /// (stream `i`'s local ids lifted with `TrackId::in_camera(i)`):
-    /// per-shard merges composed with confirmed cross-camera links.
-    /// `None` when the tenant is unknown or global resolution is off.
-    pub fn global_mapping(
-        &self,
-        tenant: u64,
-    ) -> Option<std::collections::HashMap<TrackId, TrackId>> {
-        let t = self.tenants.get(&tenant)?;
-        let global = t.global.as_ref()?;
-        let shards: Vec<&[tm_types::TrackPair]> = (0..t.spec.streams)
-            .map(|i| t.fleet.shard(i).accepted())
-            .collect();
-        Some(compose_global_mapping(&shards, global.accepted()))
     }
 }
 
