@@ -1,8 +1,10 @@
 //! Parallel-vs-serial determinism: the experiment engine must produce
-//! byte-identical JSON for any `TMERGE_THREADS` value. Every fan-out in the
-//! harness collects into index-ordered buffers and folds in the serial
+//! bit-identical outcomes for any `TMERGE_THREADS` value. Every fan-out in
+//! the harness collects into index-ordered buffers and folds in the serial
 //! order, and the simulated clocks are per-video — so one worker thread and
-//! many must serialize to the same bytes.
+//! many must render to the same bytes. Outcomes are compared through their
+//! `Debug` rendering: `f64`'s `Debug` round-trips, so equal strings mean
+//! equal bits.
 //!
 //! The tests run real (quick-scale) experiments, so they are release-only,
 //! matching the other heavy integration tests in this crate.
@@ -19,19 +21,19 @@ use tm_track::TrackerKind;
 /// `set_var`/`var` from different test threads races in libc.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once per thread-count setting and returns the JSON each
-/// produced.
-fn json_per_thread_count<T: serde::Serialize>(f: impl Fn() -> T) -> Vec<String> {
+/// Runs `f` once per thread-count setting and returns the `Debug`
+/// rendering of each result.
+fn debug_per_thread_count<T: std::fmt::Debug>(f: impl Fn() -> T) -> Vec<String> {
     let _guard = ENV_LOCK.lock().unwrap();
-    let jsons = ["1", "4"]
+    let renders = ["1", "4"]
         .iter()
         .map(|n| {
             std::env::set_var("TMERGE_THREADS", n);
-            serde_json::to_string(&f()).expect("serializable result")
+            format!("{:?}", f())
         })
         .collect();
     std::env::remove_var("TMERGE_THREADS");
-    jsons
+    renders
 }
 
 #[test]
@@ -41,7 +43,7 @@ fn run_selector_is_bit_identical_across_thread_counts() {
     let spec = cfg.limit(mot17(), 2);
     let ds = DatasetRun::prepare(&spec, TrackerKind::Tracktor, None);
     let cost = CostModel::calibrated();
-    let jsons = json_per_thread_count(|| {
+    let renders = debug_per_thread_count(|| {
         let tm = TMerge::new(TMergeConfig {
             tau_max: 2_000,
             seed: cfg.seed,
@@ -53,7 +55,7 @@ fn run_selector_is_bit_identical_across_thread_counts() {
         ]
     });
     assert_eq!(
-        jsons[0], jsons[1],
+        renders[0], renders[1],
         "per-video fan-out must not change the aggregate outcome"
     );
 }
@@ -68,7 +70,7 @@ fn sweep_is_bit_identical_across_thread_counts() {
     let spec = cfg.limit(mot17(), 2);
     let ds = DatasetRun::prepare(&spec, TrackerKind::Tracktor, None);
     let cost = CostModel::calibrated();
-    let jsons = json_per_thread_count(|| {
+    let renders = debug_per_thread_count(|| {
         sweep::averaged_outcome(&ds, cost, Device::Cpu, cfg.trials, cfg.seed, &|seed| {
             Box::new(TMerge::new(TMergeConfig {
                 tau_max: 2_000,
@@ -78,7 +80,7 @@ fn sweep_is_bit_identical_across_thread_counts() {
         })
     });
     assert_eq!(
-        jsons[0], jsons[1],
+        renders[0], renders[1],
         "trial fan-out must not change the averaged outcome"
     );
 }

@@ -21,16 +21,18 @@
 //! A long-running ingester must survive being killed: `checkpoint()`
 //! serializes the merger's complete state — window cursor, watermark,
 //! cross-window dedup set, committed merges, degraded stash, decision log,
-//! breaker state, the ReID session (simulated clock, work counters, feature
-//! cache and gate state) and the recorder's deterministic aggregates — and
-//! `resume()` reconstructs a merger that continues at the last completed
-//! window with **byte-identical** output to a run that was never
-//! interrupted. The session writes each distinct feature value once and
-//! every cache key as a reference to it, so a reused box resumes sharing
-//! its donor's `Arc`. The selector and the appearance model are code, not
-//! data — `resume()` takes them as arguments and the caller must pass the
-//! same ones (and re-install any fault backend with
-//! [`StreamingMerger::with_backend`]) for identical continuation.
+//! breaker state and the ReID session (simulated clock, work counters,
+//! feature cache and gate state) — and `resume()` reconstructs a merger
+//! that continues at the last completed window with **byte-identical**
+//! output to a run that was never interrupted. The session writes each
+//! distinct feature value once and every cache key as a reference to it,
+//! so a reused box resumes sharing its donor's `Arc`. The selector and the
+//! appearance model are code, not data — `resume()` takes them as
+//! arguments and the caller must pass the same ones (and re-install any
+//! fault backend with [`StreamingMerger::with_backend`]) for identical
+//! continuation. Telemetry is not merger state: a caller that owns a
+//! `tm_obs::Recorder` carries `Recorder::state()` across the kill itself
+//! and `restore`s it before resuming.
 
 use crate::resilience::{
     Breaker, DecisionMode, DegradedConfig, RobustnessConfig, RobustnessReport,
@@ -54,8 +56,9 @@ use tm_types::{
 /// `TMCK` in ASCII: the first word of every envelope.
 const MAGIC: u64 = 0x544d_434b;
 /// The container layout version; readers reject any other value. Version
-/// 3 dropped the gate's provenance and writes each feature value once.
-const VERSION: u64 = 3;
+/// 3 dropped the gate's provenance and writes each feature value once;
+/// version 4 dropped the recorder state from the merger payload.
+const VERSION: u64 = 4;
 /// Magic, version and kind words.
 const HEADER_BYTES: usize = 24;
 
@@ -172,18 +175,6 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
-    fn put_i128(&mut self, v: i128) {
-        let bits = v as u128;
-        self.put_u64(bits as u64);
-        self.put_u64((bits >> 64) as u64);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Appends a boolean as one word.
     pub fn put_bool(&mut self, v: bool) {
         self.put_u64(v as u64);
@@ -285,19 +276,6 @@ impl<'a> Reader<'a> {
     /// Takes a float written by [`Writer::put_f64`], bit-exactly.
     pub fn take_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    fn take_i128(&mut self) -> Result<i128> {
-        let lo = self.take_u64()? as u128;
-        let hi = self.take_u64()? as u128;
-        Ok((lo | (hi << 64)) as i128)
-    }
-
-    /// Takes a length-prefixed UTF-8 string.
-    pub fn take_str(&mut self) -> Result<String> {
-        let n = self.take_len()?;
-        let bytes = self.take_slice(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("metric name is not UTF-8"))
     }
 
     /// Takes a boolean word (anything other than 0 or 1 is corrupt).
@@ -669,26 +647,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             w.put_u64(self.retention.evicted_features);
 
             put_session_snapshot(w, &self.session.snapshot());
-
-            // Observability recorder state: counters and sim-clock
-            // histograms (the deterministic half of the recorder;
-            // wall-clock data never enters the snapshot and is not
-            // checkpointed). Empty when the merger runs with a no-op or
-            // non-recording sink.
-            let state = self.obs.recorder().map(|r| r.state()).unwrap_or_default();
-            w.put_u64(state.counters.len() as u64);
-            for (name, v) in &state.counters {
-                w.put_str(name);
-                w.put_u64(*v);
-            }
-            w.put_u64(state.sim.len() as u64);
-            for (name, h) in &state.sim {
-                w.put_str(name);
-                w.put_u64(h.count);
-                w.put_i128(h.sum_ticks);
-                w.put_i128(h.min_ticks);
-                w.put_i128(h.max_ticks);
-            }
         })
     }
 
@@ -772,38 +730,9 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         };
 
         let session_snap = take_session_snapshot(&mut r)?;
-
-        let n = r.take_len()?;
-        let rec_counters: Vec<(String, u64)> = (0..n)
-            .map(|_| Ok((r.take_str()?, r.take_u64()?)))
-            .collect::<Result<_>>()?;
-        let n = r.take_len()?;
-        let rec_sim: Vec<(String, tm_obs::SimHist)> = (0..n)
-            .map(|_| {
-                Ok((
-                    r.take_str()?,
-                    tm_obs::SimHist {
-                        count: r.take_u64()?,
-                        sum_ticks: r.take_i128()?,
-                        min_ticks: r.take_i128()?,
-                        max_ticks: r.take_i128()?,
-                    },
-                ))
-            })
-            .collect::<Result<_>>()?;
         r.finish()?;
 
-        // Reinstate the recorder state into the ambient observer (if it
-        // records): the resumed run's metrics continue from exactly the
-        // aggregates the killed run had accumulated.
         let obs = tm_obs::current();
-        if let Some(rec) = obs.recorder() {
-            rec.restore(&tm_obs::RecorderState {
-                counters: rec_counters,
-                sim: rec_sim,
-            });
-        }
-
         let mut session = ReidSession::new(model, session_cost, device)
             .with_obs(obs.clone())
             .with_retry_policy(robustness.retry)
@@ -932,14 +861,14 @@ mod tests {
 
     #[test]
     fn sealed_envelopes_catch_every_bit_flip_cut_and_wrong_kind() {
-        // Three bytes of string leave a partial word for the padded tail.
+        // A three-byte blob leaves a partial word for the padded tail.
         let bytes = seal(Kind::Fleet, |w| {
             w.put_u64(7);
-            w.put_str("abc");
+            w.put_bytes(b"abc");
         });
         let mut r = open(Kind::Fleet, &bytes).unwrap();
         assert_eq!(r.take_u64().unwrap(), 7);
-        assert_eq!(r.take_str().unwrap(), "abc");
+        assert_eq!(r.take_bytes().unwrap(), b"abc");
         r.finish().unwrap();
         assert!(open(Kind::Merger, &bytes).is_err());
         let mut flipped = bytes.clone();
@@ -1003,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_restores_the_recorder_state() {
+    fn a_caller_carried_recorder_resumes_byte_identically() {
         use std::sync::Arc;
         let (model, tracks) = fixture();
         let run_to_end = |m: &mut StreamingMerger<'_, TMerge>| {
@@ -1041,9 +970,10 @@ mod tests {
             m.checkpoint()
         });
 
-        // …and resumed under a brand-new recorder: the checkpoint carries
-        // the counter/histogram state across the kill.
+        // …and resumed under a brand-new recorder: the caller carries the
+        // counter/histogram state across the kill, beside the checkpoint.
         let rec_resumed = Arc::new(tm_obs::Recorder::new());
+        rec_resumed.restore(&rec_mid.state());
         let resumed = tm_obs::scoped(tm_obs::Obs::new(rec_resumed.clone()), || {
             let mut m = StreamingMerger::resume(
                 &model,

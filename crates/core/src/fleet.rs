@@ -222,26 +222,19 @@ impl<'m, S: CandidateSelector + Send> FleetIngester<'m, S> {
             }
             shards.push(shard);
         }
-        for _ in backends.len()..n {
+        let obs = tm_obs::current();
+        // Shard `i` carries stream id `i` (checked above for every resumed
+        // shard, and the checksum covers the skipped ones' bytes), so a
+        // skipped shard's id is its position.
+        for id in backends.len()..n {
             r.take_bytes()?;
+            obs.counter("fleet.resume.skipped_shards", 1);
+            obs.log(
+                tm_obs::Level::Warn,
+                &format!("fleet resume: skipping checkpointed stream {id} (no backend supplied; stream decommissioned?)"),
+            );
         }
         r.finish()?;
-        let obs = tm_obs::current();
-        // Announce the skips only after every shard restore: restoring a
-        // shard replaces the ambient recorder's whole state, so anything
-        // emitted earlier would be silently clobbered. Shard `i` carries
-        // stream id `i` (checked above for every resumed shard, and the
-        // checksum covers the skipped ones' bytes), so a skipped shard's id
-        // is its position.
-        if n > backends.len() {
-            obs.counter("fleet.resume.skipped_shards", (n - backends.len()) as u64);
-            for id in backends.len()..n {
-                obs.log(
-                    tm_obs::Level::Warn,
-                    &format!("fleet resume: skipping checkpointed stream {id} (no backend supplied; stream decommissioned?)"),
-                );
-            }
-        }
         Ok(Self { shards, obs })
     }
 }

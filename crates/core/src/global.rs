@@ -397,13 +397,6 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
         self
     }
 
-    /// Routes round lifecycle counters and session charges through `obs`.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.session = self.session.with_obs(obs.clone());
-        self.obs = obs;
-        self
-    }
-
     /// Overrides the robustness configuration (retry/backoff, breaker
     /// threshold; the degraded spatio-temporal gate is unused here).
     pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
@@ -811,9 +804,9 @@ impl<'m, S: CandidateSelector> GlobalMerger<'m, S> {
     }
 
     /// Serializes the merger's complete state into a [`Kind::Global`]
-    /// envelope. Call between `advance` calls. The ambient observability
-    /// recorder is *not* included — it rides the merger checkpoints of the
-    /// fleet this merger overlays.
+    /// envelope. Call between `advance` calls. Telemetry is not included,
+    /// as in every checkpoint: a caller that owns a `tm_obs::Recorder`
+    /// carries `Recorder::state()` across a kill itself.
     pub fn checkpoint(&self) -> Vec<u8> {
         seal(Kind::Global, |w| {
             w.put_u64(self.config.round_len);

@@ -33,6 +33,10 @@
 //! assert!(report.merged.is_empty());
 //! ```
 
+// `unsafe` is confined to the kernels that need `std::arch` intrinsics:
+// `simd` and `sampling` opt back in below.
+#![deny(unsafe_code)]
+
 pub mod baseline;
 pub mod checkpoint;
 mod exec;
@@ -43,10 +47,11 @@ pub mod pairs;
 pub mod pipeline;
 pub mod ps;
 pub mod resilience;
+#[allow(unsafe_code)]
 pub mod sampling;
 pub mod score;
-mod scratch;
 pub mod selector;
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod stream;
 pub mod tmerge;

@@ -23,19 +23,17 @@
 //!
 //! ## Scratch reuse
 //!
-//! [`exact_scores_with`] is the allocation-free core: all working state —
-//! the bump `Arena` for per-group resolved-pair / missing-box buffers,
-//! the `DenseStore` feature-matrix pool, the task list — lives in a
-//! caller-owned [`ScoreScratch`], and results are written into a caller
-//! `Vec`. After warm-up a steady-state window performs **zero** heap
+//! [`exact_scores_with`] is the allocation-free core: the working state
+//! that outlives a group — the `DenseStore` feature-matrix pool and the
+//! task list — lives in a caller-owned [`ScoreScratch`], and results are
+//! written into a caller `Vec`. A group's resolved pairs and missing boxes
+//! borrow the window's `TrackSet`, so they are never stored: each group is
+//! resolved once to surface a missing track, then walked as an iterator by
+//! each stage. After warm-up a steady-state window performs **zero** heap
 //! allocations in this path (pinned by `tm-bench/tests/alloc_audit.rs`).
 //! [`exact_scores`] wraps it with a per-thread scratch pool
 //! (`with_score_scratch`) so existing callers keep the reuse without
 //! plumbing.
-//!
-//! Both scorers stage their groups through one shared helper
-//! (`stage_group`/`pack_group`), so the reference cannot silently drift
-//! from the optimized path.
 //!
 //! ## Cost accounting vs. arithmetic
 //!
@@ -47,9 +45,9 @@
 //! any `TMERGE_THREADS` setting.
 
 use crate::sampling::split_flat_index;
-use crate::scratch::{Arena, DenseStore};
 use crate::selector::SelectionInput;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use tm_reid::{ReidSession, NORMALIZER};
 use tm_types::{Result, Track, TrackBox, TrackId, TrackPair, TrackSet};
 
@@ -150,13 +148,71 @@ enum ScoreTask {
     Dense { a: TrackId, b: TrackId, total: u64 },
 }
 
-/// Reusable working memory for [`exact_scores_with`]: the per-group bump
-/// arena, the dense feature-matrix pool and the task list. Create one per
-/// long-lived loop (or call [`exact_scores`], which pools one per thread);
-/// after warm-up, calls through it do not allocate.
+/// A pool of dense row-major feature matrices keyed by track. All rows
+/// live in one flat `Vec<f64>`; per-track spans are recorded in a reusable
+/// index. [`DenseStore::clear`] empties both while keeping their capacity,
+/// so steady-state windows never reallocate.
+#[derive(Debug, Default)]
+struct DenseStore {
+    data: Vec<f64>,
+    index: HashMap<TrackId, (usize, usize)>,
+    dim: usize,
+}
+
+impl DenseStore {
+    /// Empties the store, keeping allocated capacity.
+    fn clear(&mut self) {
+        self.data.clear();
+        self.index.clear();
+        self.dim = 0;
+    }
+
+    /// Row width of the stored matrices (0 until the first row arrives).
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Whether `track` already has a committed matrix.
+    fn contains(&self, track: TrackId) -> bool {
+        self.index.contains_key(&track)
+    }
+
+    /// The flat row-major matrix committed for `track`.
+    ///
+    /// # Panics
+    /// If `track` was never committed.
+    fn rows(&self, track: TrackId) -> &[f64] {
+        let &(start, len) = self
+            .index
+            .get(&track)
+            .expect("track matrix was committed before use");
+        &self.data[start..start + len]
+    }
+
+    /// Starts a track's matrix; returns the start cursor to pass to
+    /// [`DenseStore::commit_track`].
+    fn start_track(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Appends one feature row (also records the row width).
+    fn push_row(&mut self, row: &[f64]) {
+        self.dim = row.len();
+        self.data.extend_from_slice(row);
+    }
+
+    /// Commits the rows appended since `start` as `track`'s matrix.
+    fn commit_track(&mut self, track: TrackId, start: usize) {
+        self.index.insert(track, (start, self.data.len() - start));
+    }
+}
+
+/// Reusable working memory for [`exact_scores_with`]: the dense
+/// feature-matrix pool and the task list. Create one per long-lived loop
+/// (or call [`exact_scores`], which pools one per thread); after warm-up,
+/// calls through it do not allocate.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
-    arena: Arena,
     store: DenseStore,
     tasks: Vec<(TrackPair, ScoreTask)>,
 }
@@ -199,37 +255,34 @@ pub(crate) fn with_score_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> R
     r
 }
 
-/// Stages one pair group: resolves the pairs into the arena and gathers
-/// the flat missing-box list (every box of every group track not yet in
-/// `store` — duplicates across pairs included, exactly as the scorers have
-/// always pushed them; the session dedups by key). Shared by the optimized
-/// and reference scorers so their staging cannot drift apart.
-#[allow(clippy::type_complexity)]
-fn stage_group<'t, 'ar>(
-    group: &[TrackPair],
+/// Resolves every pair of a group, surfacing the typed missing-track
+/// error, and returns the group as an iterator of resolved pairs that the
+/// staging steps walk in turn. Every pair has resolved once by then, so
+/// `flat_map` over the `Result`s drops nothing.
+fn resolve_group<'t>(
+    group: &'t [TrackPair],
     tracks: &'t TrackSet,
-    store: &DenseStore,
-    arena: &'ar Arena,
-) -> Result<(&'ar mut [PairBoxes<'t>], &'ar mut [(TrackId, &'t TrackBox)])> {
-    let resolved = arena.alloc_try_fill(group.len(), |i| PairBoxes::resolve(group[i], tracks))?;
-    // Counting pass, mirroring the fill below exactly.
-    let mut n_missing = 0usize;
-    for pb in resolved.iter() {
-        for t in [pb.a, pb.b] {
-            if !store.contains(t.id) {
-                n_missing += t.len();
-            }
-        }
+) -> Result<impl Iterator<Item = PairBoxes<'t>> + Clone + 't> {
+    for &pair in group {
+        PairBoxes::resolve(pair, tracks)?;
     }
-    let missing = arena.alloc_from_iter_exact(
-        n_missing,
-        resolved
-            .iter()
-            .flat_map(|pb| [pb.a, pb.b])
-            .filter(|t| !store.contains(t.id))
-            .flat_map(|t| t.boxes.iter().map(move |b| (t.id, b))),
-    );
-    Ok((resolved, missing))
+    Ok(group
+        .iter()
+        .flat_map(move |&pair| PairBoxes::resolve(pair, tracks)))
+}
+
+/// Every box of every group track not yet in `store`, duplicates across
+/// pairs included, exactly as the scorers have always pushed them; the
+/// session dedups by key. The `store` borrow lasts only as long as the
+/// iterator, so packing can take `store` mutably right after.
+fn missing_boxes<'t: 's, 's>(
+    resolved: impl Iterator<Item = PairBoxes<'t>> + 's,
+    store: &'s DenseStore,
+) -> impl Iterator<Item = (TrackId, &'t TrackBox)> + 's {
+    resolved
+        .flat_map(|pb| [pb.a, pb.b])
+        .filter(|t| !store.contains(t.id))
+        .flat_map(|t| t.boxes.iter().map(move |b| (t.id, b)))
 }
 
 /// Packs every not-yet-stored group track's features into `store`, reading
@@ -237,8 +290,8 @@ fn stage_group<'t, 'ar>(
 /// reference path, where a cache miss after an infallible ensure is a bug;
 /// the optimized path falls back to a charged single extraction, so the
 /// scorer total stays correct even on such a miss.
-fn pack_group(
-    resolved: &[PairBoxes<'_>],
+fn pack_group<'t>(
+    resolved: impl Iterator<Item = PairBoxes<'t>>,
     store: &mut DenseStore,
     session: &mut ReidSession<'_>,
     strict: bool,
@@ -299,20 +352,15 @@ pub fn exact_scores_with(
     out: &mut Vec<(TrackPair, f64)>,
 ) -> Result<()> {
     let batch = session.device().batch();
-    let ScoreScratch {
-        arena,
-        store,
-        tasks,
-    } = scratch;
-    arena.reset();
+    let ScoreScratch { store, tasks } = scratch;
     store.clear();
     tasks.clear();
     for group in input.pairs.chunks(batch.max(1)) {
-        let (resolved, missing) = stage_group(group, input.tracks, store, arena)?;
+        let resolved = resolve_group(group, input.tracks)?;
         // One inference round for every box of the group not yet extracted.
-        session.try_ensure_features(missing)?;
-        pack_group(resolved, store, session, false)?;
-        for pb in resolved.iter() {
+        session.try_ensure_features(missing_boxes(resolved.clone(), store))?;
+        pack_group(resolved.clone(), store, session, false)?;
+        for pb in resolved {
             let total = pb.total_bbox_pairs();
             if total == 0 || store.dim() == 0 {
                 tasks.push((pb.pair, ScoreTask::Empty));
@@ -344,22 +392,21 @@ pub fn exact_scores_with(
 
 /// The pre-rewrite exact scorer (naive coordinate-difference kernel, fully
 /// serial), built for tests only: the ground truth of the kernel property
-/// test. Staging goes through the same `stage_group`/`pack_group` helpers
-/// as the optimized path — only the kernel and the fan-out differ.
+/// test. Staging goes through the same helpers as the optimized path, so
+/// only the kernel and the fan-out differ.
 #[cfg(test)]
 fn exact_scores_reference(
     input: &SelectionInput<'_>,
     session: &mut ReidSession<'_>,
 ) -> Result<Vec<(TrackPair, f64)>> {
     let batch = session.device().batch();
-    let arena = Arena::new();
     let mut store = DenseStore::default();
     let mut out = Vec::with_capacity(input.pairs.len());
     for group in input.pairs.chunks(batch.max(1)) {
-        let (resolved, missing) = stage_group(group, input.tracks, &store, &arena)?;
-        session.try_ensure_features(missing)?;
-        pack_group(resolved, &mut store, session, true)?;
-        for pb in resolved.iter() {
+        let resolved = resolve_group(group, input.tracks)?;
+        session.try_ensure_features(missing_boxes(resolved.clone(), &store))?;
+        pack_group(resolved.clone(), &mut store, session, true)?;
+        for pb in resolved {
             let total = pb.total_bbox_pairs();
             if total == 0 || store.dim() == 0 {
                 out.push((pb.pair, 1.0));
@@ -548,6 +595,28 @@ mod tests {
             }
             assert_eq!(session.elapsed_ms(), fresh_session.elapsed_ms());
         }
+    }
+
+    #[test]
+    fn dense_store_commits_and_clears() {
+        let mut store = DenseStore::default();
+        let start = store.start_track();
+        store.push_row(&[1.0, 2.0]);
+        store.push_row(&[3.0, 4.0]);
+        store.commit_track(TrackId(7), start);
+        assert!(store.contains(TrackId(7)));
+        assert_eq!(store.dim(), 2);
+        assert_eq!(store.rows(TrackId(7)), &[1.0, 2.0, 3.0, 4.0]);
+
+        let data_cap_before = store.data.capacity();
+        store.clear();
+        assert!(!store.contains(TrackId(7)));
+        assert_eq!(store.dim(), 0);
+        assert_eq!(
+            store.data.capacity(),
+            data_cap_before,
+            "clear keeps capacity"
+        );
     }
 
     #[test]

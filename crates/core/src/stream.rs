@@ -251,15 +251,6 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         self.stream_id
     }
 
-    /// Routes the merger's window lifecycle — and the session's ReID
-    /// charges — through `obs` instead of the ambient
-    /// [`tm_obs::current`] observer captured at construction.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.session = self.session.with_obs(obs.clone());
-        self.obs = obs;
-        self
-    }
-
     /// Overrides the robustness configuration (retry/backoff policy,
     /// breaker threshold, degraded gating).
     pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {

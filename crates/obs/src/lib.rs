@@ -122,11 +122,6 @@ pub trait Sink: Send + Sync {
     fn event(&self, name: &str, fields: &[(&'static str, Value)]);
     /// Routes a log line (progress output, warnings).
     fn log(&self, level: Level, message: &str);
-    /// Downcast hook: `Some` when this sink is a [`Recorder`] (used by the
-    /// checkpoint codec to persist/restore deterministic state).
-    fn as_recorder(&self) -> Option<&Recorder> {
-        None
-    }
 }
 
 /// A sink that drops everything. [`Obs::noop`] avoids even the virtual
@@ -194,12 +189,6 @@ impl Sink for PrefixSink {
         self.inner
             .log(level, &format!("[{}] {message}", self.prefix));
     }
-
-    fn as_recorder(&self) -> Option<&Recorder> {
-        // The prefix scopes *emission*; state persistence (checkpointing)
-        // always operates on the shared underlying recorder.
-        self.inner.as_recorder()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -236,11 +225,6 @@ impl Obs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// The attached [`Recorder`], if the sink is one.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.sink.as_deref().and_then(Sink::as_recorder)
     }
 
     /// A handle that namespaces every metric name under `prefix` (via
@@ -429,9 +413,9 @@ struct RecorderInner {
     logs: Vec<(Level, String)>,
 }
 
-/// The deterministic state of a [`Recorder`] — what the checkpoint codec
-/// persists and [`Recorder::restore`] reinstates. Entries are sorted by
-/// name.
+/// The deterministic state of a [`Recorder`] — what a caller that owns
+/// the recorder carries across a kill and [`Recorder::restore`]
+/// reinstates before resuming. Entries are sorted by name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecorderState {
     /// Counter name → value.
@@ -512,7 +496,7 @@ impl Recorder {
         out
     }
 
-    /// Extracts the deterministic state (for checkpointing).
+    /// Extracts the deterministic state (to carry across a kill).
     pub fn state(&self) -> RecorderState {
         let inner = self.lock();
         RecorderState {
@@ -525,7 +509,7 @@ impl Recorder {
         }
     }
 
-    /// Replaces the deterministic state with a checkpointed one (wall
+    /// Replaces the deterministic state with a carried one (wall
     /// histograms and captured logs are left untouched — they never enter
     /// the snapshot).
     pub fn restore(&self, state: &RecorderState) {
@@ -608,10 +592,6 @@ impl Sink for Recorder {
         }
         inner.logs.push((level, message.to_owned()));
     }
-
-    fn as_recorder(&self) -> Option<&Recorder> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -626,7 +606,6 @@ mod tests {
         obs.record_sim_ms("x", 1.5);
         let sp = obs.span("x", 0.0);
         sp.finish(1.0);
-        assert!(obs.recorder().is_none());
     }
 
     #[test]
@@ -669,9 +648,6 @@ mod tests {
             .logs()
             .iter()
             .any(|(_, m)| m.contains("[serve.tenant.3.] shedding")));
-        // Checkpointing sees through the prefix to the shared recorder.
-        assert!(t3.recorder().is_some());
-        assert_eq!(t3.recorder().unwrap().state(), rec.state());
         // Prefixing a disabled handle stays disabled.
         assert!(!Obs::noop().with_prefix("serve.tenant.9.").enabled());
     }

@@ -563,8 +563,11 @@ impl<'m> ReidSession<'m> {
     /// [`ReidSession::cached_feature`]. This is the bulk-ingest path used by
     /// the exact (baseline) scorer, where per-item cache lookups would
     /// dominate wall-clock.
-    pub fn try_ensure_features(&mut self, boxes: &[(TrackId, &TrackBox)]) -> Result<()> {
-        let round = self.collect(boxes.iter().copied());
+    pub fn try_ensure_features<'a>(
+        &mut self,
+        boxes: impl IntoIterator<Item = (TrackId, &'a TrackBox)>,
+    ) -> Result<()> {
+        let round = self.collect(boxes);
         self.try_infer(round)
     }
 
@@ -798,7 +801,7 @@ mod tests {
         let cached = [(TrackId(1), &a), (TrackId(2), &b)];
         let missing = [(TrackId(1), &c), (TrackId(2), &d)];
         let mut s = ReidSession::new(&m, cost, Device::Gpu { batch: 10 });
-        s.try_ensure_features(&cached).unwrap();
+        s.try_ensure_features(cached).unwrap();
         let mut twin = s.clone();
         let ds = s
             .try_pair_distances_batch(&[(cached[0], cached[1]), (missing[0], missing[1])])
@@ -809,7 +812,7 @@ mod tests {
         assert_eq!(s.stats().gpu_rounds, 2);
         assert_eq!(s.stats().inferences, 4);
         assert_eq!(s.stats().cache_hits, 4);
-        twin.try_ensure_features(&missing).unwrap();
+        twin.try_ensure_features(missing).unwrap();
         twin.charge_distance_batch(2);
         assert_eq!(s.elapsed_ms().to_bits(), twin.elapsed_ms().to_bits());
     }
@@ -1150,7 +1153,7 @@ mod tests {
         s.gate_update_plan(&set);
         let track = set.iter().next().unwrap();
         let boxes: Vec<_> = track.boxes.iter().map(|b| (track.id, b)).collect();
-        s.try_ensure_features(&boxes).unwrap();
+        s.try_ensure_features(boxes).unwrap();
         s.flush_gate_obs();
         let snap = s.snapshot();
         assert!(snap.gate.is_some());

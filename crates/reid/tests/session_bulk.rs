@@ -18,12 +18,12 @@ fn ensure_features_is_one_round_and_idempotent() {
     let mut s = ReidSession::new(&model, cost, Device::Gpu { batch: 10 });
     let boxes: Vec<TrackBox> = (0..20).map(|f| tb(f, 1, 1.0)).collect();
     let refs: Vec<(TrackId, &TrackBox)> = boxes.iter().map(|b| (TrackId(1), b)).collect();
-    s.try_ensure_features(&refs).unwrap();
+    s.try_ensure_features(refs.iter().copied()).unwrap();
     assert_eq!(s.stats().inferences, 20);
     assert_eq!(s.stats().gpu_rounds, 1);
     let after_first = s.elapsed_ms();
     // Second call: everything cached, nothing charged.
-    s.try_ensure_features(&refs).unwrap();
+    s.try_ensure_features(refs.iter().copied()).unwrap();
     assert_eq!(s.elapsed_ms(), after_first);
     assert_eq!(s.stats().inferences, 20);
     // Features are retrievable.
@@ -37,7 +37,7 @@ fn ensure_features_dedupes_within_one_call() {
     let model = AppearanceModel::new(AppearanceConfig::default());
     let mut s = ReidSession::new(&model, CostModel::calibrated(), Device::Cpu);
     let b = tb(3, 1, 1.0);
-    s.try_ensure_features(&[(TrackId(1), &b), (TrackId(1), &b), (TrackId(1), &b)])
+    s.try_ensure_features([(TrackId(1), &b), (TrackId(1), &b), (TrackId(1), &b)])
         .unwrap();
     assert_eq!(s.stats().inferences, 1);
 }
@@ -54,7 +54,7 @@ fn bulk_features_match_pair_distance_path() {
         .unwrap();
 
     let mut bulk = ReidSession::new(&model, CostModel::zero(), Device::Cpu);
-    bulk.try_ensure_features(&[(TrackId(1), &a), (TrackId(2), &b)])
+    bulk.try_ensure_features([(TrackId(1), &a), (TrackId(2), &b)])
         .unwrap();
     let fa = bulk.cached_feature(TrackId(1), a.frame).unwrap();
     let fb = bulk.cached_feature(TrackId(2), b.frame).unwrap();

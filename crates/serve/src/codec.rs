@@ -261,7 +261,6 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
 
         let mut last_id: Option<u64> = None;
         let mut dropped: Vec<u64> = Vec::new();
-        let mut shrunk_globals: Vec<u64> = Vec::new();
         let mut tenants: BTreeMap<u64, Tenant<'m, S>> = BTreeMap::new();
         // Backends are materialized per tenant and must outlive the fleet,
         // so collect them alongside; the Vec allocations live in the
@@ -272,11 +271,16 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
                 return Err(corrupt("tenant ids out of order"));
             }
             last_id = Some(image.spec.id);
-            let Some(backends) = backends_for(image.spec.id, image.spec.streams) else {
-                dropped.push(image.spec.id);
+            let id = image.spec.id;
+            let Some(backends) = backends_for(id, image.spec.streams) else {
+                serve.base_obs.counter("serve.resume.dropped_tenants", 1);
+                serve.base_obs.log(
+                    Level::Warn,
+                    &format!("serve resume: dropping tenant {id} (no backends supplied)"),
+                );
+                dropped.push(id);
                 continue;
             };
-            let id = image.spec.id;
             let orig_streams = image.spec.streams;
             let obs = serve.base_obs.with_prefix(&format!("serve.tenant.{id}."));
             let make = &mut serve.make_selector;
@@ -302,8 +306,7 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
             }
             // The global overlay binds its camera count to the original
             // stream count; a shrunk tenant invalidates its cross-camera
-            // state, so the blob is discarded (reported below, with the
-            // drops, after every recorder restore has happened).
+            // state, so the blob is discarded.
             let global = match image.global_blob {
                 Some(blob) if streams == orig_streams => {
                     let selector = (serve.make_selector)(id, orig_streams);
@@ -312,7 +315,11 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
                     })?)
                 }
                 Some(_) => {
-                    shrunk_globals.push(id);
+                    serve.base_obs.counter("serve.resume.dropped_globals", 1);
+                    serve.base_obs.log(
+                        Level::Warn,
+                        &format!("serve resume: tenant {id} shrank; discarding its global state"),
+                    );
                     None
                 }
                 None => None,
@@ -338,31 +345,6 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         }
         r.finish()?;
         serve.tenants = tenants;
-        // Announce drops only after every restore: restoring a shard
-        // replaces the ambient recorder's whole state, so anything emitted
-        // earlier would be silently clobbered.
-        if !dropped.is_empty() {
-            serve
-                .base_obs
-                .counter("serve.resume.dropped_tenants", dropped.len() as u64);
-            for id in &dropped {
-                serve.base_obs.log(
-                    Level::Warn,
-                    &format!("serve resume: dropping tenant {id} (no backends supplied)"),
-                );
-            }
-        }
-        if !shrunk_globals.is_empty() {
-            serve
-                .base_obs
-                .counter("serve.resume.dropped_globals", shrunk_globals.len() as u64);
-            for id in &shrunk_globals {
-                serve.base_obs.log(
-                    Level::Warn,
-                    &format!("serve resume: tenant {id} shrank; discarding its global state"),
-                );
-            }
-        }
         Ok((serve, dropped))
     }
 }
@@ -520,6 +502,55 @@ mod tests {
         // The surviving stream's feed is intact; stream 1 is gone.
         assert!(revived.feed(9, 0).is_some());
         assert!(revived.feed(9, 1).is_none());
+    }
+
+    #[test]
+    fn a_tenants_resume_report_survives_later_tenants_restores() {
+        let model = AppearanceModel::new(AppearanceConfig::default());
+        let mut serve = TmServe::new(
+            &model,
+            CostModel::calibrated(),
+            Device::Cpu,
+            serve_config(),
+            |_, _| selector(),
+        );
+        let one: [&dyn InferenceBackend; 1] = [&model];
+        let two: [&dyn InferenceBackend; 2] = [&model, &model];
+        serve.register(spec(3, 2), &two).unwrap();
+        serve.register(spec(9, 1), &one).unwrap();
+        for (t, frames) in [(0.0, 250), (40.0, 400)] {
+            assert!(serve.submit(t, 3, 0, feed(0), frames).is_admitted());
+            assert!(serve.submit(t, 3, 1, feed(1), frames).is_admitted());
+            assert!(serve.submit(t, 9, 0, feed(2), frames).is_admitted());
+            serve.run_once(t + 1.0).unwrap();
+        }
+        let envelope = serve.checkpoint();
+
+        // Tenant 3 resumes onto one backend and reports its skipped shard;
+        // tenant 9's shard restore comes after and must not erase that.
+        let rec = std::sync::Arc::new(tm_obs::Recorder::new());
+        let (_, dropped) = tm_obs::scoped(tm_obs::Obs::new(rec.clone()), || {
+            TmServe::resume(
+                &model,
+                CostModel::calibrated(),
+                Device::Cpu,
+                serve_config(),
+                |_, _| selector(),
+                |id, streams| {
+                    let streams = if id == 3 { 1 } else { streams };
+                    Some(vec![&model as &dyn InferenceBackend; streams])
+                },
+                &envelope,
+            )
+        })
+        .unwrap();
+        assert!(dropped.is_empty());
+        assert_eq!(rec.logs().len(), 1);
+        assert_eq!(
+            rec.counter_value("serve.tenant.3.fleet.resume.skipped_shards"),
+            1
+        );
+        assert_eq!(rec.counter_value("log.warn"), 1);
     }
 
     #[test]

@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     #[ignore = "needs real serde_json: the offline stub under stubs/serde_json only \
-                typechecks (to_string returns \"{}\"), so transparent newtype JSON \
+                typechecks (to_string returns an error), so transparent newtype JSON \
                 cannot be observed; re-enable when building against crates.io"]
     fn serde_is_transparent() {
         let json = serde_json::to_string(&TrackId(42)).unwrap();

@@ -1,5 +1,8 @@
-//! Typecheck-only serde_json stub. Serialization returns placeholder
-//! strings; deserialization always errors. Only the API shape matters.
+//! Typecheck-only serde_json stub: only the API shape matters. The stub
+//! `serde` derives serialize nothing, so serialization and
+//! deserialization always return [`Error`] rather than a placeholder
+//! string a caller could mistake for output (a results file overwritten
+//! with `{}`, say).
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -85,11 +88,11 @@ impl std::ops::Index<usize> for Value {
 }
 
 pub fn to_string<T: serde::Serialize + ?Sized>(_value: &T) -> Result<String, Error> {
-    Ok("{}".to_string())
+    Err(Error)
 }
 
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(_value: &T) -> Result<String, Error> {
-    Ok("{}".to_string())
+    Err(Error)
 }
 
 pub fn from_str<'a, T: serde::Deserialize<'a>>(_s: &'a str) -> Result<T, Error> {
