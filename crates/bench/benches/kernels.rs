@@ -8,7 +8,7 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use tm_core::sampling::WithoutReplacement;
 use tm_core::score::{exact_scores, sum_pairwise_distances_naive, sum_pairwise_unit_distances};
-use tm_core::{merge_mapping, SelectionInput, UnionFind};
+use tm_core::{merge_mapping, MergedIds, SelectionInput};
 use tm_reid::{AppearanceConfig, AppearanceModel, CostModel, Device, Feature, ReidSession};
 use tm_track::hungarian::min_cost_assignment;
 use tm_track::{KalmanBoxFilter, KalmanConfig};
@@ -74,7 +74,7 @@ fn bench_sampling(c: &mut Criterion) {
     });
 }
 
-fn bench_union_find(c: &mut Criterion) {
+fn bench_merged_ids(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let pairs: Vec<TrackPair> = (0..500)
         .filter_map(|_| {
@@ -87,12 +87,14 @@ fn bench_union_find(c: &mut Criterion) {
     c.bench_function("merge_mapping_500_pairs", |b| {
         b.iter(|| merge_mapping(black_box(&pairs)))
     });
-    c.bench_function("union_find_union", |b| {
-        let mut uf = UnionFind::new();
+    c.bench_function("merged_ids_union", |b| {
+        let mut ids = MergedIds::new();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            uf.union(TrackId(i % 1000), TrackId((i * 7) % 1000))
+            if let Some(p) = TrackPair::new(TrackId(i % 1000), TrackId((i * 7) % 1000)) {
+                ids.union(p);
+            }
         })
     });
 }
@@ -180,7 +182,7 @@ criterion_group!(
     bench_kalman,
     bench_reid,
     bench_sampling,
-    bench_union_find,
+    bench_merged_ids,
     bench_dense_score_kernel,
     bench_exact_scores
 );

@@ -1,5 +1,7 @@
 //! Steady-state allocation audit: after warm-up, the scoring and
-//! assignment hot paths must perform **zero** heap allocations.
+//! assignment hot paths must perform **zero** heap allocations, and a live
+//! query must allocate in proportion to the retained feed, not to the
+//! merge history behind it.
 //!
 //! A counting global allocator ([`tm_bench::perf::CountingAlloc`]) is
 //! installed for this whole test binary, and everything runs inside ONE
@@ -15,7 +17,14 @@
 use tm_bench::perf::CountingAlloc;
 use tm_core::score::{exact_scores_with, ScoreScratch};
 use tm_core::selector::SelectionInput;
-use tm_reid::{AppearanceConfig, AppearanceModel, CostModel, Device, ReidSession};
+use tm_core::{StreamConfig, TMerge, TMergeConfig, VoiMode};
+use tm_query::Query;
+use tm_reid::{
+    AppearanceConfig, AppearanceModel, CostModel, Device, GateConfig, GatePolicy, InferenceBackend,
+    ReidSession,
+};
+use tm_serve::{AdmissionConfig, ServeConfig, TenantSpec, TmServe};
+use tm_synth::{TenantWorkload, TenantWorkloadConfig};
 use tm_track::assign::{
     iou_threshold_matches, min_cost_assignment_into, AssignmentScratch, BoxMatchScratch,
 };
@@ -59,6 +68,93 @@ fn assert_zero_alloc(label: &str, mut round: impl FnMut()) {
         delta.calls,
         delta.bytes
     );
+}
+
+/// Bytes one Count + Co-occurrence query pair allocates on a live daemon
+/// at cycles 50 and 150, with the merges its shard had committed by then.
+/// The traffic is serve_suite's `gated_retention_keeps_the_envelope_flat`:
+/// one tenant, one gated stream, two actors, horizon 6, ten windows a
+/// cycle over a rolling feed, so the shard commits merges every cycle
+/// while retention keeps the feed flat.
+fn live_query_bytes(model: &AppearanceModel) -> [(u64, usize); 2] {
+    const WINDOW: u64 = 200;
+    const HORIZON: u64 = 6;
+    const WINDOWS_PER_CYCLE: u64 = 10;
+    let workload = TenantWorkload::new(TenantWorkloadConfig {
+        actors: 2,
+        ..TenantWorkloadConfig::default()
+    });
+    let config = ServeConfig {
+        stream: StreamConfig {
+            window_len: WINDOW,
+            k: 0.1,
+            gate: GatePolicy::On(GateConfig::default()),
+            voi: VoiMode::Off,
+        },
+        slo_window_ms: f64::INFINITY,
+        shed_cooldown: 2,
+        retention_horizon_windows: Some(HORIZON),
+    };
+    let mut serve = TmServe::new(
+        model,
+        CostModel::calibrated(),
+        Device::Cpu,
+        config,
+        |_, _| {
+            TMerge::new(TMergeConfig {
+                tau_max: 1_500,
+                seed: 4,
+                ..TMergeConfig::default()
+            })
+        },
+    );
+    let backends: [&dyn InferenceBackend; 1] = [model];
+    let admission = AdmissionConfig {
+        max_queue: 64,
+        bytes_per_window: u64::MAX / 4,
+        quota_window_ms: 1_000.0,
+        rate_capacity: 1_000.0,
+        rate_per_ms: 100.0,
+        retry_hint_ms: 10,
+    };
+    serve
+        .register(
+            TenantSpec {
+                id: 1,
+                streams: 1,
+                admission,
+            },
+            &backends,
+        )
+        .expect("register");
+    let stride = WINDOW / 2;
+    let mut samples = Vec::new();
+    for c in 0..150u64 {
+        let frames = (c + 1) * WINDOWS_PER_CYCLE * stride;
+        let lo = frames.saturating_sub((HORIZON + WINDOWS_PER_CYCLE + 8) * stride + 2 * WINDOW);
+        let feed = workload.tracks_range(1, 0, lo, frames);
+        assert!(serve.submit(c as f64, 1, 0, feed, frames).is_admitted());
+        serve.run_once(c as f64 + 0.5).expect("cycle");
+        if c + 1 == 50 || c + 1 == 150 {
+            let before = CountingAlloc::snapshot();
+            let answers = (
+                serve.query(1, 0, Query::Count { min_frames: 200 }),
+                serve.query(
+                    1,
+                    0,
+                    Query::CoOccurrence {
+                        group_size: 3,
+                        min_frames: 50,
+                    },
+                ),
+            );
+            let bytes = before.delta().bytes;
+            assert!(answers.0.is_ok() && answers.1.is_ok());
+            let accepted = serve.fleet(1).expect("tenant").shard(0).accepted().len();
+            samples.push((bytes, accepted));
+        }
+    }
+    [samples[0], samples[1]]
 }
 
 #[test]
@@ -124,5 +220,20 @@ fn steady_state_hot_paths_allocate_nothing() {
             min_cost_assignment_into(&cost, n, n, &mut asg, &mut assign_out);
             assert_eq!(assign_out.len(), n);
         });
+
+        // --- Live queries: cost follows the retained feed. ---
+        // The merge history triples between the two samples; the bytes a
+        // query pair allocates must stay within 1.25x.
+        let [(early, early_pairs), (late, late_pairs)] = live_query_bytes(&model);
+        eprintln!("live query pair: {early} bytes at {early_pairs} pairs, {late} at {late_pairs}");
+        assert!(
+            late_pairs >= 2 * early_pairs,
+            "history must grow: {early_pairs} -> {late_pairs} accepted pairs"
+        );
+        assert!(
+            late * 4 <= early * 5,
+            "a live query pair allocated {early} bytes at {early_pairs} accepted pairs \
+             and {late} at {late_pairs}"
+        );
     });
 }

@@ -39,7 +39,7 @@ use crate::resilience::{
 };
 use crate::selector::CandidateSelector;
 use crate::stream::{
-    RetentionSummary, StashedWindow, StreamConfig, StreamingMerger, WindowDecision,
+    Merges, RetentionSummary, StashedWindow, StreamConfig, StreamingMerger, WindowDecision,
 };
 use crate::window::Window;
 use std::collections::{BTreeSet, HashMap};
@@ -620,7 +620,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             }
             let seen: Vec<TrackPair> = self.seen.iter().copied().collect();
             w.put_pairs(&seen);
-            w.put_pairs(&self.merged_ids);
+            w.put_pairs(&self.merges.pairs);
 
             w.put_u64(self.stash.len() as u64);
             for sw in &self.stash {
@@ -689,7 +689,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             .map(|_| r.take_u64().map(TrackId))
             .collect::<Result<_>>()?;
         let seen: BTreeSet<TrackPair> = r.take_pairs()?.into_iter().collect();
-        let merged_ids = r.take_pairs()?;
+        let merges = Merges::from_pairs(r.take_pairs()?);
 
         let n = r.take_len()?;
         let stash: Vec<StashedWindow> = (0..n)
@@ -749,7 +749,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             watermark,
             prev_ids,
             seen,
-            merged_ids,
+            merges,
             breaker,
             stash,
             decisions,

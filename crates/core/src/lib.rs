@@ -78,6 +78,6 @@ pub use score::{exact_scores, exact_scores_with, sum_pairwise_unit_distances, Sc
 pub use selector::{CandidateSelector, SelectionInput, SelectionResult};
 pub use stream::{RetentionSummary, StreamConfig, StreamingMerger, WindowDecision};
 pub use tmerge::{TMerge, TMergeConfig};
-pub use union::{merge_mapping, UnionFind};
+pub use union::{merge_mapping, MergedIds};
 pub use voi::{VoiHints, VoiMode};
 pub use window::{windows, Window};

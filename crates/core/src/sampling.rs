@@ -28,6 +28,7 @@ use rand::{RngCore, RngExt};
 use rand_distr::{Beta, Distribution};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use tm_types::{Result, TmError};
 
 /// Uniform without-replacement sampler over `0..total`.
@@ -35,7 +36,12 @@ use tm_types::{Result, TmError};
 pub struct WithoutReplacement {
     total: u64,
     remaining: u64,
-    displaced: HashMap<u64, u64>,
+    /// Slot → the index now in it. Draws insert and remove, so when the
+    /// table rehashes depends on where its tombstones fall; fixed hash
+    /// keys make that, and so the bytes a run allocates, repeat across
+    /// processes. The keys are slot indices the sampler makes, never
+    /// outside input.
+    displaced: HashMap<u64, u64, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl WithoutReplacement {
@@ -44,7 +50,7 @@ impl WithoutReplacement {
         Self {
             total,
             remaining: total,
-            displaced: HashMap::new(),
+            displaced: HashMap::default(),
         }
     }
 

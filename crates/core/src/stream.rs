@@ -11,16 +11,17 @@
 //! merger per stream.
 //!
 //! The decisions are *incremental*: after any `advance` call you can ask
-//! for the current id [`StreamingMerger::mapping`] and relabel the metadata
-//! emitted so far — exactly what a query engine ingesting a live feed
-//! needs.
+//! for the current relabelling [`StreamingMerger::merged_ids`] and read the
+//! metadata emitted so far through it — exactly what a query engine
+//! ingesting a live feed needs. The merger extends that relabelling as
+//! pairs commit, so a read never rebuilds it from the stream's history.
 //!
 //! The merger is also *fault-tolerant*: install a fallible
 //! [`InferenceBackend`] with [`StreamingMerger::with_backend`] and windows
 //! whose selection fails (even after the session's retry budget) fall back
 //! to degraded spatio-temporal selection behind a circuit breaker. Degraded
-//! decisions are provisional — visible in [`StreamingMerger::mapping`] so
-//! queries keep working through an outage, but re-scored with real ReID and
+//! decisions are provisional — visible in [`StreamingMerger::merged_ids`]
+//! so queries keep working through an outage, but re-scored with real ReID and
 //! only then committed once the backend recovers. And it is *restartable*:
 //! [`StreamingMerger::checkpoint`] serializes the full merger state, and
 //! [`StreamingMerger::resume`] (see `crate::checkpoint`) continues a killed
@@ -30,8 +31,10 @@ use crate::exec::{self, ReverifyItem, WindowVerdict};
 use crate::pairs::{tracks_in_first_half, window_pair_set};
 use crate::resilience::{Breaker, DecisionMode, RobustnessConfig, RobustnessReport};
 use crate::selector::{CandidateSelector, SelectionInput};
+use crate::union::MergedIds;
 use crate::voi::{VoiHints, VoiMode};
 use crate::window::Window;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use tm_obs::Obs;
 use tm_reid::{AppearanceModel, GatePolicy, InferenceBackend, ReidSession};
@@ -102,6 +105,28 @@ pub(crate) struct StashedWindow {
     pub(crate) provisional: Vec<TrackPair>,
 }
 
+/// Committed merges: the pair list the checkpoint carries, and the
+/// relabelling it implies, which resume rebuilds from the list.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Merges {
+    pub(crate) pairs: Vec<TrackPair>,
+    ids: MergedIds,
+}
+
+impl Merges {
+    pub(crate) fn from_pairs(pairs: Vec<TrackPair>) -> Self {
+        let ids = pairs.iter().collect();
+        Self { pairs, ids }
+    }
+
+    /// Commits `pairs` for good: the one append behind a window's commit,
+    /// stash re-verification and stash expiry at compaction.
+    fn commit(&mut self, pairs: &[TrackPair]) {
+        self.pairs.extend_from_slice(pairs);
+        self.ids.extend(pairs);
+    }
+}
+
 /// Aggregate of everything [`StreamingMerger::compact_before`] has dropped
 /// so far. Totals (window/pair/candidate counts) survive compaction here
 /// even after the per-window [`StreamingMerger::decisions`] entries are
@@ -161,7 +186,7 @@ pub struct StreamingMerger<'m, S> {
     /// Pairs already examined (never re-examined, §II).
     pub(crate) seen: BTreeSet<TrackPair>,
     /// Accepted merges so far.
-    pub(crate) merged_ids: Vec<TrackPair>,
+    pub(crate) merges: Merges,
     pub(crate) breaker: Breaker,
     /// Degraded windows whose merges are provisional.
     pub(crate) stash: Vec<StashedWindow>,
@@ -218,7 +243,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             watermark: 0,
             prev_ids: Vec::new(),
             seen: BTreeSet::new(),
-            merged_ids: Vec::new(),
+            merges: Merges::default(),
             breaker: Breaker::new(robustness.breaker_threshold),
             stash: Vec::new(),
             shed: false,
@@ -422,7 +447,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             }
         };
         if mode == DecisionMode::Normal {
-            self.merged_ids.extend_from_slice(&candidates);
+            self.merges.commit(&candidates);
         }
         let decision = WindowDecision {
             window: w,
@@ -457,7 +482,7 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
                 pairs: &sw.pairs,
             })
             .collect();
-        let merged_ids = &mut self.merged_ids;
+        let merges = &mut self.merges;
         let committed = exec::reverify_windows(
             &items,
             tracks,
@@ -467,29 +492,44 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
             &mut self.breaker,
             &mut self.counters,
             &self.obs,
-            |r| merged_ids.extend_from_slice(&r.candidates),
+            |r| merges.commit(&r.candidates),
         )?;
         drop(items);
         self.stash.extend_from_slice(&pending[committed..]);
         Ok(())
     }
 
-    /// The current relabelling implied by all merges: each merged group
-    /// maps to its smallest id. Provisional (degraded, not yet re-verified)
-    /// merges are included, so queries keep working through an outage.
-    pub fn mapping(&self) -> HashMap<TrackId, TrackId> {
+    /// The relabelling queries read: each merged group maps to its
+    /// smallest id. Provisional (degraded, not yet re-verified) merges are
+    /// included, so queries keep working through an outage. It borrows the
+    /// committed relabelling, which grows as pairs commit; only while a
+    /// stash is pending is it a clone with the stash's provisional pairs
+    /// laid over it.
+    pub fn merged_ids(&self) -> Cow<'_, MergedIds> {
         if self.stash.is_empty() {
-            return crate::union::merge_mapping(&self.merged_ids);
+            return Cow::Borrowed(&self.merges.ids);
         }
-        let mut all = self.merged_ids.clone();
-        all.extend(self.provisional());
-        crate::union::merge_mapping(&all)
+        let mut ids = self.merges.ids.clone();
+        ids.extend(self.provisional());
+        Cow::Owned(ids)
+    }
+
+    /// The relabelling of the committed merges alone
+    /// ([`StreamingMerger::accepted`]).
+    pub fn committed_ids(&self) -> &MergedIds {
+        &self.merges.ids
+    }
+
+    /// [`StreamingMerger::merged_ids`] as a map (see
+    /// [`MergedIds::to_map`]).
+    pub fn mapping(&self) -> HashMap<TrackId, TrackId> {
+        self.merged_ids().to_map()
     }
 
     /// All candidates committed so far (excludes provisional degraded
     /// merges awaiting re-verification).
     pub fn accepted(&self) -> &[TrackPair] {
-        &self.merged_ids
+        &self.merges.pairs
     }
 
     /// The provisional candidates of the stashed (degraded, not yet
@@ -647,12 +687,12 @@ impl<'m, S: CandidateSelector> StreamingMerger<'m, S> {
         let mut delta = RetentionSummary::default();
         // Stashed degraded windows past the horizon: their re-verification
         // window has closed, so the provisional merges become permanent
-        // (they were already visible in `mapping`; this only stops them
+        // (they were already visible in `merged_ids`; this only stops them
         // from being re-scored).
         let stash = std::mem::take(&mut self.stash);
         for sw in stash {
             if sw.window.end.get() <= horizon_start.get() {
-                self.merged_ids.extend_from_slice(&sw.provisional);
+                self.merges.commit(&sw.provisional);
                 delta.expired_stash_windows += 1;
             } else {
                 self.stash.push(sw);
@@ -911,6 +951,32 @@ mod tests {
         // The decision log matches what the calls returned.
         assert_eq!(m.decisions(), &decisions[..]);
         assert_eq!(m.robustness(), RobustnessReport::default());
+    }
+
+    #[test]
+    fn expired_stash_merges_commit_into_the_relabelling() {
+        let (model, tracks) = fixture();
+        let mut m =
+            StreamingMerger::new(&model, CostModel::zero(), Device::Cpu, selector(), config())
+                .unwrap();
+        // Shed-load stashes every window with provisional merges.
+        m.set_shed(true);
+        m.advance(&tracks, 400).unwrap();
+        assert!(m.accepted().is_empty());
+        assert!(m.provisional().next().is_some());
+        let mapping = m.mapping();
+        // Every stashed window ends by frame 400, so all of them expire.
+        let delta = m.compact_before(FrameIdx(400), &tracks);
+        assert!(delta.expired_stash_windows > 0);
+        assert_eq!(m.stash_len(), 0);
+        // Their merges are now committed, in the pair list and in the
+        // relabelling queries read, which answers as it did before.
+        assert!(matches!(m.merged_ids(), Cow::Borrowed(_)));
+        assert_eq!(
+            m.committed_ids().to_map(),
+            crate::union::merge_mapping(m.accepted())
+        );
+        assert_eq!(m.mapping(), mapping);
     }
 
     #[test]

@@ -59,13 +59,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use tm_core::checkpoint::{corrupt, open, seal, Kind, Reader, Writer};
 use tm_core::{
-    build_window_pairs, CandidateSelector, PipelineConfig, SelectionInput, StreamingMerger,
-    UnionFind, VoiHints, VoiMode,
+    build_window_pairs, CandidateSelector, MergedIds, PipelineConfig, SelectionInput,
+    StreamingMerger, VoiHints, VoiMode,
 };
 use tm_reid::{AppearanceModel, ReidSession};
 use tm_types::{BBox, Result, Track, TrackId, TrackPair, TrackSet};
 
-use crate::queries::{evaluate, Query, QueryAnswer};
+use crate::queries::{evaluate_merged, Query, QueryAnswer};
 
 // ---------------------------------------------------------------------------
 // Configuration and answer types
@@ -267,15 +267,11 @@ fn pair_hull(a: &TrackStat, b: &TrackStat) -> u64 {
 /// collapse rows the `hi` bound has already granted).
 pub fn voi_hints(tracks: &TrackSet, query: Query, pairs: &[TrackPair]) -> VoiHints {
     let stats = track_stats(tracks, &query);
-    let mut uf = UnionFind::new();
-    for p in pairs {
-        uf.union(p.lo(), p.hi());
-    }
+    let components: MergedIds = pairs.iter().collect();
     let mut comps: HashMap<TrackId, CompStat> = HashMap::new();
     for t in tracks.iter() {
-        let root = uf.find(t.id);
         comps
-            .entry(root)
+            .entry(components.get(t.id))
             .or_default()
             .absorb(stats.get(&t.id).unwrap_or(&TrackStat::default()));
     }
@@ -283,7 +279,10 @@ pub fn voi_hints(tracks: &TrackSet, query: Query, pairs: &[TrackPair]) -> VoiHin
     for p in pairs {
         let a = stats.get(&p.lo()).copied().unwrap_or_default();
         let b = stats.get(&p.hi()).copied().unwrap_or_default();
-        let comp = comps.get(&uf.find(p.lo())).copied().unwrap_or_default();
+        let comp = comps
+            .get(&components.get(p.lo()))
+            .copied()
+            .unwrap_or_default();
         let w = match query {
             Query::Count { min_frames } => weight_count(&a, &b, &comp, min_frames),
             Query::RegionTransit { min_frames, .. } => weight_region(&a, &b, &comp, min_frames),
@@ -357,42 +356,35 @@ fn weight_co_occurrence(a: &TrackStat, b: &TrackStat, comp: &CompStat, min_frame
 // Sound interval bounds
 // ---------------------------------------------------------------------------
 
-/// Bounds the final answer cardinality given the accepted merges and the
-/// still-plausible pairs. `answer` must be the evaluation of `query` on
-/// the accepted (`G_lo`) partition — it seeds the co-occurrence witness
-/// count.
+/// Bounds the final answer cardinality given the accepted merges
+/// (`accepted`, the `G_lo` partition) and the still-plausible pairs.
+/// `answer` must be the evaluation of `query` on the accepted partition —
+/// it seeds the co-occurrence witness count.
 fn bound_interval(
     tracks: &TrackSet,
     query: &Query,
     stats: &HashMap<TrackId, TrackStat>,
-    accepted: &[TrackPair],
+    accepted: &MergedIds,
     plausible: &[TrackPair],
     answer: &QueryAnswer,
 ) -> (f64, f64) {
-    // G_lo: partition under accepted merges only.
-    let mut uf_lo = UnionFind::new();
-    for p in accepted {
-        uf_lo.union(p.lo(), p.hi());
-    }
+    // G_lo: partition under accepted merges only, keyed by smallest id.
     let mut lo_comps: BTreeMap<TrackId, CompStat> = BTreeMap::new();
     for t in tracks.iter() {
-        let root = uf_lo.find(t.id);
         lo_comps
-            .entry(root)
+            .entry(accepted.get(t.id))
             .or_default()
             .absorb(stats.get(&t.id).unwrap_or(&TrackStat::default()));
     }
 
     // G_hi: partition under accepted ∪ plausible; group G_lo components by
-    // their G_hi root. The G_lo root is the smallest member id (UnionFind
-    // relabels to min), which is itself a member, so find() is well-defined.
-    let mut uf_hi = UnionFind::new();
-    for p in accepted.iter().chain(plausible.iter()) {
-        uf_hi.union(p.lo(), p.hi());
-    }
+    // their G_hi component. A G_lo key is its component's smallest id,
+    // itself a member, so its G_hi component is well-defined.
+    let mut g_hi = accepted.clone();
+    g_hi.extend(plausible);
     let mut hi_comps: BTreeMap<TrackId, Vec<CompStat>> = BTreeMap::new();
     for (&root, &stat) in &lo_comps {
-        hi_comps.entry(uf_hi.find(root)).or_default().push(stat);
+        hi_comps.entry(g_hi.get(root)).or_default().push(stat);
     }
 
     match *query {
@@ -447,7 +439,7 @@ fn bound_interval(
             group_size,
             min_frames,
         } => {
-            let lo = co_occurrence_lo(answer, &mut uf_hi);
+            let lo = co_occurrence_lo(answer, &g_hi);
             let hi = co_occurrence_hi(&hi_comps, group_size, min_frames);
             (lo, hi)
         }
@@ -461,13 +453,13 @@ fn bound_interval(
 /// members in different `G_hi` components can never merge with each other.
 /// Distinct component sets yield distinct final groups, so the number of
 /// distinct component sets is a sound floor.
-fn co_occurrence_lo(answer: &QueryAnswer, uf_hi: &mut UnionFind) -> f64 {
+fn co_occurrence_lo(answer: &QueryAnswer, g_hi: &MergedIds) -> f64 {
     let QueryAnswer::CoOccurrence(groups) = answer else {
         return 0.0;
     };
     let mut witness: BTreeSet<Vec<TrackId>> = BTreeSet::new();
     for g in groups {
-        let mut roots: Vec<TrackId> = g.iter().map(|&id| uf_hi.find(id)).collect();
+        let mut roots: Vec<TrackId> = g.iter().map(|&id| g_hi.get(id)).collect();
         roots.sort();
         roots.dedup();
         if roots.len() == g.len() {
@@ -645,13 +637,14 @@ impl AnytimeQuery {
 
         let mut processed = vec![false; windows.len()];
         let mut accepted: Vec<TrackPair> = Vec::new();
+        let mut merged = MergedIds::new();
         let mut spent = 0u64;
         let mut trajectory: Vec<IntervalPoint> = Vec::new();
         let (mut run_lo, mut run_hi) = (f64::NEG_INFINITY, f64::INFINITY);
         let mut flips = 0u64;
         let mut terminated_early = false;
 
-        let observe = |accepted: &[TrackPair],
+        let observe = |merged: &MergedIds,
                        processed: &[bool],
                        spent: u64,
                        trajectory: &mut Vec<IntervalPoint>,
@@ -659,9 +652,7 @@ impl AnytimeQuery {
                        run_hi: &mut f64,
                        flips: &mut u64|
          -> (u64, QueryAnswer) {
-            let mapping = tm_core::merge_mapping(accepted);
-            let merged = tracks.relabeled(&mapping);
-            let answer = evaluate(&merged, query);
+            let answer = evaluate_merged(tracks, |id| merged.get(id), query);
             let plausible: Vec<TrackPair> = windows
                 .iter()
                 .enumerate()
@@ -670,7 +661,7 @@ impl AnytimeQuery {
                 .filter(|p| !(enforce_deferral && hints.deferred(p)))
                 .copied()
                 .collect();
-            let (lo, hi) = bound_interval(tracks, &query, &stats, accepted, &plausible, &answer);
+            let (lo, hi) = bound_interval(tracks, &query, &stats, merged, &plausible, &answer);
             // The universe only shrinks, so the interval can only tighten;
             // intersect with the running interval to make that monotone
             // even across bound slack.
@@ -693,7 +684,7 @@ impl AnytimeQuery {
 
         // Pre-work point: nothing accepted, everything plausible.
         let (mut estimate, mut answer) = observe(
-            &accepted,
+            &merged,
             &processed,
             spent,
             &mut trajectory,
@@ -740,10 +731,11 @@ impl AnytimeQuery {
             };
             let result = selector.select(&input, &mut session)?;
             spent += result.distance_evals;
+            merged.extend(&result.candidates);
             accepted.extend(result.candidates);
             processed[wi] = true;
             (estimate, answer) = observe(
-                &accepted,
+                &merged,
                 &processed,
                 spent,
                 &mut trajectory,
@@ -820,7 +812,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
     pub fn advance(&mut self, tracks: &TrackSet, frames_available: u64) -> Result<IntervalPoint> {
         self.refresh_hints(tracks);
         self.merger.advance(tracks, frames_available)?;
-        Ok(self.observe(tracks))
+        Ok(self.observe(tracks).0)
     }
 
     /// Closes the stream: flushes the final window, re-verifies any
@@ -830,10 +822,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
         self.refresh_hints(tracks);
         self.merger.finish(tracks, total_frames)?;
         self.finished = true;
-        let point = self.observe(tracks);
-        let mapping = self.merger.mapping();
-        let merged = tracks.relabeled(&mapping);
-        let answer = evaluate(&merged, self.query);
+        let (point, answer) = self.observe(tracks);
         tm_obs::current().counter("query.voi.flips", self.flips);
         Ok(AnytimeAnswer {
             estimate: point.estimate,
@@ -881,9 +870,9 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
         self.merger.set_voi_hints(Some(hints));
     }
 
-    fn observe(&mut self, tracks: &TrackSet) -> IntervalPoint {
+    /// The interval at the current watermark, and the estimate's answer.
+    fn observe(&mut self, tracks: &TrackSet) -> (IntervalPoint, QueryAnswer) {
         let stats = track_stats(tracks, &self.query);
-        let accepted: Vec<TrackPair> = self.merger.accepted().to_vec();
         let enforce = self.reweight_arms && self.merger.config().voi == VoiMode::Reweight;
         let hints = enforce.then(|| {
             let universe = admissible_pairs(tracks);
@@ -907,22 +896,18 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
         }
         let plausible: Vec<TrackPair> = plausible.into_iter().collect();
 
-        // Estimate evaluates the merger's full mapping (committed +
+        // Estimate evaluates the merger's full relabelling (committed +
         // provisional) — the stream's best current guess; the bounds use
-        // committed merges only.
-        let mapping = self.merger.mapping();
-        let merged = tracks.relabeled(&mapping);
-        let answer = evaluate(&merged, self.query);
-        // The lo-side witness answer must match the committed partition.
-        let lo_answer = evaluate(
-            &tracks.relabeled(&tm_core::merge_mapping(&accepted)),
-            self.query,
-        );
+        // committed merges only, and so must the lo-side witness answer.
+        let merged = self.merger.merged_ids();
+        let answer = evaluate_merged(tracks, |id| merged.get(id), self.query);
+        let committed = self.merger.committed_ids();
+        let lo_answer = evaluate_merged(tracks, |id| committed.get(id), self.query);
         let (lo, hi) = bound_interval(
             tracks,
             &self.query,
             &stats,
-            &accepted,
+            committed,
             &plausible,
             &lo_answer,
         );
@@ -939,7 +924,7 @@ impl<'m, S: CandidateSelector> AnytimeStream<'m, S> {
             hi,
         };
         self.trajectory.push(point);
-        point
+        (point, answer)
     }
 
     // -- checkpoint envelope ------------------------------------------------
@@ -1068,6 +1053,7 @@ fn take_query(r: &mut Reader<'_>) -> Result<Query> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queries::evaluate;
     use tm_types::{ids::classes, FrameIdx, TrackBox};
 
     fn track(id: u64, frames: std::ops::Range<u64>) -> Track {
@@ -1108,14 +1094,14 @@ mod tests {
         // Undecided: neither track qualifies alone, merging 1+2 would
         // (hull 220 > 150).
         let answer = evaluate(&ts, query);
-        let (lo, hi) = bound_interval(&ts, &query, &stats, &[], &[p], &answer);
+        let (lo, hi) = bound_interval(&ts, &query, &stats, &MergedIds::new(), &[p], &answer);
         assert_eq!((lo, hi), (0.0, 1.0));
         assert!(lo <= answer.len() as f64 && answer.len() as f64 <= hi);
         // Accepted: exactly one qualifying merged track, interval closed.
         let mapping = tm_core::merge_mapping(&[p]);
         let merged = ts.relabeled(&mapping);
         let answer = evaluate(&merged, query);
-        let (lo, hi) = bound_interval(&ts, &query, &stats, &[p], &[], &answer);
+        let (lo, hi) = bound_interval(&ts, &query, &stats, &[p].iter().collect(), &[], &answer);
         assert_eq!((lo, hi), (1.0, 1.0));
         assert_eq!(answer.len(), 1);
     }
@@ -1131,7 +1117,14 @@ mod tests {
         };
         let stats = track_stats(&ts, &query);
         let answer = evaluate(&ts, query);
-        let (lo, hi) = bound_interval(&ts, &query, &stats, &[], &[pair(1, 2)], &answer);
+        let (lo, hi) = bound_interval(
+            &ts,
+            &query,
+            &stats,
+            &MergedIds::new(),
+            &[pair(1, 2)],
+            &answer,
+        );
         // 30 + 30 = 60 >= 50: one extra qualifying group is possible.
         assert_eq!((lo, hi), (0.0, 1.0));
         // Hopeless when the combined dwell cannot reach the floor.
@@ -1158,10 +1151,17 @@ mod tests {
         let answer = evaluate(&ts, query);
         assert_eq!(answer.len(), 1);
         // Nothing plausible: exact.
-        let (lo, hi) = bound_interval(&ts, &query, &stats, &[], &[], &answer);
+        let (lo, hi) = bound_interval(&ts, &query, &stats, &MergedIds::new(), &[], &answer);
         assert_eq!((lo, hi), (1.0, 1.0));
         // A plausible merge of 1+2 could destroy the group: lo drops.
-        let (lo, hi) = bound_interval(&ts, &query, &stats, &[], &[pair(1, 2)], &answer);
+        let (lo, hi) = bound_interval(
+            &ts,
+            &query,
+            &stats,
+            &MergedIds::new(),
+            &[pair(1, 2)],
+            &answer,
+        );
         assert_eq!(lo, 0.0);
         assert!(hi >= 1.0);
     }

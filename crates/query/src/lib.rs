@@ -27,6 +27,8 @@ pub mod region;
 pub use anytime::{
     voi_hints, AnytimeAnswer, AnytimeConfig, AnytimeQuery, AnytimeStream, IntervalPoint,
 };
-pub use queries::{co_occurrence_query, count_query, evaluate, Query, QueryAnswer};
+pub use queries::{
+    co_occurrence_query, count_query, evaluate, evaluate_merged, Query, QueryAnswer,
+};
 pub use recall::{co_occurrence_recall, count_recall};
 pub use region::{region_transit_query, region_transit_recall};

@@ -1,6 +1,8 @@
-//! Query definitions and evaluation over a [`TrackSet`].
+//! Query definitions and evaluation over a [`TrackSet`], as tracked or
+//! through a merge relabelling.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use tm_types::{BBox, TrackId, TrackSet};
 
 /// A declarative query over track metadata.
@@ -64,29 +66,106 @@ impl QueryAnswer {
     }
 }
 
-/// Evaluates a query.
+/// Evaluates a query over the tracks as they are.
 pub fn evaluate(tracks: &TrackSet, query: Query) -> QueryAnswer {
+    evaluate_merged(tracks, |id| id, query)
+}
+
+/// Evaluates a query over `tracks` merged through `merged_id`, which maps
+/// each track's id to its merged group's id (such as
+/// [`tm_core::MergedIds::get`]). The answer is exactly
+/// `evaluate(&tracks.relabeled(&mapping), query)` for the mapping that
+/// `merged_id` implies.
+///
+/// Count and Co-occurrence read only lifetimes, and a merged track's
+/// lifetime is the fold of its members': the earliest first frame and the
+/// latest last frame. The fold reads each member's first and last box as
+/// its first and last frame, which holds because a track's boxes are in
+/// frame order — [`TrackSet::validate`] enforces that at every admission.
+/// So those two copy no box. RegionTransit counts boxes, so it evaluates
+/// a relabelled copy of the feed, mapping only the feed's own ids.
+pub fn evaluate_merged(
+    tracks: &TrackSet,
+    merged_id: impl Fn(TrackId) -> TrackId,
+    query: Query,
+) -> QueryAnswer {
     match query {
-        Query::Count { min_frames } => QueryAnswer::Count(count_query(tracks, min_frames)),
+        Query::Count { min_frames } => {
+            QueryAnswer::Count(count(&lifetimes(tracks, merged_id), min_frames))
+        }
         Query::CoOccurrence {
             group_size,
             min_frames,
-        } => QueryAnswer::CoOccurrence(co_occurrence_query(tracks, group_size, min_frames)),
-        Query::RegionTransit { region, min_frames } => QueryAnswer::RegionTransit(
-            crate::region::region_transit_query(tracks, &region, min_frames),
-        ),
+        } => QueryAnswer::CoOccurrence(co_occurrence(
+            lifetimes(tracks, merged_id),
+            group_size,
+            min_frames,
+        )),
+        Query::RegionTransit { region, min_frames } => {
+            let mapping: HashMap<TrackId, TrackId> = tracks
+                .ids()
+                .filter_map(|id| {
+                    let to = merged_id(id);
+                    (to != id).then_some((id, to))
+                })
+                .collect();
+            let answer = if mapping.is_empty() {
+                crate::region::region_transit_query(tracks, &region, min_frames)
+            } else {
+                crate::region::region_transit_query(
+                    &tracks.relabeled(&mapping),
+                    &region,
+                    min_frames,
+                )
+            };
+            QueryAnswer::RegionTransit(answer)
+        }
     }
+}
+
+/// A merged track's id and lifetime `[first_frame, last_frame]`.
+type Lifetime = (TrackId, u64, u64);
+
+/// Every merged id's lifetime, sorted by id. Members without boxes add
+/// nothing, so a merged id whose members have no box is absent.
+fn lifetimes(tracks: &TrackSet, merged_id: impl Fn(TrackId) -> TrackId) -> Vec<Lifetime> {
+    let mut out: Vec<Lifetime> = tracks
+        .iter()
+        .filter_map(|t| {
+            Some((
+                merged_id(t.id),
+                t.first_frame()?.get(),
+                t.last_frame()?.get(),
+            ))
+        })
+        .collect();
+    out.sort_unstable_by_key(|l| l.0);
+    out.dedup_by(|next, kept| {
+        if next.0 != kept.0 {
+            return false;
+        }
+        kept.1 = kept.1.min(next.1);
+        kept.2 = kept.2.max(next.2);
+        true
+    });
+    out
+}
+
+fn span(l: &Lifetime) -> u64 {
+    l.2 - l.1 + 1
 }
 
 /// Tracks spanning more than `min_frames` frames, sorted by id.
 pub fn count_query(tracks: &TrackSet, min_frames: u64) -> Vec<TrackId> {
-    let mut out: Vec<TrackId> = tracks
+    count(&lifetimes(tracks, |id| id), min_frames)
+}
+
+fn count(lifetimes: &[Lifetime], min_frames: u64) -> Vec<TrackId> {
+    lifetimes
         .iter()
-        .filter(|t| t.span() > min_frames)
-        .map(|t| t.id)
-        .collect();
-    out.sort();
-    out
+        .filter(|l| span(l) > min_frames)
+        .map(|l| l.0)
+        .collect()
 }
 
 /// Groups of `group_size` distinct tracks whose lifetime intervals jointly
@@ -103,25 +182,26 @@ pub fn co_occurrence_query(
     group_size: usize,
     min_frames: u64,
 ) -> Vec<Vec<TrackId>> {
+    co_occurrence(lifetimes(tracks, |id| id), group_size, min_frames)
+}
+
+fn co_occurrence(
+    mut spans: Vec<Lifetime>,
+    group_size: usize,
+    min_frames: u64,
+) -> Vec<Vec<TrackId>> {
     if group_size == 0 {
         return Vec::new();
     }
     // Candidates must individually span enough frames.
-    let mut spans: Vec<(TrackId, u64, u64)> = tracks
-        .iter()
-        .filter_map(|t| {
-            let (f, l) = (t.first_frame()?, t.last_frame()?);
-            (t.span() >= min_frames).then_some((t.id, f.get(), l.get()))
-        })
-        .collect();
-    spans.sort();
+    spans.retain(|l| span(l) >= min_frames);
 
     let mut out: Vec<Vec<TrackId>> = Vec::new();
     let mut group: Vec<usize> = Vec::new();
     // Depth-first enumeration with interval-intersection pruning: extend a
     // partial group only while the running intersection stays ≥ min_frames.
     struct Dfs<'a> {
-        spans: &'a [(TrackId, u64, u64)],
+        spans: &'a [Lifetime],
         group_size: usize,
         min_frames: u64,
     }

@@ -10,11 +10,21 @@
 //!   of the same GT actor can only extend lifetime intervals, so Count and
 //!   Co-occurrence recall never decrease, and the fully merged track set
 //!   recovers recall 1.0. This is the paper's §V-H claim in miniature.
+//!
+//! A third pins the merged evaluation a live daemon answers with: reading
+//! a feed through a merge relabelling gives exactly the answer of the
+//! relabelled copy, for every query class.
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
-use tm_query::{co_occurrence_query, co_occurrence_recall, count_query, count_recall};
-use tm_types::{ids::classes, BBox, FrameIdx, GtObjectId, Track, TrackBox, TrackId, TrackSet};
+use tm_core::{merge_mapping, MergedIds};
+use tm_query::{
+    co_occurrence_query, co_occurrence_recall, count_query, count_recall, evaluate,
+    evaluate_merged, Query,
+};
+use tm_types::{
+    ids::classes, BBox, FrameIdx, GtObjectId, Track, TrackBox, TrackId, TrackPair, TrackSet,
+};
 
 /// One GT actor: lifetime `[start, start + len]`, fragmented into `frags`
 /// contiguous pieces on the predicted side.
@@ -195,5 +205,82 @@ proptest! {
             last = r;
         }
         prop_assert_eq!(last, 1.0);
+    }
+}
+
+/// One track of a random feed: `(id, kind, start, len, step, x0)`. Kind 0
+/// is a track without boxes, kind 1 a single box at `start`, anything else
+/// a walk over `[start, start + len)` observed every `step` frames. Ids
+/// repeat (a later track replaces an earlier one), and walks of different
+/// ids overlap in frames as often as not.
+type TrackSpec = (u64, u64, u64, u64, u64, f64);
+
+fn feed(specs: &[TrackSpec]) -> TrackSet {
+    TrackSet::from_tracks(
+        specs
+            .iter()
+            .map(|&(id, kind, start, len, step, x0)| {
+                let frames: Vec<u64> = match kind {
+                    0 => Vec::new(),
+                    1 => vec![start],
+                    _ => (start..start + len).step_by(step as usize).collect(),
+                };
+                Track::with_boxes(
+                    TrackId(id),
+                    classes::PEDESTRIAN,
+                    frames
+                        .into_iter()
+                        .map(|f| {
+                            let x = x0 + 4.0 * (f - start) as f64;
+                            TrackBox::new(FrameIdx(f), BBox::new(x, 100.0, 20.0, 40.0))
+                        })
+                        .collect(),
+                )
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Count, Co-occurrence and RegionTransit read through a merge
+    /// relabelling answer exactly as on the relabelled copy. Accepted pairs
+    /// may name ids absent from the feed (merges of pruned tracks) and chain
+    /// groups whose smallest ids started in different groups.
+    #[test]
+    fn merged_evaluation_equals_the_relabelled_answer(
+        specs in proptest::collection::vec(
+            (1u64..16, 0u64..4, 0u64..200, 1u64..120, 1u64..4, 0.0f64..600.0),
+            0..12,
+        ),
+        edges in proptest::collection::vec((1u64..20, 1u64..20), 0..16),
+        count_floor in 0u64..150,
+        group_size in 0usize..4,
+        joint_floor in 0u64..100,
+        (region_x, dwell_floor) in (0.0f64..800.0, 0u64..30),
+    ) {
+        let tracks = feed(&specs);
+        let pairs: Vec<TrackPair> = edges
+            .into_iter()
+            .filter_map(|(a, b)| TrackPair::new(TrackId(a), TrackId(b)))
+            .collect();
+        let mapping = merge_mapping(&pairs);
+        let relabelled = tracks.relabeled(&mapping);
+        let ids: MergedIds = pairs.iter().collect();
+        let queries = [
+            Query::Count { min_frames: count_floor },
+            Query::CoOccurrence { group_size, min_frames: joint_floor },
+            Query::RegionTransit {
+                region: BBox::new(region_x, 0.0, 200.0, 400.0),
+                min_frames: dwell_floor,
+            },
+        ];
+        for q in queries {
+            let want = evaluate(&relabelled, q);
+            prop_assert_eq!(&evaluate_merged(&tracks, |id| ids.get(id), q), &want, "{:?}", q);
+            let by_map = evaluate_merged(&tracks, |id| *mapping.get(&id).unwrap_or(&id), q);
+            prop_assert_eq!(&by_map, &want, "{:?}", q);
+        }
     }
 }

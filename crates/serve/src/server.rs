@@ -29,7 +29,7 @@ use tm_core::global::{GlobalConfig, GlobalMerger};
 use tm_core::selector::CandidateSelector;
 use tm_core::stream::{RetentionSummary, StreamConfig};
 use tm_obs::{Level, Obs};
-use tm_query::{evaluate, Query, QueryAnswer};
+use tm_query::{evaluate_merged, Query, QueryAnswer};
 use tm_reid::{AppearanceModel, CostModel, Device, InferenceBackend};
 use tm_types::{FrameIdx, Result, TmError, Track, TrackSet};
 
@@ -529,9 +529,11 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
     }
 
     /// Answers a query against `(tenant, stream)`'s in-flight merged state
-    /// — the retained feed relabeled through the shard's current mapping
+    /// — the retained feed read through the shard's current relabelling
     /// (provisional merges included, so queries keep working through
-    /// outages and shed-load). A pure read: no ingestion state changes.
+    /// outages and shed-load). The shard keeps that relabelling as pairs
+    /// commit, so an answer costs what the retained feed costs, whatever
+    /// the merge history. A pure read: no ingestion state changes.
     pub fn query(&self, tenant: u64, stream: usize, query: Query) -> Result<QueryAnswer> {
         let t = self
             .tenants
@@ -540,9 +542,12 @@ impl<'m, S: CandidateSelector + Send> TmServe<'m, S> {
         if stream >= t.spec.streams {
             return Err(invalid("unknown stream"));
         }
-        let mapping = t.fleet.shard(stream).mapping();
-        let merged = t.feeds[stream].tracks.relabeled(&mapping);
-        Ok(evaluate(&merged, query))
+        let merged = t.fleet.shard(stream).merged_ids();
+        Ok(evaluate_merged(
+            &t.feeds[stream].tracks,
+            |id| merged.get(id),
+            query,
+        ))
     }
 
     /// Whether a tenant is currently shedding load.

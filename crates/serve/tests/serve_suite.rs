@@ -6,7 +6,8 @@
 //!    middle of a camera outage (breaker open, tenant shed, stash
 //!    non-empty) and resumed from its serve envelope continues exactly
 //!    like the daemon that never died: same decisions, same mappings, same
-//!    counters, same simulated-clock bits.
+//!    counters, same simulated-clock bits. Mid-outage, queries answer
+//!    through the stash's provisional merges.
 //! 2. **Retention compaction is invisible inside the horizon** — a
 //!    property test drives a compacting daemon and an unbounded twin over
 //!    identical traffic and checks recent decisions, mappings, and query
@@ -22,7 +23,7 @@
 
 use proptest::prelude::*;
 use tm_chaos::{FaultPlan, FaultyModel, TenantChurn, TenantChurnConfig};
-use tm_core::{StreamConfig, StreamingMerger, TMerge, TMergeConfig};
+use tm_core::{merge_mapping, DecisionMode, StreamConfig, StreamingMerger, TMerge, TMergeConfig};
 use tm_query::Query;
 use tm_reid::{
     AppearanceConfig, AppearanceModel, CostModel, Device, GateConfig, GatePolicy, InferenceBackend,
@@ -134,6 +135,31 @@ fn serve_kill_and_resume_is_byte_identical() {
     // degraded windows sit in the stash awaiting re-verification.
     assert_eq!(solo.is_shed(1), Some(true), "outage must flip shed");
     assert!(solo.footprint(1).unwrap().stash_windows > 0);
+    // Queries keep working through the outage: stream 0 answers through
+    // its committed and provisional merges together, exactly as its feed
+    // relabelled by both answers, and unlike the committed merges alone.
+    let shard = solo.fleet(1).unwrap().shard(0);
+    let provisional: Vec<_> = shard
+        .decisions()
+        .iter()
+        .filter(|d| d.mode == DecisionMode::Degraded)
+        .flat_map(|d| d.candidates.iter().copied())
+        .collect();
+    let both = merge_mapping(&[shard.accepted(), &provisional].concat());
+    let committed = merge_mapping(shard.accepted());
+    let feed = w.tracks(1, 0, 3 * WINDOW);
+    for q in [
+        Query::Count { min_frames: 50 },
+        Query::CoOccurrence {
+            group_size: 2,
+            min_frames: 50,
+        },
+    ] {
+        let answer = solo.query(1, 0, q).unwrap();
+        let relabelled = |m| tm_query::evaluate(&feed.relabeled(m), q);
+        assert_eq!(answer, relabelled(&both), "{q:?} mid-outage");
+        assert_ne!(answer, relabelled(&committed), "{q:?} reads the stash");
+    }
     let envelope = solo.checkpoint();
 
     let (mut revived, dropped) = TmServe::resume(
