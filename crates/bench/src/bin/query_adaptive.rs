@@ -418,12 +418,15 @@ fn main() {
 
     // The trajectory point: wall-time the VoI half-budget walk against the
     // agnostic full-budget walk (preparation excluded) and write
-    // BENCH_query.json next to the other BENCH_*.json files.
+    // BENCH_query.json next to the other BENCH_*.json files. Nine timed
+    // iterations a case: at three, the p50 of one unchanged binary moved
+    // by ±15% from run to run; p99 is then the slowest iteration, so the
+    // file records each case's median and its spread above it.
     let spec = cfg.limit(pathtrack(), 4);
     let ds = DatasetRun::prepare(&spec, TrackerKind::Tracktor, None);
     let pipeline = pipeline_config(ds.window_len, cfg.seed);
     let frames = ds.total_frames();
-    let iters = if cfg.quick { 1 } else { 3 };
+    let iters = if cfg.quick { 1 } else { 9 };
     let half_budgets: Vec<u64> = (0..2)
         .map(|qi| (r.full_spent[qi] / r.n_videos.max(1) as u64 / 2).max(1))
         .collect();

@@ -28,7 +28,9 @@
 //! keeps index order and is edited only when an arm locks in, is pruned or
 //! runs out of BBox pairs. ULB reuses one Hoeffding radius per distinct
 //! small `n` and finds its two order statistics in one pass when `m` is
-//! small.
+//! small, and it runs only in rounds where a verdict is possible: a
+//! certificate kept in O(1) per pull ([`UlbCertificate`]) proves the other
+//! rounds verdict-free.
 //!
 //! **BetaInit** (Algorithm 3) warm-starts the posterior: pairs whose track
 //! end-points are spatially close (`DisS < thr_S`) get `F += 1`, lowering
@@ -191,6 +193,19 @@ impl CandidateSelector for TMerge {
         input: &SelectionInput<'_>,
         session: &mut ReidSession<'_>,
     ) -> Result<SelectionResult> {
+        self.select_with(input, session, |_, _| {})
+    }
+}
+
+impl TMerge {
+    /// [`CandidateSelector::select`], calling `after_round` at the end of
+    /// every round with the number of ULB passes run so far and the arms.
+    fn select_with(
+        &self,
+        input: &SelectionInput<'_>,
+        session: &mut ReidSession<'_>,
+        mut after_round: impl FnMut(u64, &Arms<'_>),
+    ) -> Result<SelectionResult> {
         let m = input.m();
         if m == 0 || input.pairs.is_empty() {
             return Ok(SelectionResult::default());
@@ -242,7 +257,7 @@ impl CandidateSelector for TMerge {
         let mut live: Vec<usize> = (0..len).filter(|&i| arms.live(i)).collect();
         let mut draws = ThompsonDraws::new();
         let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(batch);
-        let mut ulb = UlbScratch::default();
+        let mut ulb = Ulb::default();
 
         // --- Main sampling loop (Algorithm 2 lines 3–14). ---
         while tau < self.config.tau_max && !live.is_empty() {
@@ -287,12 +302,14 @@ impl CandidateSelector for TMerge {
             }
 
             // Line 14: ULB pruning (Algorithm 4).
-            if self.config.use_ulb {
-                dropped |= ulb_prune(&mut arms, tau, m, &mut ulb);
+            if self.config.use_ulb && tau >= ULB_MIN_TAU {
+                let pulled = chosen.iter().map(|&pos| live[pos]);
+                dropped |= ulb.after_round(&mut arms, tau, m, pulled);
             }
             if dropped {
                 live.retain(|&i| arms.live(i));
             }
+            after_round(ulb.passes, &arms);
         }
 
         // --- Line 15: top-m by posterior mean. ---
@@ -303,6 +320,7 @@ impl CandidateSelector for TMerge {
             obs.counter("selector.tmerge.selections", 1);
             obs.counter("selector.tmerge.rounds", round);
             obs.counter("selector.tmerge.pulls", tau);
+            obs.counter("selector.tmerge.ulb_passes", ulb.passes);
             let count = |flag: fn(&Arm<'_>) -> bool| arms.rest.iter().filter(|a| flag(a)).count();
             let locked = count(|a| a.locked_in) as u64;
             let pruned = count(|a| a.pruned_out) as u64;
@@ -396,13 +414,131 @@ const RADIUS_TABLE: usize = 256;
 /// figure sweeps, goes to two `select_nth_unstable_by` calls.
 const ONE_PASS_M: usize = 16;
 
-/// Algorithm 4 (ULB): lock arms provably inside the top-m and prune arms
-/// provably outside, using Hoeffding radii `U = √(2·ln τ / n)`. Returns
-/// whether it locked in or pruned any arm.
-fn ulb_prune(arms: &mut Arms<'_>, tau: u64, m: usize, scratch: &mut UlbScratch) -> bool {
-    if tau < ULB_MIN_TAU {
-        return false;
+/// How far a bound that the certificate holds may have moved against its
+/// trend by the time it is read. libm's `ln` is not guaranteed monotone,
+/// so the radius of an arm that was not pulled could in principle come out
+/// smaller at a larger τ; a bound `s̃ ± U` (of order 1) then moves by that
+/// drop plus one rounding, and the certificate compares two such bounds.
+/// `radius_drops_stay_inside_the_certificate_slack` measures the drop over
+/// τ ∈ [8, 2²²], n ∈ [2, 256].
+const CERTIFICATE_SLACK: f64 = 1e-9;
+
+/// ULB across one selection's rounds: its buffers, the certificate that
+/// lets a round skip the pass, and how many passes ran.
+#[derive(Default)]
+struct Ulb {
+    scratch: UlbScratch,
+    /// `None` until the first pass.
+    certificate: Option<UlbCertificate>,
+    passes: u64,
+}
+
+impl Ulb {
+    /// Algorithm 4 after a round at `τ ≥ ULB_MIN_TAU` whose pulls went to
+    /// the arms `pulled`: the full pass ([`ulb_prune`]), unless the
+    /// certificate proves that it would reach no verdict. Returns whether
+    /// an arm locked in or was pruned.
+    fn after_round(
+        &mut self,
+        arms: &mut Arms<'_>,
+        tau: u64,
+        m: usize,
+        pulled: impl IntoIterator<Item = usize>,
+    ) -> bool {
+        if let Some(certificate) = &mut self.certificate {
+            let (n, mean) = (&arms.n, &arms.mean);
+            if certificate.rules_out_verdicts(tau, n, mean, pulled, m < arms.len()) {
+                return false;
+            }
+        }
+        self.passes += 1;
+        let changed = ulb_prune(arms, tau, m, &mut self.scratch);
+        let undecided = arms.rest.iter().map(|a| !a.locked_in && !a.pruned_out);
+        self.certificate = Some(UlbCertificate::exact(&self.scratch.bounds, undecided));
+        changed
     }
+}
+
+/// A proof, kept in O(1) per pull, that ULB reaches no verdict in a round:
+/// bounds on the smallest upper and the largest lower Hoeffding bound,
+/// among all arms and among the undecided ones (neither locked in nor
+/// pruned). Arms below two samples have bounds `(−∞, +∞)`, which move no
+/// extreme, and they get no verdict.
+///
+/// An undecided arm `i` is inside only if `ub_i ≤ lb_(m) ≤ max lb`, and
+/// outside only if `lb_i > ub_(m) ≥ min ub`, the extremes taken over all
+/// arms (decided arms stay in the order statistics). So no verdict is
+/// possible while the undecided arms' smallest upper bound exceeds every
+/// arm's largest lower bound and their largest lower bound is at most
+/// every arm's smallest upper bound. With `m` equal to the number of arms,
+/// `ub_(m)` is the largest upper bound and outside is impossible, so only
+/// the first condition counts.
+///
+/// An arm that is not pulled keeps its `n` and mean while its radius
+/// `√(2 ln τ / n)` grows with τ, so its upper bound only rises and its
+/// lower bound only falls: the extremes of an earlier round remain valid
+/// bounds, up to [`CERTIFICATE_SLACK`]. A round folds in the pulled arms'
+/// exact new bounds, and a full pass recomputes all four from its bounds.
+struct UlbCertificate {
+    undecided_ub_min: f64,
+    undecided_lb_max: f64,
+    all_ub_min: f64,
+    all_lb_max: f64,
+}
+
+impl UlbCertificate {
+    /// The extremes of `bounds` (a pass's, one per arm), given which arms
+    /// are undecided after its verdicts.
+    fn exact(bounds: &[(f64, f64)], undecided: impl IntoIterator<Item = bool>) -> Self {
+        let mut certificate = Self {
+            undecided_ub_min: f64::INFINITY,
+            undecided_lb_max: f64::NEG_INFINITY,
+            all_ub_min: f64::INFINITY,
+            all_lb_max: f64::NEG_INFINITY,
+        };
+        for (&bounds, undecided) in bounds.iter().zip(undecided) {
+            certificate.fold(bounds, undecided);
+        }
+        certificate
+    }
+
+    fn fold(&mut self, (lb, ub): (f64, f64), undecided: bool) {
+        self.all_ub_min = self.all_ub_min.min(ub);
+        self.all_lb_max = self.all_lb_max.max(lb);
+        if undecided {
+            self.undecided_ub_min = self.undecided_ub_min.min(ub);
+            self.undecided_lb_max = self.undecided_lb_max.max(lb);
+        }
+    }
+
+    /// Folds in the bounds at `τ` of the arms `pulled` this round (live,
+    /// so undecided), whose sample counts and means are now in `n` and
+    /// `mean`, and says whether no verdict is possible.
+    fn rules_out_verdicts(
+        &mut self,
+        tau: u64,
+        n: &[u64],
+        mean: &[f64],
+        pulled: impl IntoIterator<Item = usize>,
+        outside_possible: bool,
+    ) -> bool {
+        let log_term = 2.0 * (tau as f64).ln();
+        for i in pulled {
+            if n[i] >= ULB_MIN_SAMPLES {
+                let (s, u) = (mean[i], (log_term / n[i] as f64).sqrt());
+                self.fold((s - u, s + u), true);
+            }
+        }
+        self.undecided_ub_min - CERTIFICATE_SLACK > self.all_lb_max
+            && (!outside_possible || self.undecided_lb_max + CERTIFICATE_SLACK <= self.all_ub_min)
+    }
+}
+
+/// Algorithm 4 (ULB): lock arms provably inside the top-m and prune arms
+/// provably outside, using Hoeffding radii `U = √(2·ln τ / n)` at
+/// `τ ≥ ULB_MIN_TAU`. Returns whether it locked in or pruned any arm.
+fn ulb_prune(arms: &mut Arms<'_>, tau: u64, m: usize, scratch: &mut UlbScratch) -> bool {
+    debug_assert!(tau >= ULB_MIN_TAU);
     // Bounds for every arm (pruned ones included — the counts in Algorithm
     // 4 line 6 quantify over all of P_c).
     scratch.fill_bounds(tau, &arms.n, &arms.mean);
@@ -1163,20 +1299,23 @@ mod tests {
 
     /// A random selection problem and its `τ_max`, of one of three kinds.
     /// Wide: 18–24 tracks, most of them short (1–6 boxes, so their pairs'
-    /// pools of box pairs run out), and 1–150 of their pairs. Deep: 4–6
-    /// tracks of 20–30 boxes, all of their pairs, and a budget of up to
-    /// 8,000 pulls, so that pairs gather the hundreds of samples ULB needs
-    /// to lock in and prune. Tracks belong to six actors and are placed so
+    /// pools of box pairs run out), and 1–150 of their pairs. Deep: 4–7
+    /// tracks of 20–40 boxes, all of their pairs, and a budget of up to
+    /// 12,000 pulls, so that pairs gather the hundreds of samples ULB needs
+    /// to lock in and prune, again after long stretches without a verdict.
+    /// The returned flag says whether the case is deep. Tracks belong to
+    /// six actors and are placed so
     /// that BetaInit's 200 px threshold splits them; pairs come in random
     /// order. Forced: see [`forced_scenario`].
-    fn scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64) {
+    fn scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64, bool) {
         let kind = g.random_range(0..3u32);
         if kind == 2 {
-            return forced_scenario(g);
+            let (tracks, pairs, tau_max) = forced_scenario(g);
+            return (tracks, pairs, tau_max, false);
         }
         let deep = kind == 0;
         let count = if deep {
-            g.random_range(4..=6u64)
+            g.random_range(4..=7u64)
         } else {
             g.random_range(18..=24u64)
         };
@@ -1185,7 +1324,7 @@ mod tests {
                 .map(|id| {
                     let (actor, start) = (g.random_range(0..6u64), g.random_range(0..60u64));
                     let len = if deep {
-                        g.random_range(20..=30usize)
+                        g.random_range(20..=40usize)
                     } else if g.random_range(0..10u32) < 7 {
                         g.random_range(1..=6usize)
                     } else {
@@ -1207,8 +1346,8 @@ mod tests {
         if !deep {
             pairs.truncate(g.random_range(1..=150usize));
         }
-        let tau_max = g.random_range(0..=if deep { 8000 } else { 1500 });
-        (tracks, pairs, tau_max)
+        let tau_max = g.random_range(0..=if deep { 12_000 } else { 1500 });
+        (tracks, pairs, tau_max, deep)
     }
 
     /// A city shard window's shape, where most rounds have one live arm:
@@ -1261,54 +1400,134 @@ mod tests {
 
     mod differential {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            #[test]
-            fn flat_rounds_match_the_frozen_loop(seed in any::<u64>()) {
-                let mut g = StdRng::seed_from_u64(seed);
-                let model = AppearanceModel::new(AppearanceConfig::default());
-                let (tracks, pairs, tau_max) = scenario(&mut g);
-                let voi = hints(&mut g, &pairs);
-                let input = SelectionInput {
-                    pairs: &pairs,
-                    tracks: &tracks,
-                    k: 1.0 - g.random_range(0.0..1.0),
-                    voi: voi.as_ref(),
-                };
-                let config = TMergeConfig {
-                    tau_max,
-                    thr_s: [None, Some(200.0)][g.random_range(0..2usize)],
-                    use_ulb: g.random_range(0..4u32) > 0,
-                    seed: g.random_range(0..u64::MAX),
-                    record_history: true,
-                    rank_by_bernoulli_posterior: g.random_range(0..2u32) == 0,
-                };
-                let device = [Device::Cpu, Device::Gpu { batch: 4 }, Device::Gpu { batch: 10 }]
-                    [g.random_range(0..3usize)];
-                let mut flat_session = ReidSession::new(&model, CostModel::calibrated(), device);
-                let mut ref_session = ReidSession::new(&model, CostModel::calibrated(), device);
-                let flat = TMerge::new(config).select(&input, &mut flat_session).unwrap();
-                let frozen = select_reference(&config, &input, &mut ref_session).unwrap();
-                let what = format!("{config:?} on {device:?}, {} pairs", pairs.len());
-                prop_assert_eq!(&flat.candidates, &frozen.candidates, "{}", what);
-                let bits = |r: &SelectionResult| {
-                    let mut s: Vec<_> = r.scores.iter().map(|(p, v)| (*p, v.to_bits())).collect();
-                    s.sort_unstable();
-                    s
-                };
-                prop_assert_eq!(bits(&flat), bits(&frozen), "{}", what);
-                prop_assert_eq!(flat.distance_evals, frozen.distance_evals, "{}", what);
-                let history = |r: &SelectionResult| r.history.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(history(&flat), history(&frozen), "{}", what);
-                prop_assert_eq!(
-                    flat_session.elapsed_ms().to_bits(),
-                    ref_session.elapsed_ms().to_bits(),
-                    "{}", what
-                );
-                prop_assert_eq!(flat_session.stats(), ref_session.stats(), "{}", what);
+        /// Rounds without a ULB pass that make a stretch long.
+        const LONG_SKIP: u64 = 200;
+
+        /// The ULB situations the battery must reach, counted over its
+        /// cases: each count is of verdict passes (passes that locked in or
+        /// pruned an arm).
+        #[derive(Debug, Default)]
+        struct Coverage {
+            /// After at least [`LONG_SKIP`] rounds without a pass.
+            after_long_skip: u64,
+            /// Once an arm had locked in.
+            after_lock_in: u64,
+            /// With `m` equal to the number of pairs (`k = 1`), after a
+            /// round without a pass.
+            k_one: u64,
+            /// Under TMerge-B (`B > 1`), after a round without a pass.
+            batched: u64,
+        }
+
+        /// Runs one random case through the flat loop and the frozen one,
+        /// asserts that they agree bit for bit, and counts what the flat
+        /// loop's ULB went through.
+        fn one_case(seed: u64, coverage: &mut Coverage) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let model = AppearanceModel::new(AppearanceConfig::default());
+            let (tracks, pairs, tau_max, deep) = scenario(&mut g);
+            let voi = hints(&mut g, &pairs);
+            // A third of the deep cases run at k = 1, the global overlay's.
+            let k = if deep && g.random_range(0..3u32) == 0 {
+                1.0
+            } else {
+                1.0 - g.random_range(0.0..1.0)
+            };
+            let input = SelectionInput {
+                pairs: &pairs,
+                tracks: &tracks,
+                k,
+                voi: voi.as_ref(),
+            };
+            let config = TMergeConfig {
+                tau_max,
+                thr_s: [None, Some(200.0)][g.random_range(0..2usize)],
+                use_ulb: g.random_range(0..4u32) > 0,
+                seed: g.random_range(0..u64::MAX),
+                record_history: true,
+                rank_by_bernoulli_posterior: g.random_range(0..2u32) == 0,
+            };
+            let device = [
+                Device::Cpu,
+                Device::Gpu { batch: 4 },
+                Device::Gpu { batch: 10 },
+            ][g.random_range(0..3usize)];
+            let mut flat_session = ReidSession::new(&model, CostModel::calibrated(), device);
+            let mut ref_session = ReidSession::new(&model, CostModel::calibrated(), device);
+            // Per round: ULB passes so far, and arms locked in or pruned.
+            let mut rounds: Vec<(u64, usize, usize)> = Vec::new();
+            let flat = TMerge::new(config)
+                .select_with(&input, &mut flat_session, |passes, arms| {
+                    let count =
+                        |flag: fn(&Arm<'_>) -> bool| arms.rest.iter().filter(|a| flag(a)).count();
+                    rounds.push((passes, count(|a| a.locked_in), count(|a| a.pruned_out)));
+                })
+                .unwrap();
+            let frozen = select_reference(&config, &input, &mut ref_session).unwrap();
+            let what = format!(
+                "case seed {seed}: {config:?} on {device:?}, {} pairs",
+                pairs.len()
+            );
+            assert_eq!(&flat.candidates, &frozen.candidates, "{what}");
+            let bits = |r: &SelectionResult| {
+                let mut s: Vec<_> = r.scores.iter().map(|(p, v)| (*p, v.to_bits())).collect();
+                s.sort_unstable();
+                s
+            };
+            assert_eq!(bits(&flat), bits(&frozen), "{what}");
+            assert_eq!(flat.distance_evals, frozen.distance_evals, "{what}");
+            let history =
+                |r: &SelectionResult| r.history.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(history(&flat), history(&frozen), "{what}");
+            assert_eq!(
+                flat_session.elapsed_ms().to_bits(),
+                ref_session.elapsed_ms().to_bits(),
+                "{what}"
+            );
+            assert_eq!(flat_session.stats(), ref_session.stats(), "{what}");
+
+            // Rounds since the last pass, once there was one.
+            let mut skipped = None::<u64>;
+            let mut before = (0, 0, 0);
+            for &now in &rounds {
+                let (passes, locked, pruned) = now;
+                if passes == before.0 {
+                    skipped = skipped.map(|r| r + 1);
+                } else {
+                    if locked + pruned > before.1 + before.2 {
+                        let skipped = skipped.unwrap_or(0);
+                        coverage.after_long_skip += u64::from(skipped >= LONG_SKIP);
+                        coverage.after_lock_in += u64::from(before.1 > 0);
+                        coverage.k_one += u64::from(input.m() == pairs.len() && skipped > 0);
+                        coverage.batched += u64::from(device.batch() > 1 && skipped > 0);
+                    }
+                    skipped = Some(0);
+                }
+                before = now;
             }
+        }
+
+        /// The flat loop, certificate and all, against the frozen loop that
+        /// runs ULB's full pass every round, over random cases that must
+        /// between them reach each [`Coverage`] situation.
+        #[test]
+        fn flat_rounds_match_the_frozen_loop() {
+            let mut seeds = StdRng::seed_from_u64(0x7e57_f1a7);
+            let mut coverage = Coverage::default();
+            for _ in 0..96 {
+                one_case(seeds.random_range(0..u64::MAX), &mut coverage);
+            }
+            let Coverage {
+                after_long_skip,
+                after_lock_in,
+                k_one,
+                batched,
+            } = &coverage;
+            assert!(
+                *after_long_skip > 0 && *after_lock_in > 0 && *k_one > 0 && *batched > 0,
+                "{coverage:?}"
+            );
         }
     }
 
@@ -1438,6 +1657,122 @@ mod tests {
                 tau += g.random_range(1..5u64);
             }
         }
+    }
+
+    /// The certificate against the full pass, over random ULB states whose
+    /// decided arms are chosen freely (more states than selections reach):
+    /// through rounds of one to three pulls, whenever the certificate rules
+    /// verdicts out, the pass finds none. Elsewhere the pass's verdicts are
+    /// applied and the certificate recomputed, as in the selection loop.
+    #[test]
+    fn certificate_rules_out_only_verdict_free_rounds() {
+        use rand::RngExt;
+        let mut g = StdRng::seed_from_u64(37);
+        // Skipped rounds; verdict rounds; and verdict rounds in which only
+        // the outside condition stood between the certificate and a skip.
+        let (mut skipped, mut verdicts, mut outside_only) = (0u64, 0u64, 0u64);
+        let mut buf = Vec::new();
+        for case in 0..600 {
+            let arms = g.random_range(1..=24usize);
+            // Half the cases at m ≤ 3, where a few decided arms can hold
+            // the m smallest upper bounds.
+            let m = g.random_range(1..=if case % 2 == 0 { arms } else { arms.min(3) });
+            let rate: Vec<f64> = (0..arms).map(|_| g.random_range(0.0..1.0)).collect();
+            let mut n: Vec<u64> = (0..arms)
+                .map(|_| match g.random_range(0..4u32) {
+                    0 => g.random_range(0..2u64),
+                    1 => g.random_range(2..40u64),
+                    _ => g.random_range(100..600u64),
+                })
+                .collect();
+            let mut sum: Vec<f64> = (0..arms).map(|i| rate[i] * n[i] as f64).collect();
+            let mut mean: Vec<f64> = (0..arms)
+                .map(|i| if n[i] == 0 { 1.0 } else { sum[i] / n[i] as f64 })
+                .collect();
+            let mut decided: Vec<bool> = (0..arms).map(|_| g.random_range(0..4u32) == 0).collect();
+            let mut tau = ULB_MIN_TAU + n.iter().sum::<u64>();
+            let (mut scratch, mut certificate) = (UlbScratch::default(), None::<UlbCertificate>);
+            for round in 0..300 {
+                let mut live: Vec<usize> = (0..arms).filter(|&i| !decided[i]).collect();
+                if live.is_empty() {
+                    break;
+                }
+                for i in (1..live.len()).rev() {
+                    live.swap(i, g.random_range(0..=i));
+                }
+                live.truncate(g.random_range(1..=3));
+                for &i in &live {
+                    let d: f64 = (rate[i] + g.random_range(-0.3..0.3)).clamp(0.0, 1.0);
+                    n[i] += 1;
+                    sum[i] += d;
+                    mean[i] = sum[i] / n[i] as f64;
+                    tau += 1;
+                }
+                let rules_out = certificate.as_mut().is_some_and(|c| {
+                    c.rules_out_verdicts(tau, &n, &mean, live.iter().copied(), m < arms)
+                });
+                scratch.fill_bounds(tau, &n, &mean);
+                let bounds = &scratch.bounds;
+                let cut = UlbCut::new(bounds, m, &mut buf);
+                let found: Vec<(usize, UlbVerdict)> = (0..arms)
+                    .filter(|&i| !decided[i] && n[i] >= ULB_MIN_SAMPLES)
+                    .filter_map(|i| cut.verdict(bounds[i]).map(|v| (i, v)))
+                    .collect();
+                if rules_out {
+                    assert!(found.is_empty(), "case {case}, round {round}: {found:?}");
+                    skipped += 1;
+                    continue;
+                }
+                if !found.is_empty() {
+                    verdicts += 1;
+                    let undecided = (0..arms).filter(|&i| !decided[i]);
+                    let ub_min = undecided
+                        .clone()
+                        .map(|i| bounds[i].1)
+                        .fold(f64::INFINITY, f64::min);
+                    let lb_max = bounds.iter().map(|b| b.0).fold(f64::NEG_INFINITY, f64::max);
+                    outside_only += u64::from(ub_min > lb_max);
+                }
+                for &(i, _) in &found {
+                    decided[i] = true;
+                }
+                let undecided = decided.iter().map(|&d| !d);
+                certificate = Some(UlbCertificate::exact(bounds, undecided));
+            }
+        }
+        assert!(
+            skipped > 0 && verdicts > 0 && outside_only > 0,
+            "{skipped} skipped, {verdicts} verdict rounds, {outside_only} outside only"
+        );
+    }
+
+    /// IEEE division and square root round correctly, so the computed
+    /// radius `√(L / n)` is monotone in the computed `L = 2 ln τ`: the
+    /// radius at τ falls below one at an earlier τ' exactly where `L(τ)`
+    /// falls below the largest earlier `L`, by the gap between the radii of
+    /// the two. A bound `s̃ ± U` with `|s̃ ± U| < 8` moves by that drop
+    /// plus at most one ulp (2⁻⁵⁰), and the certificate compares two.
+    #[test]
+    fn radius_drops_stay_inside_the_certificate_slack() {
+        let (mut largest, mut drops, mut worst) = (f64::NEG_INFINITY, 0u64, 0.0f64);
+        for tau in ULB_MIN_TAU..=1 << 22 {
+            let log_term = 2.0 * (tau as f64).ln();
+            if log_term < largest {
+                drops += 1;
+                for n in 2..=256u64 {
+                    let radius = |l: f64| (l / n as f64).sqrt();
+                    worst = worst.max(radius(largest) - radius(log_term));
+                }
+            }
+            largest = largest.max(log_term);
+        }
+        let bound_move = worst + 2f64.powi(-50);
+        assert!(
+            2.0 * bound_move < CERTIFICATE_SLACK,
+            "{drops} drops of ln, radius down by up to {worst:e}"
+        );
+        // The largest radius in that range keeps bounds under 8.
+        assert!((2.0 * ((1u64 << 22) as f64).ln() / 2.0).sqrt() < 7.0);
     }
 
     #[test]

@@ -5,6 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 use tm_types::{Detection, FrameIdx, GtObjectId};
 
 /// Parameters of the simulated appearance world and ReID model.
@@ -59,12 +61,56 @@ impl Default for AppearanceConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppearanceModel {
     config: AppearanceConfig,
+    #[serde(skip)]
+    latents: LatentMemo,
+}
+
+/// Each actor's latent, computed on the first observation of the actor and
+/// shared by every later one: a latent depends on the configuration and the
+/// actor alone, so the memo changes no bit of any feature. It holds one
+/// entry per actor of the simulated world, takes no part in equality, and
+/// a clone of the model starts it empty.
+#[derive(Default)]
+struct LatentMemo(RwLock<HashMap<GtObjectId, Arc<Feature>>>);
+
+impl LatentMemo {
+    fn get_or_compute(&self, actor: GtObjectId, compute: impl FnOnce() -> Feature) -> Arc<Feature> {
+        let read = self.0.read().expect("latent memo poisoned");
+        if let Some(latent) = read.get(&actor) {
+            return Arc::clone(latent);
+        }
+        drop(read);
+        let latent = Arc::new(compute());
+        let mut write = self.0.write().expect("latent memo poisoned");
+        Arc::clone(write.entry(actor).or_insert(latent))
+    }
+}
+
+impl Clone for LatentMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for LatentMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for LatentMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LatentMemo")
+    }
 }
 
 impl AppearanceModel {
     /// Creates the model.
     pub fn new(config: AppearanceConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            latents: LatentMemo::default(),
+        }
     }
 
     /// The model configuration.
@@ -97,6 +143,15 @@ impl AppearanceModel {
 
     /// The latent (noise-free) appearance of an actor.
     pub fn latent(&self, actor: GtObjectId) -> Feature {
+        Feature::clone(&self.shared_latent(actor))
+    }
+
+    fn shared_latent(&self, actor: GtObjectId) -> Arc<Feature> {
+        self.latents
+            .get_or_compute(actor, || self.compute_latent(actor))
+    }
+
+    fn compute_latent(&self, actor: GtObjectId) -> Feature {
         let archetype_id = self.mix(actor.get(), 0, 1) % self.config.n_archetypes.max(1);
         let archetype = self.unit_vec(self.mix(archetype_id, 2, 3));
         let individual = self.unit_vec(self.mix(actor.get(), 4, 5));
@@ -121,7 +176,7 @@ impl AppearanceModel {
     /// well-visible crops give clean features; heavily occluded or
     /// truncated crops give degraded ones.
     pub fn observe(&self, actor: GtObjectId, frame: FrameIdx, visibility: f64) -> Feature {
-        let latent = self.latent(actor);
+        let latent = self.shared_latent(actor);
         // Crop-quality jitter: deterministic in (actor, frame).
         let quality = (self.mix(actor.get(), frame.get(), 8) % 1024) as f64 / 1024.0;
         let sigma = self.config.noise_base
@@ -264,6 +319,46 @@ mod tests {
             m.observe(GtObjectId(1), FrameIdx(9), 0.7),
             m.observe(GtObjectId(1), FrameIdx(9), 0.7)
         );
+    }
+
+    #[test]
+    fn memoized_latents_give_the_freshly_computed_features() {
+        let configs = [
+            AppearanceConfig::default(),
+            AppearanceConfig {
+                dim: 48,
+                n_archetypes: 3,
+                individuality: 0.2,
+                noise_occlusion: 0.4,
+                seed: 77,
+                ..AppearanceConfig::default()
+            },
+        ];
+        let bits = |f: &Feature| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for config in configs {
+            let warm = AppearanceModel::new(config);
+            // Actors come back across frames and visibilities, so most
+            // observations read a latent memoized by an earlier one.
+            for i in 0..600u64 {
+                let actor = GtObjectId(i * 7 % 41);
+                let frame = FrameIdx(i * 13 % 257);
+                let visibility = (i % 11) as f64 / 10.0;
+                // A fresh model computes the latent on this very call.
+                let fresh = AppearanceModel::new(config);
+                let (got, want) = (
+                    warm.observe(actor, frame, visibility),
+                    fresh.observe(actor, frame, visibility),
+                );
+                assert_eq!(bits(&got), bits(&want), "{config:?}, observation {i}");
+                assert_eq!(
+                    bits(&warm.latent(actor)),
+                    bits(&fresh.compute_latent(actor))
+                );
+            }
+            assert_eq!(warm.latents.0.read().unwrap().len(), 41);
+            assert_eq!(warm, AppearanceModel::new(config));
+            assert!(warm.clone().latents.0.read().unwrap().is_empty());
+        }
     }
 
     #[test]
