@@ -356,15 +356,12 @@ fn cache_suite(quick: bool) -> Vec<BenchCase> {
         .collect();
     let mut cases = Vec::new();
 
-    // Hit storm: a pre-warmed scheduler, every lane demands every key. The
-    // warm-up's replies are held, as sessions hold the features they get,
-    // so every key stays a hit.
+    // Hit storm: a pre-warmed scheduler, every lane demands every key.
     let warm = BatchScheduler::new(&model, BatchConfig::default());
     let lane = warm.backend(&model);
-    let _warmed: Vec<_> = (0..keys)
-        .zip(&boxes)
-        .map(|(k, b)| lane.try_observe(b, &storm_attempt(0, k)).outcome)
-        .collect();
+    for (k, b) in (0..keys).zip(&boxes) {
+        lane.try_observe(b, &storm_attempt(0, k));
+    }
     let alloc = CountingAlloc::snapshot();
     let t_hits = time_iters(iters, || {
         std::thread::scope(|s| {
@@ -390,30 +387,22 @@ fn cache_suite(quick: bool) -> Vec<BenchCase> {
     ));
 
     // Miss storm: a cold scheduler per iteration; lanes race over rotated
-    // key orders, demanding each key and holding every reply until all
-    // lanes are done.
+    // key orders, demanding each key.
     let computed = AtomicU64::new(0);
     let alloc = CountingAlloc::snapshot();
     let t_misses = time_iters(iters, || {
         let scheduler = BatchScheduler::new(&model, BatchConfig::default());
-        let _held: Vec<Vec<_>> = std::thread::scope(|s| {
-            let lanes: Vec<_> = (0..STORM_THREADS)
-                .map(|w| {
-                    let lane = scheduler.backend(&model);
-                    let boxes = &boxes;
-                    s.spawn(move || {
-                        (0..keys)
-                            .map(|k| (k + w * keys / STORM_THREADS) % keys)
-                            .map(|k| {
-                                let reply =
-                                    lane.try_observe(&boxes[k as usize], &storm_attempt(w, k));
-                                reply.outcome.expect("a clean lane")
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            lanes.into_iter().map(|l| l.join().unwrap()).collect()
+        std::thread::scope(|s| {
+            for w in 0..STORM_THREADS {
+                let lane = scheduler.backend(&model);
+                let boxes = &boxes;
+                s.spawn(move || {
+                    for k in (0..keys).map(|k| (k + w * keys / STORM_THREADS) % keys) {
+                        let reply = lane.try_observe(&boxes[k as usize], &storm_attempt(w, k));
+                        assert!(reply.outcome.is_ok());
+                    }
+                });
+            }
         });
         let stats = scheduler.stats();
         assert_eq!(stats.computed, keys, "each key computed once");

@@ -193,22 +193,22 @@ impl CandidateSelector for TMerge {
         input: &SelectionInput<'_>,
         session: &mut ReidSession<'_>,
     ) -> Result<SelectionResult> {
-        self.select_with(input, session, |_, _| {})
+        Ok(self.run(input, session)?.0)
     }
 }
 
 impl TMerge {
-    /// [`CandidateSelector::select`], calling `after_round` at the end of
-    /// every round with the number of ULB passes run so far and the arms.
-    fn select_with(
+    /// [`CandidateSelector::select`], and the ULB state the selection
+    /// ended with.
+    fn run(
         &self,
         input: &SelectionInput<'_>,
         session: &mut ReidSession<'_>,
-        mut after_round: impl FnMut(u64, &Arms<'_>),
-    ) -> Result<SelectionResult> {
+    ) -> Result<(SelectionResult, Ulb)> {
+        let mut ulb = Ulb::default();
         let m = input.m();
         if m == 0 || input.pairs.is_empty() {
-            return Ok(SelectionResult::default());
+            return Ok((SelectionResult::default(), ulb));
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
@@ -257,7 +257,6 @@ impl TMerge {
         let mut live: Vec<usize> = (0..len).filter(|&i| arms.live(i)).collect();
         let mut draws = ThompsonDraws::new();
         let mut items: Vec<tm_reid::BoxPairRef<'_>> = Vec::with_capacity(batch);
-        let mut ulb = Ulb::default();
 
         // --- Main sampling loop (Algorithm 2 lines 3–14). ---
         while tau < self.config.tau_max && !live.is_empty() {
@@ -309,7 +308,6 @@ impl TMerge {
             if dropped {
                 live.retain(|&i| arms.live(i));
             }
-            after_round(ulb.passes, &arms);
         }
 
         // --- Line 15: top-m by posterior mean. ---
@@ -355,12 +353,13 @@ impl TMerge {
                 (arms.rest[i].boxes.pair, score)
             })
             .collect();
-        Ok(SelectionResult {
+        let result = SelectionResult {
             candidates,
             scores,
             distance_evals: tau,
             history,
-        })
+        };
+        Ok((result, ulb))
     }
 }
 
@@ -431,6 +430,13 @@ struct Ulb {
     /// `None` until the first pass.
     certificate: Option<UlbCertificate>,
     passes: u64,
+    /// Rounds skipped since the last pass.
+    #[cfg(test)]
+    skipped: u64,
+    /// Per pass that locked in or pruned an arm: the rounds skipped just
+    /// before it, and the arms locked in after it.
+    #[cfg(test)]
+    verdict_passes: Vec<(u64, usize)>,
 }
 
 impl Ulb {
@@ -445,16 +451,35 @@ impl Ulb {
         m: usize,
         pulled: impl IntoIterator<Item = usize>,
     ) -> bool {
+        let log_term = 2.0 * (tau as f64).ln();
         if let Some(certificate) = &mut self.certificate {
-            let (n, mean) = (&arms.n, &arms.mean);
-            if certificate.rules_out_verdicts(tau, n, mean, pulled, m < arms.len()) {
+            let (n, mean, table) = (&arms.n, &arms.mean, &mut self.scratch.radius);
+            let pulled = pulled
+                .into_iter()
+                .filter(|&i| n[i] >= ULB_MIN_SAMPLES)
+                .map(|i| {
+                    let u = radius(table, tau, log_term, n[i]);
+                    (mean[i] - u, mean[i] + u)
+                });
+            if certificate.rules_out_verdicts(pulled, m < arms.len()) {
+                #[cfg(test)]
+                {
+                    self.skipped += 1;
+                }
                 return false;
             }
         }
         self.passes += 1;
-        let changed = ulb_prune(arms, tau, m, &mut self.scratch);
-        let undecided = arms.rest.iter().map(|a| !a.locked_in && !a.pruned_out);
-        self.certificate = Some(UlbCertificate::exact(&self.scratch.bounds, undecided));
+        let (changed, certificate) = ulb_prune(arms, tau, log_term, m, &mut self.scratch);
+        self.certificate = Some(certificate);
+        #[cfg(test)]
+        {
+            if changed {
+                let locked = arms.rest.iter().filter(|a| a.locked_in).count();
+                self.verdict_passes.push((self.skipped, locked));
+            }
+            self.skipped = 0;
+        }
         changed
     }
 }
@@ -478,7 +503,7 @@ impl Ulb {
 /// `√(2 ln τ / n)` grows with τ, so its upper bound only rises and its
 /// lower bound only falls: the extremes of an earlier round remain valid
 /// bounds, up to [`CERTIFICATE_SLACK`]. A round folds in the pulled arms'
-/// exact new bounds, and a full pass recomputes all four from its bounds.
+/// exact new bounds, and a full pass recomputes all four as it goes.
 struct UlbCertificate {
     undecided_ub_min: f64,
     undecided_lb_max: f64,
@@ -486,22 +511,19 @@ struct UlbCertificate {
     all_lb_max: f64,
 }
 
-impl UlbCertificate {
-    /// The extremes of `bounds` (a pass's, one per arm), given which arms
-    /// are undecided after its verdicts.
-    fn exact(bounds: &[(f64, f64)], undecided: impl IntoIterator<Item = bool>) -> Self {
-        let mut certificate = Self {
+impl Default for UlbCertificate {
+    /// The extremes over no arms.
+    fn default() -> Self {
+        Self {
             undecided_ub_min: f64::INFINITY,
             undecided_lb_max: f64::NEG_INFINITY,
             all_ub_min: f64::INFINITY,
             all_lb_max: f64::NEG_INFINITY,
-        };
-        for (&bounds, undecided) in bounds.iter().zip(undecided) {
-            certificate.fold(bounds, undecided);
         }
-        certificate
     }
+}
 
+impl UlbCertificate {
     fn fold(&mut self, (lb, ub): (f64, f64), undecided: bool) {
         self.all_ub_min = self.all_ub_min.min(ub);
         self.all_lb_max = self.all_lb_max.max(lb);
@@ -511,23 +533,16 @@ impl UlbCertificate {
         }
     }
 
-    /// Folds in the bounds at `τ` of the arms `pulled` this round (live,
-    /// so undecided), whose sample counts and means are now in `n` and
-    /// `mean`, and says whether no verdict is possible.
+    /// Folds in the bounds of the arms pulled this round (live, so
+    /// undecided; those with two samples or more) and says whether no
+    /// verdict is possible.
     fn rules_out_verdicts(
         &mut self,
-        tau: u64,
-        n: &[u64],
-        mean: &[f64],
-        pulled: impl IntoIterator<Item = usize>,
+        pulled: impl IntoIterator<Item = (f64, f64)>,
         outside_possible: bool,
     ) -> bool {
-        let log_term = 2.0 * (tau as f64).ln();
-        for i in pulled {
-            if n[i] >= ULB_MIN_SAMPLES {
-                let (s, u) = (mean[i], (log_term / n[i] as f64).sqrt());
-                self.fold((s - u, s + u), true);
-            }
+        for bounds in pulled {
+            self.fold(bounds, true);
         }
         self.undecided_ub_min - CERTIFICATE_SLACK > self.all_lb_max
             && (!outside_possible || self.undecided_lb_max + CERTIFICATE_SLACK <= self.all_ub_min)
@@ -536,32 +551,38 @@ impl UlbCertificate {
 
 /// Algorithm 4 (ULB): lock arms provably inside the top-m and prune arms
 /// provably outside, using Hoeffding radii `U = √(2·ln τ / n)` at
-/// `τ ≥ ULB_MIN_TAU`. Returns whether it locked in or pruned any arm.
-fn ulb_prune(arms: &mut Arms<'_>, tau: u64, m: usize, scratch: &mut UlbScratch) -> bool {
+/// `τ ≥ ULB_MIN_TAU` (`log_term` is `2·ln τ`). Returns whether it locked
+/// in or pruned any arm, and the certificate of the bounds it computed.
+fn ulb_prune(
+    arms: &mut Arms<'_>,
+    tau: u64,
+    log_term: f64,
+    m: usize,
+    scratch: &mut UlbScratch,
+) -> (bool, UlbCertificate) {
     debug_assert!(tau >= ULB_MIN_TAU);
     // Bounds for every arm (pruned ones included — the counts in Algorithm
     // 4 line 6 quantify over all of P_c).
-    scratch.fill_bounds(tau, &arms.n, &arms.mean);
+    scratch.fill_bounds(tau, log_term, &arms.n, &arms.mean);
     let cut = UlbCut::new(&scratch.bounds, m, &mut scratch.order_stat);
     let mut changed = false;
+    let mut certificate = UlbCertificate::default();
     for (i, (&n, &bounds)) in arms.n.iter().zip(&scratch.bounds).enumerate() {
         if n < ULB_MIN_SAMPLES {
             continue;
         }
-        let Some(verdict) = cut.verdict(bounds) else {
-            continue;
-        };
         let arm = &mut arms.rest[i];
-        if arm.locked_in || arm.pruned_out {
-            continue;
-        }
+        let undecided = !arm.locked_in && !arm.pruned_out;
+        let verdict = if undecided { cut.verdict(bounds) } else { None };
         match verdict {
-            UlbVerdict::Inside => arm.locked_in = true,
-            UlbVerdict::Outside => arm.pruned_out = true,
+            Some(UlbVerdict::Inside) => arm.locked_in = true,
+            Some(UlbVerdict::Outside) => arm.pruned_out = true,
+            None => {}
         }
-        changed = true;
+        changed |= verdict.is_some();
+        certificate.fold(bounds, undecided && verdict.is_none());
     }
-    changed
+    (changed, certificate)
 }
 
 /// ULB's buffers, reused across rounds.
@@ -576,11 +597,8 @@ struct UlbScratch {
 
 impl UlbScratch {
     /// Every arm's Hoeffding bounds `s̃ ± √(2·ln τ / n)` into `bounds`, and
-    /// `(−∞, +∞)` below two samples. The radius for an `n` under
-    /// [`RADIUS_TABLE`] is computed once per `τ`, with the same operations,
-    /// so the bounds' bits do not depend on the reuse.
-    fn fill_bounds(&mut self, tau: u64, n: &[u64], mean: &[f64]) {
-        let log_term = 2.0 * (tau as f64).ln();
+    /// `(−∞, +∞)` below two samples; `log_term` is `2·ln τ`.
+    fn fill_bounds(&mut self, tau: u64, log_term: f64, n: &[u64], mean: &[f64]) {
         if self.radius.is_empty() {
             // τ ≥ ULB_MIN_TAU here, so a τ of 0 marks an empty entry.
             self.radius = vec![(0, 0.0); RADIUS_TABLE];
@@ -590,18 +608,26 @@ impl UlbScratch {
             *bounds = if n < ULB_MIN_SAMPLES {
                 (f64::NEG_INFINITY, f64::INFINITY)
             } else {
-                let u = match self.radius.get_mut(n as usize) {
-                    Some(entry) => {
-                        if entry.0 != tau {
-                            *entry = (tau, (log_term / n as f64).sqrt());
-                        }
-                        entry.1
-                    }
-                    None => (log_term / n as f64).sqrt(),
-                };
+                let u = radius(&mut self.radius, tau, log_term, n);
                 (s - u, s + u)
             };
         }
+    }
+}
+
+/// The Hoeffding radius `√(log_term / n)` at `τ`, where `log_term` is
+/// `2·ln τ`. For an `n` under [`RADIUS_TABLE`] it is computed once per `τ`
+/// into `table` (when the table has its entries), with the same
+/// operations, so its bits do not depend on the reuse.
+fn radius(table: &mut [(u64, f64)], tau: u64, log_term: f64, n: u64) -> f64 {
+    match table.get_mut(n as usize) {
+        Some(entry) => {
+            if entry.0 != tau {
+                *entry = (tau, (log_term / n as f64).sqrt());
+            }
+            entry.1
+        }
+        None => (log_term / n as f64).sqrt(),
     }
 }
 
@@ -1304,9 +1330,8 @@ mod tests {
     /// 12,000 pulls, so that pairs gather the hundreds of samples ULB needs
     /// to lock in and prune, again after long stretches without a verdict.
     /// The returned flag says whether the case is deep. Tracks belong to
-    /// six actors and are placed so
-    /// that BetaInit's 200 px threshold splits them; pairs come in random
-    /// order. Forced: see [`forced_scenario`].
+    /// six actors and are placed so that BetaInit's 200 px threshold splits
+    /// them; pairs come in random order. Forced: see [`forced_scenario`].
     fn scenario(g: &mut StdRng) -> (TrackSet, Vec<TrackPair>, u64, bool) {
         let kind = g.random_range(0..3u32);
         if kind == 2 {
@@ -1455,15 +1480,7 @@ mod tests {
             ][g.random_range(0..3usize)];
             let mut flat_session = ReidSession::new(&model, CostModel::calibrated(), device);
             let mut ref_session = ReidSession::new(&model, CostModel::calibrated(), device);
-            // Per round: ULB passes so far, and arms locked in or pruned.
-            let mut rounds: Vec<(u64, usize, usize)> = Vec::new();
-            let flat = TMerge::new(config)
-                .select_with(&input, &mut flat_session, |passes, arms| {
-                    let count =
-                        |flag: fn(&Arm<'_>) -> bool| arms.rest.iter().filter(|a| flag(a)).count();
-                    rounds.push((passes, count(|a| a.locked_in), count(|a| a.pruned_out)));
-                })
-                .unwrap();
+            let (flat, ulb) = TMerge::new(config).run(&input, &mut flat_session).unwrap();
             let frozen = select_reference(&config, &input, &mut ref_session).unwrap();
             let what = format!(
                 "case seed {seed}: {config:?} on {device:?}, {} pairs",
@@ -1487,24 +1504,13 @@ mod tests {
             );
             assert_eq!(flat_session.stats(), ref_session.stats(), "{what}");
 
-            // Rounds since the last pass, once there was one.
-            let mut skipped = None::<u64>;
-            let mut before = (0, 0, 0);
-            for &now in &rounds {
-                let (passes, locked, pruned) = now;
-                if passes == before.0 {
-                    skipped = skipped.map(|r| r + 1);
-                } else {
-                    if locked + pruned > before.1 + before.2 {
-                        let skipped = skipped.unwrap_or(0);
-                        coverage.after_long_skip += u64::from(skipped >= LONG_SKIP);
-                        coverage.after_lock_in += u64::from(before.1 > 0);
-                        coverage.k_one += u64::from(input.m() == pairs.len() && skipped > 0);
-                        coverage.batched += u64::from(device.batch() > 1 && skipped > 0);
-                    }
-                    skipped = Some(0);
-                }
-                before = now;
+            let mut locked_before = 0;
+            for &(skipped, locked) in &ulb.verdict_passes {
+                coverage.after_long_skip += u64::from(skipped >= LONG_SKIP);
+                coverage.after_lock_in += u64::from(locked_before > 0);
+                coverage.k_one += u64::from(input.m() == pairs.len() && skipped > 0);
+                coverage.batched += u64::from(device.batch() > 1 && skipped > 0);
+                locked_before = locked;
             }
         }
 
@@ -1637,8 +1643,8 @@ mod tests {
             let mut scratch = UlbScratch::default();
             let mut tau = ULB_MIN_TAU + g.random_range(0..50u64);
             for _ in 0..4 {
-                scratch.fill_bounds(tau, &n, &mean);
                 let log_term = 2.0 * (tau as f64).ln();
+                scratch.fill_bounds(tau, log_term, &n, &mean);
                 for (i, &got) in scratch.bounds.iter().enumerate() {
                     let want = if n[i] < ULB_MIN_SAMPLES {
                         (f64::NEG_INFINITY, f64::INFINITY)
@@ -1708,10 +1714,15 @@ mod tests {
                     mean[i] = sum[i] / n[i] as f64;
                     tau += 1;
                 }
-                let rules_out = certificate.as_mut().is_some_and(|c| {
-                    c.rules_out_verdicts(tau, &n, &mean, live.iter().copied(), m < arms)
+                let log_term = 2.0 * (tau as f64).ln();
+                let pulled = live.iter().filter(|&&i| n[i] >= ULB_MIN_SAMPLES).map(|&i| {
+                    let u = (log_term / n[i] as f64).sqrt();
+                    (mean[i] - u, mean[i] + u)
                 });
-                scratch.fill_bounds(tau, &n, &mean);
+                let rules_out = certificate
+                    .as_mut()
+                    .is_some_and(|c| c.rules_out_verdicts(pulled, m < arms));
+                scratch.fill_bounds(tau, log_term, &n, &mean);
                 let bounds = &scratch.bounds;
                 let cut = UlbCut::new(bounds, m, &mut buf);
                 let found: Vec<(usize, UlbVerdict)> = (0..arms)
@@ -1736,8 +1747,11 @@ mod tests {
                 for &(i, _) in &found {
                     decided[i] = true;
                 }
-                let undecided = decided.iter().map(|&d| !d);
-                certificate = Some(UlbCertificate::exact(bounds, undecided));
+                let mut exact = UlbCertificate::default();
+                for (&b, &d) in bounds.iter().zip(&decided) {
+                    exact.fold(b, !d);
+                }
+                certificate = Some(exact);
             }
         }
         assert!(

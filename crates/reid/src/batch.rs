@@ -6,11 +6,11 @@
 //! the *same* boxes. A [`BatchScheduler`] pools that work: every stream's
 //! session talks to its own [`BatchingBackend`] lane, and a lane answers
 //! each clean request from one content-keyed feature map, computing the
-//! feature through the wrapped [`AppearanceModel`] only when no session
-//! holds that content. Each distinct box is thus inferred once fleet-wide
-//! while any session holds it — the cross-stream analogue of the paper's
-//! `-B` batched variants — and only when a session demands it, so every
-//! feature computed is a feature demanded.
+//! feature through the wrapped [`AppearanceModel`] only when no stream has
+//! demanded that content before. Each distinct box is thus inferred
+//! exactly once fleet-wide — the cross-stream analogue of the paper's `-B`
+//! batched variants — and only when a session demands it, so every feature
+//! computed is a feature demanded.
 //!
 //! ## The per-stream invariance contract
 //!
@@ -27,26 +27,15 @@
 //!    contractually means "the wrapped model's `observe_track_box`" — so a
 //!    map hit returns the very feature the solo run would have computed,
 //!    keyed by full box content ([`FeatureKey`]) to rule out collisions
-//!    between distinct boxes. The reply shares the feature's `Arc` with
-//!    every session that holds it, and its `extra_ms` is the wrapped
-//!    backend's, so per-stream clocks are bit-identical to solo runs.
-//!
-//! ## The sessions own the features
-//!
-//! The map holds each feature by a [`Weak`] reference; the sessions, which
-//! cache every feature they are given, decide how long it lives. A request
-//! whose entry still upgrades is a hit. A feature every session has
-//! dropped (retention eviction, a daemon dropped at resume) is computed
-//! again on its next demand, with the same bits, and counted in
-//! `computed`. Dead entries are swept whenever the map has doubled since
-//! the last sweep: amortized O(1) per computed feature, and the map stays
-//! within twice what the last sweep kept.
+//!    between distinct boxes. The reply shares the map's `Arc`, and its
+//!    `extra_ms` is the wrapped backend's, so per-stream clocks are
+//!    bit-identical to solo runs.
 //!
 //! ## One lock
 //!
 //! The feature map and the [`BatchStats`] counters sit behind one `Mutex`,
 //! and a content is computed only while it is held, after a map check, so
-//! a content is computed once fleet-wide while any session holds it. The
+//! each distinct content is computed once fleet-wide by construction. The
 //! lock is never held across a call into a lane (a lane classifies its
 //! attempt before it asks the scheduler), so no lane can block on itself.
 //!
@@ -54,19 +43,16 @@
 //!
 //! Per-stream replies, and therefore every per-stream output, are
 //! deterministic for any thread count or interleaving. So are the
-//! scheduler's [`BatchStats`] as long as sessions drop features only
-//! between advances (the serve layer's serial retention step, a resume):
-//! `requests` counts the clean attempts the sessions made and `computed`
-//! the contents among them that no session held, whichever lane happens
-//! to demand a content first. A round that exhausts its retries drops the
-//! features it computed inside an advance, so under such faults `computed`
-//! may depend on the interleaving; the replies still do not.
+//! scheduler's [`BatchStats`]: `requests` counts the clean attempts the
+//! sessions made and `computed` the distinct contents among them, whichever
+//! lane happens to demand a content first.
 
 use crate::appearance::AppearanceModel;
 use crate::backend::{Attempt, AttemptClass, BackendReply, InferenceBackend, SplitBackend};
 use crate::feature::Feature;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tm_obs::Obs;
 use tm_types::TrackBox;
 
@@ -111,16 +97,14 @@ impl FeatureKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchConfig {}
 
-/// Counters describing one scheduler's life so far (see the module docs
-/// for when they are deterministic).
+/// Counters describing one scheduler's life so far. All are deterministic
+/// (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Clean feature requests answered (map hits included).
     pub requests: u64,
     /// Features actually computed by the wrapped model — the fleet-wide
-    /// inference count, a content counted again when it is demanded after
-    /// every session dropped it. `requests - computed` is the batching
-    /// saving.
+    /// inference count. `requests - computed` is the batching saving.
     pub computed: u64,
     /// Model calls made. Each miss is computed alone when it is demanded,
     /// so this equals `computed`.
@@ -138,24 +122,9 @@ impl BatchStats {
 /// Everything the scheduler's lock guards.
 #[derive(Debug, Default)]
 struct State {
-    /// Every feature computed so far, by content, as long as a session
-    /// holds it; dead entries wait for the next sweep.
-    features: HashMap<FeatureKey, Weak<Feature>>,
-    /// The map's length after the last sweep.
-    swept_len: usize,
+    /// Every feature computed so far, by content.
+    features: HashMap<FeatureKey, Arc<Feature>>,
     stats: BatchStats,
-}
-
-impl State {
-    /// Enters a feature just computed, sweeping dead entries when the map
-    /// has doubled since the last sweep.
-    fn remember(&mut self, key: FeatureKey, feature: &Arc<Feature>) {
-        self.features.insert(key, Arc::downgrade(feature));
-        if self.features.len() >= 2 * self.swept_len.max(1) {
-            self.features.retain(|_, f| f.strong_count() > 0);
-            self.swept_len = self.features.len();
-        }
-    }
 }
 
 /// The shared cross-stream batching core. One per fleet; hand each stream
@@ -202,14 +171,9 @@ impl<'m> BatchScheduler<'m> {
         self.lock().stats
     }
 
-    /// Number of features computed so far that a session still holds.
+    /// Number of features computed (and kept) so far.
     pub fn cached_features(&self) -> usize {
-        let state = self.lock();
-        state
-            .features
-            .values()
-            .filter(|f| f.strong_count() > 0)
-            .count()
+        self.lock().features.len()
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -217,20 +181,21 @@ impl<'m> BatchScheduler<'m> {
     }
 
     /// A lane demands `key`: count the request and serve it from the map,
-    /// computing it first if no session holds it.
+    /// computing it first if no stream demanded it before.
     fn request(&self, key: FeatureKey, tb: &TrackBox) -> Arc<Feature> {
         self.obs.counter("fleet.batch.requests", 1);
         let feature = {
-            let mut state = self.lock();
-            state.stats.requests += 1;
-            if let Some(hit) = state.features.get(&key).and_then(Weak::upgrade) {
-                return hit;
+            let mut guard = self.lock();
+            let s = &mut *guard;
+            s.stats.requests += 1;
+            match s.features.entry(key) {
+                Entry::Occupied(hit) => return Arc::clone(hit.get()),
+                Entry::Vacant(slot) => {
+                    s.stats.computed += 1;
+                    s.stats.dispatches += 1;
+                    Arc::clone(slot.insert(Arc::new(self.model.observe_track_box(tb))))
+                }
             }
-            state.stats.computed += 1;
-            state.stats.dispatches += 1;
-            let feature = Arc::new(self.model.observe_track_box(tb));
-            state.remember(key, &feature);
-            feature
         };
         self.obs.counter("fleet.batch.computed", 1);
         feature
@@ -328,12 +293,10 @@ mod tests {
         let m = model();
         let sched = BatchScheduler::new(&m, BatchConfig::default());
         let lane = sched.backend(&m);
-        // Five contents, the first demanded again under another key, each
-        // reply held as a session would hold it.
+        // Five contents, the first demanded again under another key.
         let boxes: Vec<TrackBox> = (0..5).map(|i| tb(i, 2.0 * i as f64, i)).collect();
-        let mut held = Vec::new();
         for (i, b) in boxes.iter().chain(&boxes[..1]).enumerate() {
-            held.push(lane.try_observe(b, &at(0, 1, i as u64)).outcome);
+            lane.try_observe(b, &at(0, 1, i as u64));
         }
         let s = sched.stats();
         assert_eq!((s.requests, s.computed, s.dispatches), (6, 5, 5));

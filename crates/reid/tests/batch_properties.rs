@@ -146,13 +146,10 @@ proptest! {
 
         let mut clean_requests = 0u64;
         let mut distinct_clean: HashSet<FeatureKey> = HashSet::new();
-        // Every reply held, as the sessions hold them.
-        let mut held = Vec::new();
         for &(track, frame, epoch, attempt) in &specs {
             let tb = make_box(track, frame);
             let at = make_attempt(track, frame, epoch, attempt);
             let got = lane.try_observe(&tb, &at);
-            held.extend(got.outcome.as_ref().ok().cloned());
             let want = inner.try_observe(&tb, &at);
             if matches!(inner.classify(&at), AttemptClass::Clean { .. }) {
                 clean_requests += 1;
@@ -193,14 +190,12 @@ proptest! {
         let fault_lane = sched.backend(&fault_inner);
         let corrupt_lane = sched.backend(&corrupt_inner);
 
-        let mut held = Vec::new();
         for &(track, frame, epoch, attempt) in &specs {
             let tb = make_box(track, frame);
             let at = make_attempt(track, frame, epoch, attempt);
             // The healthy stream computes and caches the clean feature…
             let f = clean_lane.try_observe(&tb, &at).outcome.unwrap();
             prop_assert!(f.is_finite());
-            held.push(f);
             // …but the hard-faulting stream still faults on that content…
             let fr = fault_lane.try_observe(&tb, &at);
             prop_assert!(fr.outcome.is_err(), "cached sibling feature leaked into a fault");
@@ -229,22 +224,16 @@ fn racing_lanes_compute_one_content_once() {
     let want = model.observe_track_box(&tb);
     let threads = 8u64;
     let start = Barrier::new(threads as usize);
-    // Each lane's reply is held until every lane has its own.
-    let _held: Vec<_> = std::thread::scope(|s| {
-        let lanes: Vec<_> = (0..threads)
-            .map(|lane_id| {
-                let lane = sched.backend(&model);
-                let (start, tb, want) = (&start, &tb, &want);
-                s.spawn(move || {
-                    start.wait();
-                    let got = lane.try_observe(tb, &make_attempt(lane_id, 9, 0, 0));
-                    let got = got.outcome.unwrap();
-                    assert_eq!(*got, *want);
-                    got
-                })
-            })
-            .collect();
-        lanes.into_iter().map(|l| l.join().unwrap()).collect()
+    std::thread::scope(|s| {
+        for lane_id in 0..threads {
+            let lane = sched.backend(&model);
+            let (start, tb, want) = (&start, &tb, &want);
+            s.spawn(move || {
+                start.wait();
+                let got = lane.try_observe(tb, &make_attempt(lane_id, 9, 0, 0));
+                assert_eq!(*got.outcome.unwrap(), *want);
+            });
+        }
     });
     let stats = sched.stats();
     assert_eq!((stats.requests, stats.computed), (threads, 1));
@@ -265,69 +254,27 @@ fn lane_storm_computes_each_content_once() {
     for threads in [4u64, 8] {
         let sched = BatchScheduler::new(&model, BatchConfig::default());
         let start = Barrier::new(threads as usize);
-        // Each lane holds its replies until every lane is done.
-        let _held: Vec<Vec<_>> = std::thread::scope(|s| {
-            let lanes: Vec<_> = (0..threads)
-                .map(|lane_id| {
-                    let lane = sched.backend(&model);
-                    let (start, contents, model) = (&start, &contents, &model);
-                    s.spawn(move || {
-                        let n = contents.len();
-                        let offset = lane_id as usize * n / threads as usize;
-                        let order: Vec<&TrackBox> =
-                            (0..n).map(|i| &contents[(i + offset) % n]).collect();
-                        start.wait();
-                        let mut held = Vec::with_capacity(n);
-                        for tb in order {
-                            let at = make_attempt(lane_id, tb.frame.get(), 0, 0);
-                            let got = lane.try_observe(tb, &at).outcome.unwrap();
-                            assert_eq!(*got, model.observe_track_box(tb));
-                            held.push(got);
-                        }
-                        held
-                    })
-                })
-                .collect();
-            lanes.into_iter().map(|l| l.join().unwrap()).collect()
+        std::thread::scope(|s| {
+            for lane_id in 0..threads {
+                let lane = sched.backend(&model);
+                let (start, contents, model) = (&start, &contents, &model);
+                s.spawn(move || {
+                    let n = contents.len();
+                    let offset = lane_id as usize * n / threads as usize;
+                    let order: Vec<&TrackBox> =
+                        (0..n).map(|i| &contents[(i + offset) % n]).collect();
+                    start.wait();
+                    for tb in order {
+                        let at = make_attempt(lane_id, tb.frame.get(), 0, 0);
+                        let got = lane.try_observe(tb, &at).outcome.unwrap();
+                        assert_eq!(*got, model.observe_track_box(tb));
+                    }
+                });
+            }
         });
         let stats = sched.stats();
         assert_eq!(stats.computed, distinct.len() as u64, "{threads} threads");
         assert_eq!(sched.cached_features(), distinct.len());
         assert_eq!(stats.requests, threads * contents.len() as u64);
-    }
-}
-
-/// The map does not keep a feature alive: a content that no one holds any
-/// more is computed again on its next demand, with the same bits, and
-/// counted again; while someone holds it, a demand is a hit.
-#[test]
-fn a_content_nobody_holds_is_recomputed_with_identical_bits() {
-    let model = AppearanceModel::new(AppearanceConfig::default());
-    let sched = BatchScheduler::new(&model, BatchConfig::default());
-    let lane = sched.backend(&model);
-    let bits = |f: &Feature| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let contents: Vec<TrackBox> = (0..40u64).map(|t| make_box(t, t % 7)).collect();
-    let demand = |tb: &TrackBox| lane.try_observe(tb, &make_attempt(1, tb.frame.get(), 0, 0));
-    let first: Vec<_> = contents
-        .iter()
-        .map(|tb| demand(tb).outcome.unwrap())
-        .collect();
-    let want: Vec<_> = first.iter().map(|f| bits(f)).collect();
-    // The even contents stay held; the odd ones are dropped.
-    let kept: Vec<_> = first.into_iter().step_by(2).collect();
-    assert_eq!(sched.cached_features(), kept.len());
-    for round in 1..=3u64 {
-        for (i, tb) in contents.iter().enumerate() {
-            let again = demand(tb).outcome.unwrap();
-            assert_eq!(bits(&again), want[i], "content {i}, round {round}");
-            if i % 2 == 0 {
-                assert!(std::sync::Arc::ptr_eq(&again, &kept[i / 2]));
-            }
-        }
-        let stats = sched.stats();
-        assert_eq!(stats.requests, 40 * (round + 1));
-        assert_eq!(stats.computed, 40 + 20 * round, "round {round}");
-        assert_eq!(stats.dispatches, stats.computed);
-        assert_eq!(sched.cached_features(), kept.len());
     }
 }

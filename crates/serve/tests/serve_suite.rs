@@ -26,8 +26,7 @@ use tm_chaos::{FaultPlan, FaultyModel, TenantChurn, TenantChurnConfig};
 use tm_core::{merge_mapping, DecisionMode, StreamConfig, StreamingMerger, TMerge, TMergeConfig};
 use tm_query::Query;
 use tm_reid::{
-    AppearanceConfig, AppearanceModel, BatchConfig, BatchScheduler, BatchingBackend, CostModel,
-    Device, GateConfig, GatePolicy, InferenceBackend,
+    AppearanceConfig, AppearanceModel, CostModel, Device, GateConfig, GatePolicy, InferenceBackend,
 };
 use tm_serve::{Admission, AdmissionConfig, RejectReason, ServeConfig, TenantSpec, TmServe};
 use tm_synth::{TenantWorkload, TenantWorkloadConfig};
@@ -424,73 +423,6 @@ fn gated_retention_keeps_the_envelope_flat() {
         late * 4 <= early * 5,
         "envelope grew from {early} bytes at cycle 50 to {late} at cycle 150"
     );
-}
-
-/// A gated tenant with a retention horizon whose three streams share one
-/// `BatchScheduler`: stream 1 sees stream 0's feed seven strides late,
-/// past stream 0's horizon, so it demands some contents that stream 0
-/// still holds and some that it has let go. Sessions drop features only
-/// in the serial retention step, so the scheduler's counters (hits, and
-/// features computed again after every session dropped them) and every
-/// stream's mapping are the same at `TMERGE_THREADS` 1 and 4.
-#[test]
-fn retained_tenant_batch_stats_match_across_thread_counts() {
-    let model = AppearanceModel::new(AppearanceConfig::default());
-    let w = workload();
-    let config = ServeConfig {
-        stream: StreamConfig {
-            gate: GatePolicy::On(GateConfig::default()),
-            ..stream_config()
-        },
-        ..serve_config(Some(6))
-    };
-    let run = |threads: &str| {
-        std::env::set_var("TMERGE_THREADS", threads);
-        let scheduler = BatchScheduler::for_tenant(&model, BatchConfig::default(), 3);
-        let lanes: Vec<BatchingBackend<'_>> = (0..3).map(|_| scheduler.backend(&model)).collect();
-        let backends: Vec<&dyn InferenceBackend> =
-            lanes.iter().map(|l| l as &dyn InferenceBackend).collect();
-        let mut serve = daemon(&model, config);
-        let spec = TenantSpec {
-            id: 1,
-            streams: 3,
-            admission: open_admission(),
-        };
-        serve.register(spec, &backends).unwrap();
-        let stride = WINDOW / 2;
-        for c in 0..60u64 {
-            let frames = (c + 1) * 2 * stride;
-            let lo = frames.saturating_sub(12 * stride + 2 * WINDOW);
-            let late = frames.saturating_sub(7 * stride);
-            let feeds = [
-                (w.tracks_range(1, 0, lo, frames), frames),
-                (w.tracks_range(1, 0, lo, late), late),
-                (w.tracks_range(1, 2, lo, frames), frames),
-            ];
-            for (stream, (tracks, frames)) in feeds.into_iter().enumerate() {
-                let admitted = serve.submit(c as f64, 1, stream, tracks, frames);
-                assert!(admitted.is_admitted(), "cycle {c}, stream {stream}");
-            }
-            serve.run_once(c as f64 + 0.5).unwrap();
-        }
-        let fleet = serve.fleet(1).unwrap();
-        let mappings: Vec<_> = (0..3).map(|i| fleet.shard(i).mapping()).collect();
-        (scheduler.stats(), scheduler.cached_features(), mappings)
-    };
-    let serial = run("1");
-    let parallel = run("4");
-    std::env::remove_var("TMERGE_THREADS");
-    let (stats, held, _) = &serial;
-    assert!(
-        stats.saved() > 0,
-        "stream 1 never hit stream 0's features: {stats:?}"
-    );
-    assert!(
-        (*held as u64) < stats.computed,
-        "retention dropped no feature: {held} held of {stats:?}"
-    );
-    assert_eq!((serial.0, serial.1), (parallel.0, parallel.1));
-    assert_eq!(serial.2, parallel.2);
 }
 
 /// The flagship chaos soak: tenants join, leave and burst on a seeded
