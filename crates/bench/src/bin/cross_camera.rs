@@ -18,19 +18,18 @@
 //! trajectories span cameras. The binary asserts the DESIGN.md §16
 //! acceptance gates on the 10-camera world — global IDF1 must exceed
 //! per-camera IDF1 by ≥ 10 points, and the topology gate must admit
-//! ≤ 20% of the unpruned cross-camera exit×entry pair space — and writes:
+//! ≤ 20% of the unpruned cross-camera exit×entry pair space — prints the
+//! comparison and writes:
 //!
 //! * `BENCH_global.json` at the repo root (schema-validated trajectory
 //!   point: 10- and 100-camera cases),
-//! * `results/cross_camera.json` (the full comparison),
 //! * `results/cross_camera.metrics.txt` (deterministic recorder snapshot).
 //!
 //! `--quick` shrinks the large world for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::ExpConfig;
-use tm_bench::perf::{collect_meta, repo_root, time_iters, BenchCase, BenchReport};
-use tm_bench::report::{header, observed, save_json, table};
+use tm_bench::perf::{collect_meta, time_iters, BenchCase, BenchReport, CountingAlloc};
+use tm_bench::report::{header, observed, table};
 use tm_core::global::{compose_global_mapping, GlobalConfig, GlobalMerger};
 use tm_core::{FleetIngester, StreamConfig, TMerge, TMergeConfig};
 use tm_metrics::global_identity_metrics;
@@ -40,6 +39,9 @@ use tm_reid::{
 };
 use tm_synth::{MultiCameraWorld, WorldConfig};
 use tm_types::{TrackPair, TrackSet};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Acceptance gate: minimum global-over-per-camera IDF1 gain, in points.
 const IDF1_MIN_GAIN_PTS: f64 = 10.0;
@@ -92,7 +94,7 @@ fn world(cameras: u64) -> MultiCameraWorld {
 }
 
 /// One resolved city: the side-by-side scores for a camera count.
-#[derive(Serialize, Clone)]
+#[derive(Clone)]
 struct CityRun {
     cameras: u64,
     actors: u64,
@@ -177,7 +179,6 @@ fn run_city(cameras: u64, seed: u64) -> CityRun {
     }
 }
 
-#[derive(Serialize)]
 struct CrossCamera {
     small: CityRun,
     large: CityRun,
@@ -239,7 +240,6 @@ fn main() {
         "learned travel profiles: {} / {}",
         r.small.learned_pairs, r.large.learned_pairs
     );
-    save_json("cross_camera", &r);
 
     // The §16 acceptance gates, on the 10-camera world.
     assert!(
@@ -278,6 +278,7 @@ fn main() {
         ),
     ]
     .map(|(name, cams, iters, city)| {
+        let alloc = CountingAlloc::snapshot();
         let t = time_iters(iters, || {
             run_city(cams, cfg.seed);
         });
@@ -286,21 +287,12 @@ fn main() {
             t,
             city.horizon * city.cameras,
             city.reid_inferences,
-            0,
+            alloc.delta().bytes,
         )
     });
     let report = BenchReport {
         meta: collect_meta(cfg.quick),
         cases: cases.to_vec(),
     };
-    report
-        .validate()
-        .unwrap_or_else(|e| panic!("BENCH_global.json: invalid report: {e}"));
-    let text = report.encode();
-    let back = BenchReport::decode(&text)
-        .unwrap_or_else(|e| panic!("BENCH_global.json: self round-trip failed: {e}"));
-    assert_eq!(back, report, "BENCH_global.json: decode(encode) drifted");
-    let path = repo_root().join("BENCH_global.json");
-    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+    println!("wrote {}", report.write("BENCH_global.json").display());
 }

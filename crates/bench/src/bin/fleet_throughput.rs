@@ -8,9 +8,8 @@
 //! counting backend) versus one `FleetIngester` whose streams share a
 //! `BatchScheduler` — same decisions on every stream, fewer inferences.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tm_bench::report::{header, observed, save_json, table};
+use tm_bench::report::{header, observed, table};
 use tm_core::{FleetIngester, StreamConfig, StreamingMerger, TMerge, TMergeConfig};
 use tm_reid::{
     AppearanceConfig, AppearanceModel, Attempt, BackendReply, BatchConfig, BatchScheduler,
@@ -95,7 +94,6 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-#[derive(Serialize)]
 struct FleetThroughput {
     n_streams: usize,
     solo_inferences: u64,
@@ -204,7 +202,6 @@ fn main() {
             ],
         ],
     );
-    save_json("fleet_throughput", &r);
     assert!(
         r.saving_pct >= 30.0,
         "cross-stream batching must save ≥ 30% of inference calls on the \

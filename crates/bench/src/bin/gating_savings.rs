@@ -11,27 +11,28 @@
 //! The binary asserts the tentpole claim from DESIGN.md §14 — the gate
 //! must cut total inferences by ≥ 30% while holding IDF1 and candidate
 //! recall within 0.5 points and keeping p50/p99 window latency no worse —
-//! and writes three artifacts:
+//! prints the comparison and writes two artifacts:
 //!
 //! * `BENCH_gating.json` at the repo root (schema-validated trajectory
 //!   point, like `BENCH_kernels.json` and friends),
-//! * `results/gating_savings.json` (the full comparison),
 //! * `results/gating_savings.metrics.txt` (deterministic recorder
 //!   snapshot: `reid.gate.*` counters and simulated spans).
 //!
 //! `--quick` clips the dataset for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::{DatasetRun, VideoRun};
-use tm_bench::perf::{collect_meta, percentile, repo_root, time_iters, BenchCase, BenchReport};
-use tm_bench::report::{header, observed, save_json, table};
+use tm_bench::perf::{collect_meta, percentile, time_iters, BenchCase, BenchReport, CountingAlloc};
+use tm_bench::report::{header, observed, table};
 use tm_core::{merge_mapping, CandidateSelector, SelectionInput, TMerge, TMergeConfig};
 use tm_datasets::pathtrack;
 use tm_metrics::{identity_metrics, recall};
 use tm_reid::{CostModel, Device, GateConfig, GatePolicy, ReidSession};
 use tm_track::TrackerKind;
 use tm_types::TrackPair;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Tentpole gate: minimum accepted inference saving.
 const MIN_SAVING_PCT: f64 = 30.0;
@@ -144,8 +145,7 @@ fn walk(runs: &[VideoRun], gate: GatePolicy, seed: u64) -> Walk {
     out
 }
 
-/// The side-by-side comparison written to `results/gating_savings.json`.
-#[derive(Serialize)]
+/// The side-by-side comparison the binary prints and gates on.
 struct GatingSavings {
     n_videos: usize,
     n_windows: usize,
@@ -247,7 +247,6 @@ fn main() {
             ],
         ],
     );
-    save_json("gating_savings", &r);
 
     // The tentpole acceptance gates.
     assert!(
@@ -291,23 +290,15 @@ fn main() {
         ),
     ]
     .map(|(name, gate, inferences)| {
+        let alloc = CountingAlloc::snapshot();
         let t = time_iters(iters, || {
             walk(&ds.runs, gate, cfg.seed);
         });
-        BenchCase::from_timing(name, t, frames, inferences, 0)
+        BenchCase::from_timing(name, t, frames, inferences, alloc.delta().bytes)
     });
     let report = BenchReport {
         meta: collect_meta(cfg.quick),
         cases: cases.to_vec(),
     };
-    report
-        .validate()
-        .unwrap_or_else(|e| panic!("BENCH_gating.json: invalid report: {e}"));
-    let text = report.encode();
-    let back = BenchReport::decode(&text)
-        .unwrap_or_else(|e| panic!("BENCH_gating.json: self round-trip failed: {e}"));
-    assert_eq!(back, report, "BENCH_gating.json: decode(encode) drifted");
-    let path = repo_root().join("BENCH_gating.json");
-    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+    println!("wrote {}", report.write("BENCH_gating.json").display());
 }

@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use tm_bench::perf::{
-    collect_meta, repo_root, speedup, time_iters, BenchCase, BenchReport, CountingAlloc, Timing,
+    collect_meta, speedup, time_iters, BenchCase, BenchReport, CountingAlloc, Timing,
 };
 use tm_core::score::{exact_scores_with, ScoreScratch};
 use tm_core::selector::{CandidateSelector, SelectionInput};
@@ -499,7 +499,6 @@ fn ingest_suite(quick: bool) -> Vec<BenchCase> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let meta = collect_meta(quick);
-    let root = repo_root();
     println!(
         "perf trajectory @ {} (threads={}, simd={}, quick={})",
         meta.git_sha, meta.threads, meta.simd, quick
@@ -514,18 +513,7 @@ fn main() {
             meta: meta.clone(),
             cases,
         };
-        // Validate and round-trip through the schema decoder BEFORE
-        // overwriting the previous trajectory point.
-        report
-            .validate()
-            .unwrap_or_else(|e| panic!("{file}: invalid report: {e}"));
-        let text = report.encode();
-        let back = BenchReport::decode(&text)
-            .unwrap_or_else(|e| panic!("{file}: self round-trip failed: {e}"));
-        assert_eq!(back, report, "{file}: decode(encode) drifted");
-        let path = root.join(file);
-        std::fs::write(&path, &text)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        let path = report.write(file);
         for c in &report.cases {
             println!(
                 "  {:<34} p50 {:>12} ns  p99 {:>12} ns  {:>14.0} items/s",

@@ -16,22 +16,20 @@
 //! Fig. 13 does. The binary asserts the tentpole claim from DESIGN.md §17
 //! — at a 50 % budget the VoI run must hold ≥ 95 % of the full-budget
 //! recall on both queries, and early termination must fire on at least
-//! one video — and writes three artifacts:
+//! one video — prints the budget curves and writes two artifacts:
 //!
 //! * `BENCH_query.json` at the repo root (schema-validated trajectory
 //!   point, like `BENCH_gating.json` and friends),
-//! * `results/query_adaptive.json` (the full budget curves),
 //! * `results/query_adaptive.metrics.txt` (deterministic recorder
 //!   snapshot: `query.voi.*` counters).
 //!
 //! `--quick` clips the dataset for CI smoke use.
 
-use serde::Serialize;
 use tm_bench::experiments::quality::{COUNT_MIN_FRAMES, CO_OCCUR_GROUP, CO_OCCUR_MIN_FRAMES};
 use tm_bench::experiments::ExpConfig;
 use tm_bench::harness::{DatasetRun, VideoRun};
-use tm_bench::perf::{collect_meta, repo_root, time_iters, BenchCase, BenchReport};
-use tm_bench::report::{header, observed, save_json, table};
+use tm_bench::perf::{collect_meta, time_iters, BenchCase, BenchReport, CountingAlloc};
+use tm_bench::report::{header, observed, table};
 use tm_core::{merge_mapping, PipelineConfig, SelectorKind, TMergeConfig};
 use tm_datasets::pathtrack;
 use tm_metrics::Correspondence;
@@ -41,6 +39,9 @@ use tm_query::{
 use tm_reid::{CostModel, Device, GatePolicy};
 use tm_track::TrackerKind;
 use tm_types::{BBox, TrackPair};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Budget grid, percent of the measured full-budget spend.
 const BUDGET_PCTS: [u64; 4] = [25, 50, 75, 100];
@@ -203,7 +204,6 @@ fn anytime(
 
 /// One point of the budget curve, aggregated over videos: recall is
 /// averaged, spend is summed.
-#[derive(Serialize)]
 struct BudgetPoint {
     budget_pct: u64,
     query: &'static str,
@@ -214,8 +214,7 @@ struct BudgetPoint {
     agnostic_recall: f64,
 }
 
-/// The full comparison written to `results/query_adaptive.json`.
-#[derive(Serialize)]
+/// The full comparison the binary prints and gates on.
 struct QueryAdaptive {
     n_videos: usize,
     /// Full-budget spend summed over videos (per query).
@@ -396,7 +395,6 @@ fn main() {
             vec!["pairs deferred".into(), r.region_deferred.to_string()],
         ],
     );
-    save_json("query_adaptive", &r);
 
     // The tentpole acceptance gates (DESIGN.md §17).
     for (qi, _) in queries().iter().enumerate() {
@@ -442,6 +440,7 @@ fn main() {
         ("pipeline_agnostic_full", false, agn_spent),
     ]
     .map(|(name, voi, inferences)| {
+        let alloc = CountingAlloc::snapshot();
         let t = time_iters(iters, || {
             for run in &ds.runs {
                 for (qi, query) in queries().into_iter().enumerate() {
@@ -450,20 +449,11 @@ fn main() {
                 }
             }
         });
-        BenchCase::from_timing(name, t, frames, inferences, 0)
+        BenchCase::from_timing(name, t, frames, inferences, alloc.delta().bytes)
     });
     let report = BenchReport {
         meta: collect_meta(cfg.quick),
         cases: cases.to_vec(),
     };
-    report
-        .validate()
-        .unwrap_or_else(|e| panic!("BENCH_query.json: invalid report: {e}"));
-    let text = report.encode();
-    let back = BenchReport::decode(&text)
-        .unwrap_or_else(|e| panic!("BENCH_query.json: self round-trip failed: {e}"));
-    assert_eq!(back, report, "BENCH_query.json: decode(encode) drifted");
-    let path = repo_root().join("BENCH_query.json");
-    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+    println!("wrote {}", report.write("BENCH_query.json").display());
 }

@@ -1,148 +1,51 @@
-//! Runs every experiment (pass `--quick` for the reduced scale),
-//! regenerating all tables and figures of the paper.
+//! Regenerates the paper's exhibits: `run_all [--quick] [NAME…]` runs every
+//! exhibit of `tm_bench::experiments::EXHIBITS` (or only the named ones)
+//! and writes `results/<name>.json` plus `results/<name>.metrics.txt` for
+//! each. `render_experiments` then turns the JSON into EXPERIMENTS.md.
 //!
-//! Experiments fan out over worker threads (`TMERGE_THREADS`, see
-//! `tm_par`), each writing its own JSON file on completion — so the
-//! `[name done in ...]` lines may interleave, but every `results/*.json`
+//! Exhibits fan out over worker threads (`TMERGE_THREADS`, see `tm_par`),
+//! so the `[name done in ...]` lines may interleave, but every results file
 //! is byte-identical to a serial run (all aggregation inside the
 //! experiments is index-ordered and the simulated clocks are
 //! per-video/per-window, never wall-clock).
 
 use std::time::Instant;
-use tm_bench::experiments::{self, ExpConfig};
+use tm_bench::experiments::{ExpConfig, Experiment, EXHIBITS};
 use tm_bench::report::{header, observed, save_json};
 
 fn main() {
     let cfg = ExpConfig::from_args();
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--quick")
+        .collect();
+    let exhibits: Vec<(&str, Experiment)> = if names.is_empty() {
+        EXHIBITS.to_vec()
+    } else {
+        names
+            .iter()
+            .map(|name| {
+                *EXHIBITS.iter().find(|(n, _)| n == name).unwrap_or_else(|| {
+                    let valid: Vec<&str> = EXHIBITS.iter().map(|(n, _)| *n).collect();
+                    eprintln!("unknown exhibit {name:?}; valid names: {}", valid.join(" "));
+                    std::process::exit(2)
+                })
+            })
+            .collect()
+    };
     header(&format!(
-        "Running all experiments ({} scale)",
+        "Running {} exhibit(s) ({} scale)",
+        exhibits.len(),
         if cfg.quick { "quick" } else { "full" }
     ));
-
-    type Task = Box<dyn Fn() + Sync>;
-    let tasks: Vec<(&str, Task)> = vec![
-        (
-            "fig03",
-            Box::new(move || {
-                observed("fig03_rec_k", || {
-                    save_json("fig03_rec_k", &experiments::fig03::fig03(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig04",
-            Box::new(move || {
-                observed("fig04_bl_scaling", || {
-                    save_json("fig04_bl_scaling", &experiments::fig04::fig04(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig05",
-            Box::new(move || {
-                observed("fig05_rec_fps", || {
-                    save_json("fig05_rec_fps", &experiments::sweep::fig05(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig06",
-            Box::new(move || {
-                observed("fig06_rec_fps_batched", || {
-                    save_json("fig06_rec_fps_batched", &experiments::sweep::fig06(&cfg))
-                })
-            }),
-        ),
-        (
-            "table2",
-            Box::new(move || {
-                observed("table2_fps", || {
-                    save_json("table2_fps", &experiments::sweep::table2(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig07",
-            Box::new(move || {
-                observed("fig07_tau_sweep", || {
-                    save_json("fig07_tau_sweep", &experiments::fig07::fig07(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig08",
-            Box::new(move || {
-                observed("fig08_ablation", || {
-                    save_json("fig08_ablation", &experiments::fig08::fig08(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig09",
-            Box::new(move || {
-                observed("fig09_window_len", || {
-                    save_json("fig09_window_len", &experiments::fig09::fig09(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig10",
-            Box::new(move || {
-                observed("fig10_thr_s", || {
-                    save_json("fig10_thr_s", &experiments::fig10::fig10(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig11",
-            Box::new(move || {
-                observed("fig11_poly_rate", || {
-                    save_json("fig11_poly_rate", &experiments::quality::fig11(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig12",
-            Box::new(move || {
-                observed("fig12_id_metrics", || {
-                    save_json("fig12_id_metrics", &experiments::quality::fig12(&cfg))
-                })
-            }),
-        ),
-        (
-            "fig13",
-            Box::new(move || {
-                observed("fig13_query_recall", || {
-                    save_json("fig13_query_recall", &experiments::quality::fig13(&cfg))
-                })
-            }),
-        ),
-        (
-            "regret",
-            Box::new(move || {
-                observed("regret_curve", || {
-                    save_json("regret_curve", &experiments::regret::regret_curve(&cfg))
-                })
-            }),
-        ),
-        (
-            "corr",
-            Box::new(move || {
-                observed("corr_analysis", || {
-                    save_json("corr_analysis", &experiments::corr::corr_analysis(&cfg))
-                })
-            }),
-        ),
-    ];
-
     let t_all = Instant::now();
-    tm_par::par_for_each(&tasks, |(name, task)| {
+    tm_par::par_for_each(&exhibits, |&(name, experiment)| {
         let t0 = Instant::now();
-        task();
+        observed(name, || save_json(name, &experiment(&cfg)));
         println!("[{name} done in {:.1}s]", t0.elapsed().as_secs_f64());
     });
     println!(
-        "\nAll experiments complete in {:.1}s; JSON in results/.",
+        "\nAll exhibits complete in {:.1}s; JSON in results/.",
         t_all.elapsed().as_secs_f64()
     );
     println!(

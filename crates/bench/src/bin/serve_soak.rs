@@ -12,9 +12,8 @@
 //! only, queue bounds held, the always-on tenant recovered, and resident
 //! state compacted down to the horizon.
 
-use serde::Serialize;
 use std::time::Instant;
-use tm_bench::report::{header, observed, save_json, table};
+use tm_bench::report::{header, observed, table};
 use tm_chaos::{FaultyModel, TenantChurn, TenantChurnConfig};
 use tm_core::{StreamConfig, TMerge, TMergeConfig};
 use tm_reid::{
@@ -60,7 +59,6 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-#[derive(Serialize)]
 struct ServeSoak {
     cycles: u64,
     tenants: u64,
@@ -317,7 +315,6 @@ fn main() {
             vec!["wall ms".into(), format!("{:.0}", r.wall_ms)],
         ],
     );
-    save_json("serve_soak", &r);
     assert!(r.admitted > 0, "soak admitted nothing");
     assert!(
         r.rejected_queue_full + r.rejected_rate_limited > 0,

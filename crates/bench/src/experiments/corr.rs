@@ -5,7 +5,7 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::DatasetRun;
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::{score::exact_scores, score::PairBoxes, SelectionInput};
 use tm_datasets::{kitti, mot17, pathtrack};
 use tm_metrics::pearson;
@@ -13,7 +13,7 @@ use tm_reid::{CostModel, Device, ReidSession};
 use tm_track::TrackerKind;
 
 /// One dataset's correlations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CorrRow {
     /// Dataset name.
     pub dataset: String,
@@ -28,6 +28,17 @@ pub struct CorrRow {
     pub distinct_within_thr: f64,
     /// Sample size (pairs pooled over videos).
     pub n_pairs: usize,
+}
+
+impl_to_json! {
+    CorrRow {
+        dataset,
+        corr_spatial,
+        corr_temporal,
+        poly_within_thr,
+        distinct_within_thr,
+        n_pairs,
+    }
 }
 
 /// Computes score–DisS and score–DisT correlations on the three datasets.

@@ -6,20 +6,22 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::{DatasetRun, VideoRun};
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::{score::exact_scores, selector::top_m_by_score, SelectionInput};
 use tm_datasets::{kitti, mot17, pathtrack};
 use tm_metrics::recall;
 use tm_reid::{CostModel, Device, ReidSession};
 
 /// One dataset's REC–K series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecKCurve {
     /// Dataset name.
     pub dataset: String,
     /// `(K, REC)` points.
     pub points: Vec<(f64, f64)>,
 }
+
+impl_to_json! { RecKCurve { dataset, points } }
 
 /// The K grid of the figure.
 pub fn k_grid() -> Vec<f64> {

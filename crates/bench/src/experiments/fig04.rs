@@ -6,14 +6,14 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::VideoRun;
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::Baseline;
 use tm_datasets::{pathtrack, prepare};
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
 /// One point of the scaling series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Video length in frames.
     pub n_frames: u64,
@@ -22,6 +22,8 @@ pub struct ScalingPoint {
     /// Simulated BL runtime in seconds.
     pub runtime_s: f64,
 }
+
+impl_to_json! { ScalingPoint { n_frames, n_pairs, runtime_s } }
 
 /// Computes the scaling series.
 pub fn fig04(cfg: &ExpConfig) -> Vec<ScalingPoint> {

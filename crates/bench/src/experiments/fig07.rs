@@ -3,14 +3,14 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::{run_selector, DatasetRun};
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::{Baseline, TMerge, TMergeConfig};
 use tm_datasets::mot17;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
 /// One τ_max point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TauPoint {
     /// The iteration budget.
     pub tau_max: u64,
@@ -24,7 +24,7 @@ pub struct TauPoint {
 }
 
 /// The figure's data: the TMerge-B series plus the BL-B reference.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig07 {
     /// TMerge-B (B = 10) points.
     pub points: Vec<TauPoint>,
@@ -32,6 +32,11 @@ pub struct Fig07 {
     pub bl_b_runtime_s: f64,
     /// BL-B recall (the ceiling TMerge approaches).
     pub bl_rec: f64,
+}
+
+impl_to_json! {
+    TauPoint { tau_max, rec, runtime_s, hit_rate }
+    Fig07 { points, bl_b_runtime_s, bl_rec }
 }
 
 /// Computes the τ_max sweep.

@@ -7,14 +7,14 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::{run_selector, DatasetRun};
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::{Baseline, TMerge, TMergeConfig};
 use tm_datasets::pathtrack;
 use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
 /// REC of both algorithms at one window length.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WindowLenPoint {
     /// The window length `L`.
     pub window_len: u64,
@@ -25,6 +25,8 @@ pub struct WindowLenPoint {
     /// Total pairs formed at this `L` (diagnostic).
     pub n_pairs: usize,
 }
+
+impl_to_json! { WindowLenPoint { window_len, bl_rec, tmerge_rec, n_pairs } }
 
 /// Computes the `L` sensitivity series.
 pub fn fig09(cfg: &ExpConfig) -> Vec<WindowLenPoint> {

@@ -3,7 +3,7 @@
 
 use crate::experiments::{sweep::averaged_outcome, ExpConfig};
 use crate::harness::{CurvePoint, DatasetRun};
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use std::collections::BTreeMap;
 use tm_core::{TMerge, TMergeConfig};
 use tm_datasets::mot17;
@@ -11,11 +11,13 @@ use tm_reid::{CostModel, Device};
 use tm_track::TrackerKind;
 
 /// REC–FPS curves keyed by the `thr_S` label.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// `thr_S` label → points.
     pub curves: BTreeMap<String, Vec<CurvePoint>>,
 }
+
+impl_to_json! { Fig10 { curves } }
 
 /// Computes the thr_S sensitivity curves.
 pub fn fig10(cfg: &ExpConfig) -> Fig10 {

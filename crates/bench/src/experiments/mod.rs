@@ -1,6 +1,7 @@
 //! One module per paper exhibit. Every function takes an [`ExpConfig`] and
-//! returns a serializable result (so the binaries can print and persist it
-//! and the integration tests can assert on the shapes).
+//! returns a result that encodes as JSON ([`ToJson`]), so `run_all` can
+//! persist it to `results/` and the integration tests can assert on its
+//! shape. [`EXHIBITS`] lists them all under their results-file names.
 
 pub mod corr;
 pub mod fig03;
@@ -13,7 +14,31 @@ pub mod quality;
 pub mod regret;
 pub mod sweep;
 
+use crate::perf::{Json, ToJson};
 use tm_datasets::DatasetSpec;
+
+/// An exhibit's experiment, returning its result as a JSON document.
+pub type Experiment = fn(&ExpConfig) -> Json;
+
+/// Every exhibit `run_all` regenerates, in paper order, keyed by its
+/// results file `results/<name>.json`.
+pub const EXHIBITS: [(&str, Experiment); 15] = [
+    ("fig03_rec_k", |c| fig03::fig03(c).to_json()),
+    ("fig04_bl_scaling", |c| fig04::fig04(c).to_json()),
+    ("fig05_rec_fps", |c| sweep::fig05(c).to_json()),
+    ("fig06_rec_fps_batched", |c| sweep::fig06(c).to_json()),
+    ("table2_fps", |c| sweep::table2(c).to_json()),
+    ("fig07_tau_sweep", |c| fig07::fig07(c).to_json()),
+    ("fig08_ablation", |c| fig08::fig08(c).to_json()),
+    ("fig09_window_len", |c| fig09::fig09(c).to_json()),
+    ("fig10_thr_s", |c| fig10::fig10(c).to_json()),
+    ("fig11_poly_rate", |c| quality::fig11(c).to_json()),
+    ("fig12_id_metrics", |c| quality::fig12(c).to_json()),
+    ("fig13_query_recall", |c| quality::fig13(c).to_json()),
+    ("regret_curve", |c| regret::regret_curve(c).to_json()),
+    ("corr_analysis", |c| corr::corr_analysis(c).to_json()),
+    ("ablation_ranking", |c| fig08::ranking_ablation(c).to_json()),
+];
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +55,7 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Full scale (used by `run_all` and the per-figure binaries).
+    /// Full scale (`run_all` without `--quick`).
     pub fn full() -> Self {
         Self {
             quick: false,

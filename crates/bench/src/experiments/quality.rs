@@ -9,7 +9,7 @@
 
 use crate::experiments::{sweep::K, ExpConfig};
 use crate::harness::VideoRun;
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::{run_pipeline, PipelineConfig, SelectorKind, TMergeConfig};
 use tm_datasets::{mot17, prepare, DatasetSpec};
 use tm_metrics::{
@@ -54,7 +54,7 @@ fn merged_tracks(run: &VideoRun, seed: u64) -> TrackSet {
 
 /// Fig. 11 — polyonymous rate of a tracker's output, before and after
 /// TMerge.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolyRateRow {
     /// Tracker name.
     pub tracker: String,
@@ -110,7 +110,7 @@ pub fn fig11(cfg: &ExpConfig) -> Vec<PolyRateRow> {
 
 /// Fig. 12 — identity metrics of Tracktor on MOT-17 with and without
 /// TMerge (plus MOTA/IDS from CLEAR-MOT as supporting numbers).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IdMetricsResult {
     /// IDF1/IDP/IDR without TMerge.
     pub without: IdTriple,
@@ -128,7 +128,7 @@ pub struct IdMetricsResult {
 }
 
 /// A compact IDF1/IDP/IDR triple.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IdTriple {
     /// Identity F1.
     pub idf1: f64,
@@ -136,6 +136,12 @@ pub struct IdTriple {
     pub idp: f64,
     /// Identity recall.
     pub idr: f64,
+}
+
+impl_to_json! {
+    PolyRateRow { tracker, rate_without, rate_with }
+    IdMetricsResult { without, with, id_switches, mota, hota, ass_a }
+    IdTriple { idf1, idp, idr }
 }
 
 /// Computes Fig. 12.
@@ -186,7 +192,7 @@ pub fn fig12(cfg: &ExpConfig) -> IdMetricsResult {
 }
 
 /// Fig. 13 — recall of the two §V-H queries with and without TMerge.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRecallResult {
     /// *Count* query (objects visible > 200 frames): recall without /
     /// with TMerge.
@@ -195,6 +201,8 @@ pub struct QueryRecallResult {
     /// without / with TMerge.
     pub co_occurrence: (f64, f64),
 }
+
+impl_to_json! { QueryRecallResult { count, co_occurrence } }
 
 /// Count-query duration threshold (frames), as in the paper's example.
 pub const COUNT_MIN_FRAMES: u64 = 200;

@@ -4,7 +4,7 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::DatasetRun;
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use tm_core::selector::CandidateSelector;
 use tm_core::{score::exact_scores, SelectionInput, TMerge, TMergeConfig};
 use tm_datasets::mot17;
@@ -12,7 +12,7 @@ use tm_reid::{CostModel, Device, ReidSession};
 use tm_track::TrackerKind;
 
 /// One τ point of the regret curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegretPoint {
     /// Iterations executed.
     pub tau: u64,
@@ -23,7 +23,7 @@ pub struct RegretPoint {
 }
 
 /// The regret series of one window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegretCurve {
     /// Number of pairs in the window.
     pub n_pairs: usize,
@@ -31,6 +31,11 @@ pub struct RegretCurve {
     pub s_min: f64,
     /// Sampled points of `R(τ)`.
     pub points: Vec<RegretPoint>,
+}
+
+impl_to_json! {
+    RegretPoint { tau, avg_regret, bound_shape }
+    RegretCurve { n_pairs, s_min, points }
 }
 
 /// Measures the empirical average regret of TMerge on the first MOT-17

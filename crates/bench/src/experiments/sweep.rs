@@ -3,7 +3,7 @@
 
 use crate::experiments::ExpConfig;
 use crate::harness::{fps_at_rec, run_selector, CurvePoint, DatasetRun, RunOutcome};
-use serde::Serialize;
+use crate::perf::impl_to_json;
 use std::collections::BTreeMap;
 use tm_core::{
     Baseline, CandidateSelector, LcbConfig, LowerConfidenceBound, ProportionalSampling, PsConfig,
@@ -17,7 +17,7 @@ use tm_track::TrackerKind;
 pub const K: f64 = 0.05;
 
 /// REC–FPS curves of every algorithm on one dataset/device.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AlgoCurves {
     /// Dataset name.
     pub dataset: String,
@@ -178,7 +178,7 @@ pub fn fig06(cfg: &ExpConfig) -> Vec<AlgoCurves> {
 }
 
 /// One Table II row: an algorithm's FPS at the two REC targets.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Method name (BL, PS, LCB, TMerge, and `-B` variants).
     pub method: String,
@@ -191,12 +191,18 @@ pub struct Table2Row {
 
 /// Table II: FPS at REC ∈ {0.80, 0.93} on MOT-17, CPU and GPU (B = 10,
 /// 100).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// CPU methods.
     pub cpu: Vec<Table2Row>,
     /// GPU methods per batch size.
     pub gpu: BTreeMap<String, Vec<Table2Row>>,
+}
+
+impl_to_json! {
+    AlgoCurves { dataset, device, curves }
+    Table2Row { method, fps_at_080, fps_at_093 }
+    Table2 { cpu, gpu }
 }
 
 fn rows_from_curves(curves: &AlgoCurves, suffix: &str) -> Vec<Table2Row> {

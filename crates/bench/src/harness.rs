@@ -1,7 +1,7 @@
 //! Shared experiment machinery: prepared videos with pair sets and truth,
 //! selector execution with REC/FPS aggregation, and parameter sweeps.
 
-use serde::Serialize;
+use crate::perf::{impl_to_json, Json, ToJson};
 use std::collections::BTreeSet;
 use tm_core::{build_window_pairs, CandidateSelector, SelectionInput, WindowPairs};
 use tm_datasets::{prepare, DatasetSpec, PreparedVideo};
@@ -43,7 +43,7 @@ impl VideoRun {
 }
 
 /// Aggregate outcome of running one selector over a set of videos.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunOutcome {
     /// Recall against the global polyonymous truth, averaged over videos
     /// that have any polyonymous pairs.
@@ -60,6 +60,18 @@ pub struct RunOutcome {
     pub inferences: u64,
     /// Feature requests served from the cache (the paper's reuse effect).
     pub cache_hits: u64,
+}
+
+impl_to_json! {
+    RunOutcome {
+        rec,
+        fps,
+        runtime_s,
+        distance_evals,
+        n_candidates,
+        inferences,
+        cache_hits,
+    }
 }
 
 impl RunOutcome {
@@ -201,13 +213,24 @@ pub fn run_selector_gated(
 }
 
 /// One point of a parameter sweep (a REC–FPS curve).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CurvePoint {
     /// Human-readable parameter value (e.g. `η=0.05` or `τ=10000`).
     pub param: String,
     /// The outcome at this parameter.
-    #[serde(flatten)]
     pub outcome: RunOutcome,
+}
+
+/// `param` and the outcome's fields side by side in one object, the
+/// layout `render_experiments` reads.
+impl ToJson for CurvePoint {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("param".to_string(), self.param.to_json())];
+        if let Json::Obj(outcome) = self.outcome.to_json() {
+            fields.extend(outcome);
+        }
+        Json::Obj(fields)
+    }
 }
 
 /// Interpolated FPS at a target REC from a sweep (assumes the sweep spans
@@ -314,6 +337,18 @@ mod tests {
         assert!((fps_at_rec(&pts, 0.3).unwrap() - 100.0).abs() < 1e-9);
         // Unreachable target.
         assert!(fps_at_rec(&pts, 0.95).is_none());
+    }
+
+    #[test]
+    fn curve_point_fields_sit_beside_the_outcome() {
+        let mut p = point(0.75, 12.5);
+        p.outcome.distance_evals = 3;
+        assert_eq!(
+            crate::perf::encode_json(&p.to_json()),
+            "{\n  \"param\": \"rec=0.75\",\n  \"rec\": 0.75,\n  \"fps\": 12.5,\n  \
+             \"runtime_s\": 1,\n  \"distance_evals\": 3,\n  \"n_candidates\": 0,\n  \
+             \"inferences\": 0,\n  \"cache_hits\": 0\n}\n"
+        );
     }
 
     #[test]

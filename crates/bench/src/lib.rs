@@ -2,11 +2,12 @@
 //!
 //! The experiment harness: reproduces **every table and figure** of the
 //! paper's evaluation (§V). Each experiment lives in [`experiments`] as a
-//! function returning a serializable result, with a thin binary per
-//! table/figure in `src/bin/` that prints the paper-format rows and writes
-//! JSON to `results/`.
+//! function returning a result that encodes as JSON
+//! ([`perf::ToJson`]); [`experiments::EXHIBITS`] names them all, and the
+//! `run_all` binary runs them and writes `results/<name>.json`, which
+//! `render_experiments` turns into EXPERIMENTS.md.
 //!
-//! | Paper exhibit | Binary |
+//! | Paper exhibit | `run_all` name |
 //! |---|---|
 //! | Fig. 3 (REC–K of BL) | `fig03_rec_k` |
 //! | Fig. 4 (BL scaling with video length) | `fig04_bl_scaling` |
@@ -21,8 +22,14 @@
 //! | Fig. 12 (IDF1/IDP/IDR ± TMerge) | `fig12_id_metrics` |
 //! | Fig. 13 (query recall ± TMerge) | `fig13_query_recall` |
 //! | §IV-E regret bound (extension) | `regret_curve` |
+//! | §IV-C footnote 4 correlations (extension) | `corr_analysis` |
+//! | Ranking-rule ablation (extension) | `ablation_ranking` |
 //!
-//! Run everything: `cargo run --release -p tm-bench --bin run_all`.
+//! Run everything: `cargo run --release -p tm-bench --bin run_all`
+//! (`-- --quick` for the reduced scale, `-- NAME…` for some exhibits).
+//! The other binaries are the gate and trajectory runs (`perf_trajectory`,
+//! `gating_savings`, `cross_camera`, `query_adaptive`, `fleet_throughput`,
+//! `serve_soak`) and `obs_report`.
 //!
 //! *Runtime* and *FPS* come from the deterministic simulated cost model
 //! (`tm_reid::CostModel`, DESIGN.md §6); Criterion benches in `benches/`

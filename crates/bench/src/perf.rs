@@ -1,22 +1,25 @@
 //! The perf-trajectory harness: schema, measurement and validation for the
-//! `BENCH_*.json` files the `perf_trajectory` binary writes at the repo
-//! root.
+//! `BENCH_*.json` files the bench binaries write at the repo root, and the
+//! crates' one JSON codec.
 //!
 //! Those files are the repo's persistent performance record: each run
-//! appends a point to the trajectory (kernels / cache / ingest), tagged
-//! with the git SHA, thread count and SIMD dispatch that produced it, so a
-//! regression shows up as a diff. The offline `serde_json` stub cannot
-//! serialize real values, so this module hand-rolls the tiny JSON dialect
-//! the schema needs (objects, arrays, strings, finite numbers, bools) —
-//! **both** directions, so the files round-trip and the validator can
-//! re-read what the binary is about to write *before* it overwrites the
-//! previous trajectory point.
+//! appends a point to the trajectory (kernels / cache / ingest / gating /
+//! global / query), tagged with the git SHA, thread count and SIMD dispatch
+//! that produced it, so a regression shows up as a diff.
+//!
+//! The JSON codec is a value type ([`Json`]), a strict parser
+//! ([`parse_json`]), a pretty encoder ([`encode_json`]) and [`ToJson`] for
+//! the types written as JSON: the trajectory schema here and the paper
+//! exhibits' results (`tm_bench::experiments`). A report is re-read before
+//! the binary overwrites the previous trajectory point.
 //!
 //! Also here: the counting global allocator the allocation audit and the
-//! bench binary install ([`CountingAlloc`]) and the SIMD speedup gate
+//! bench binaries install ([`CountingAlloc`]) and the SIMD speedup gate
 //! ([`speedup`], asserted ≥ 1.5× for the dot kernel on AVX2 hosts).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -160,8 +163,9 @@ pub struct BenchCase {
     pub throughput_items_per_s: f64,
     /// Simulated ReID inferences the case performed (0 for pure kernels).
     pub inferences: u64,
-    /// Heap bytes allocated during the timed iterations (counted by
-    /// [`CountingAlloc`]; 0 when the binary did not install it).
+    /// Heap bytes allocated during [`time_iters`], its two warm-up runs
+    /// included (counted by [`CountingAlloc`]; 0 when the binary did not
+    /// install it).
     pub bytes_allocated: u64,
 }
 
@@ -189,7 +193,9 @@ impl BenchCase {
 /// Environment stamp of a trajectory point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchMeta {
-    /// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree.
+    /// `git rev-parse --short HEAD`, with `-dirty` appended when the
+    /// measured tree differed from it (see [`tree_is_dirty`]), or
+    /// `"unknown"` outside a work tree.
     pub git_sha: String,
     /// `tm_par::max_threads()` at measurement time.
     pub threads: u64,
@@ -214,15 +220,24 @@ pub struct BenchReport {
 
 /// Collects the environment stamp for this process.
 pub fn collect_meta(quick: bool) -> BenchMeta {
-    let git_sha = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let head = git(&["rev-parse", "--short", "HEAD"])
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
+        .filter(|s| !s.is_empty());
+    let git_sha = match head {
+        None => "unknown".to_string(),
+        Some(sha) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(status) if tree_is_dirty(&status) => format!("{sha}-dirty"),
+            _ => sha,
+        },
+    };
     let mut cpu = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
@@ -247,6 +262,24 @@ pub fn collect_meta(quick: bool) -> BenchMeta {
     }
 }
 
+/// Whether `git status --porcelain` output names a tracked file that
+/// differs from HEAD, other than the files a measurement itself writes:
+/// `BENCH_*.json` at the root and anything under `results/`. Untracked
+/// (`??`) and ignored (`!!`) entries do not count; a rename counts unless
+/// both of its paths are measurement outputs.
+pub fn tree_is_dirty(porcelain: &str) -> bool {
+    porcelain
+        .lines()
+        .filter(|l| l.len() > 3 && !l.starts_with("??") && !l.starts_with("!!"))
+        .flat_map(|l| l[3..].split(" -> "))
+        .any(|path| {
+            let path = path.trim_matches('"');
+            let bench_file =
+                path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/');
+            !(bench_file || path.starts_with("results/"))
+        })
+}
+
 /// The repository root (nearest ancestor of the current directory holding
 /// `ROADMAP.md`), where the trajectory files live. Falls back to the
 /// current directory so the binary still runs from exotic cwds.
@@ -266,72 +299,121 @@ pub fn repo_root() -> PathBuf {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Values written as JSON: the trajectory schema below and the paper
+/// exhibits' results (`tm_bench::experiments`).
+pub trait ToJson {
+    /// The value as a JSON document.
+    fn to_json(&self) -> Json;
+}
+
+macro_rules! number_to_json {
+    ($($t:ty),+) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
         }
+    )+};
+}
+number_to_json!(f64, u64, usize);
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
     }
-    out.push('"');
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+/// A map is an object with its keys in order.
+impl<T: ToJson> ToJson for BTreeMap<String, T> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+}
+
+/// Implements [`ToJson`] for structs as objects of their named fields, in
+/// the order listed (declaration order). The pattern that binds the fields
+/// names every one of them, so leaving a field out does not compile.
+macro_rules! impl_to_json {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::perf::ToJson for $ty {
+            fn to_json(&self) -> $crate::perf::Json {
+                let $ty { $($field),+ } = self;
+                $crate::perf::Json::Obj(vec![$(
+                    (stringify!($field).to_string(), $crate::perf::ToJson::to_json($field)),
+                )+])
+            }
+        }
+    )+};
+}
+pub(crate) use impl_to_json;
+
+impl_to_json! {
+    BenchMeta { git_sha, threads, cpu, simd, quick }
+    BenchCase {
+        name,
+        iters,
+        wall_ns_p50,
+        wall_ns_p99,
+        throughput_items_per_s,
+        inferences,
+        bytes_allocated,
+    }
 }
 
 impl BenchReport {
-    /// Serializes the report. Rust's `{}` float formatting is
-    /// shortest-round-trip, so `decode(encode(r)) == r` exactly.
+    /// Serializes the report with [`encode_json`]; floats keep their
+    /// shortest round-trip form, so `decode(encode(r)) == r` exactly.
+    pub fn encode(&self) -> String {
+        encode_json(&Json::Obj(vec![
+            ("schema_version".into(), SCHEMA_VERSION.to_json()),
+            ("meta".into(), self.meta.to_json()),
+            ("cases".into(), self.cases.to_json()),
+        ]))
+    }
+
+    /// Validates the report, checks that it decodes back to itself, and
+    /// only then writes it to `file` at the [`repo_root`], so a bad report
+    /// never replaces the previous trajectory point. Returns the path.
     ///
     /// # Panics
-    /// If a throughput value is non-finite (the validator rejects those
-    /// first on every write path).
-    pub fn encode(&self) -> String {
-        let mut s = String::with_capacity(256 + self.cases.len() * 160);
-        s.push_str("{\n  \"schema_version\": ");
-        s.push_str(&SCHEMA_VERSION.to_string());
-        s.push_str(",\n  \"meta\": {\n    \"git_sha\": ");
-        push_json_str(&mut s, &self.meta.git_sha);
-        s.push_str(",\n    \"threads\": ");
-        s.push_str(&self.meta.threads.to_string());
-        s.push_str(",\n    \"cpu\": [");
-        for (i, f) in self.meta.cpu.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            push_json_str(&mut s, f);
-        }
-        s.push_str("],\n    \"simd\": ");
-        push_json_str(&mut s, &self.meta.simd);
-        s.push_str(",\n    \"quick\": ");
-        s.push_str(if self.meta.quick { "true" } else { "false" });
-        s.push_str("\n  },\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            assert!(
-                c.throughput_items_per_s.is_finite(),
-                "case {} has non-finite throughput",
-                c.name
-            );
-            s.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
-            s.push_str("\"name\": ");
-            push_json_str(&mut s, &c.name);
-            s.push_str(&format!(
-                ", \"iters\": {}, \"wall_ns_p50\": {}, \"wall_ns_p99\": {}, \
-                 \"throughput_items_per_s\": {}, \"inferences\": {}, \
-                 \"bytes_allocated\": {}}}",
-                c.iters,
-                c.wall_ns_p50,
-                c.wall_ns_p99,
-                c.throughput_items_per_s,
-                c.inferences,
-                c.bytes_allocated
-            ));
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+    /// If the report is invalid, does not round-trip or cannot be written.
+    pub fn write(&self, file: &str) -> PathBuf {
+        self.validate()
+            .unwrap_or_else(|e| panic!("{file}: invalid report: {e}"));
+        let text = self.encode();
+        let back = BenchReport::decode(&text)
+            .unwrap_or_else(|e| panic!("{file}: self round-trip failed: {e}"));
+        assert_eq!(&back, self, "{file}: decode(encode) drifted");
+        let path = repo_root().join(file);
+        std::fs::write(&path, &text)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        path
     }
 
     /// Parses a document produced by [`BenchReport::encode`] (or an edited
@@ -451,16 +533,16 @@ impl BenchReport {
 // Minimal JSON
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value (the subset the schema uses — no exponent-free
-/// guarantee needed on numbers; anything `f64::from_str` accepts works).
+/// A JSON value. Numbers are `f64`: anything `f64::from_str` accepts
+/// parses, and [`encode_json`] writes each one back to the same bits.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (stored as `f64`; the schema's integers stay exact
-    /// below 2⁵³, far beyond any counter here).
+    /// Any number (the schema's integers stay exact below 2⁵³, far beyond
+    /// any counter here).
     Num(f64),
     /// A string.
     Str(String),
@@ -522,9 +604,84 @@ impl Json {
     }
 }
 
+/// Encodes a document in the pretty layout of the seed's results files:
+/// two-space indentation, one array element or object field per line,
+/// fields in order, `[]` and `{}` when empty, and `null` for a non-finite
+/// number. Ends with a newline. [`parse_json`] reads the text back to an
+/// equal value.
+pub fn encode_json(v: &Json) -> String {
+    let mut out = String::new();
+    write_json(&mut out, v, 0);
+    out.push('\n');
+    out
+}
+
+fn write_json(out: &mut String, v: &Json, depth: usize) {
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        // Integers print without a fraction; every other float in the
+        // shortest form that parses back to the same bits.
+        Json::Num(n) if !n.is_finite() => out.push_str("null"),
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < 2f64.powi(53) => {
+            write!(out, "{n}").expect("writing to a String")
+        }
+        Json::Num(n) => write!(out, "{n:?}").expect("writing to a String"),
+        Json::Str(s) => push_json_str(out, s),
+        Json::Arr(items) => write_seq(out, ['[', ']'], items, depth, |out, item| {
+            write_json(out, item, depth + 1)
+        }),
+        Json::Obj(fields) => write_seq(out, ['{', '}'], fields, depth, |out, (k, v)| {
+            push_json_str(out, k);
+            out.push_str(": ");
+            write_json(out, v, depth + 1);
+        }),
+    }
+}
+
+/// Writes `items` between `brackets`, one per line at `depth + 1`.
+fn write_seq<T>(
+    out: &mut String,
+    brackets: [char; 2],
+    items: &[T],
+    depth: usize,
+    mut item: impl FnMut(&mut String, &T),
+) {
+    out.push(brackets[0]);
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        item(out, x);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(brackets[1]);
+}
+
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String")
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -538,6 +695,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -680,10 +838,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar (tokens outside strings are
+                    // ASCII, so `pos` is on a char boundary).
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -711,6 +871,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_report() -> BenchReport {
         BenchReport {
@@ -806,6 +967,116 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("{\"a\": 1} trailing").is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_encode_as_null() {
+        let doc = Json::Arr(
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -2.5]
+                .map(Json::Num)
+                .to_vec(),
+        );
+        assert_eq!(
+            encode_json(&doc),
+            "[\n  null,\n  null,\n  null,\n  -2.5\n]\n"
+        );
+    }
+
+    #[test]
+    fn encoder_layout_matches_the_seed_files() {
+        let doc = Json::Obj(vec![
+            ("n".into(), Json::Num(595.0)),
+            (
+                "points".into(),
+                Json::Arr(vec![Json::Arr(vec![Json::Num(0.005), Json::Num(1.0)])]),
+            ),
+            ("empty".into(), Json::Obj(vec![])),
+            ("none".into(), Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            encode_json(&doc),
+            "{\n  \"n\": 595,\n  \"points\": [\n    [\n      0.005,\n      1\n    ]\n  ],\n  \
+             \"empty\": {},\n  \"none\": []\n}\n"
+        );
+    }
+
+    #[test]
+    fn tree_is_dirty_ignores_only_measurement_outputs() {
+        assert!(!tree_is_dirty(""));
+        assert!(!tree_is_dirty(
+            " M BENCH_query.json\nM  results/fig03_rec_k.json\n?? notes.txt\n"
+        ));
+        assert!(!tree_is_dirty("R  results/a.json -> results/b.json\n"));
+        assert!(tree_is_dirty(" M crates/bench/src/perf.rs\n"));
+        assert!(tree_is_dirty(" M BENCH_gating.json\n D README.md\n"));
+        assert!(tree_is_dirty("R  BENCH_x.json -> src/lib.rs\n"));
+        // Only root-level BENCH files are measurement outputs.
+        assert!(tree_is_dirty(" M perfbench/BENCH_x.json\n"));
+        assert!(tree_is_dirty("MM \"results dir/odd name.rs\"\n"));
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a', 'Z', '7', ' ', '/', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{8}', '\u{1f}',
+            '\u{7f}', 'é', 'ß', '日', '🎉',
+        ];
+        proptest::collection::vec(proptest::sample::select(chars), 0..10)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// Every finite `f64` (random bit patterns reach each sign, exponent
+    /// and subnormal), or an integer.
+    fn number() -> BoxedStrategy<f64> {
+        proptest::sample::select(vec![false, true])
+            .prop_flat_map(|integral| {
+                if integral {
+                    (-1_000_000_000_000i64..1_000_000_000_000)
+                        .prop_map(|i| i as f64)
+                        .boxed()
+                } else {
+                    any::<u64>()
+                        .prop_map(f64::from_bits)
+                        .prop_filter("finite", |x| x.is_finite())
+                        .boxed()
+                }
+            })
+            .boxed()
+    }
+
+    /// Documents up to `depth` levels of arrays and objects deep.
+    fn json(depth: u32) -> BoxedStrategy<Json> {
+        let kinds: Vec<u8> = (0..if depth == 0 { 4 } else { 6 }).collect();
+        proptest::sample::select(kinds)
+            .prop_flat_map(move |kind| match kind {
+                0 => Just(Json::Null).boxed(),
+                1 => any::<bool>().prop_map(Json::Bool).boxed(),
+                2 => number().prop_map(Json::Num).boxed(),
+                3 => text().prop_map(Json::Str).boxed(),
+                4 => proptest::collection::vec(json(depth - 1), 0..4)
+                    .prop_map(Json::Arr)
+                    .boxed(),
+                _ => proptest::collection::vec((text(), json(depth - 1)), 0..4)
+                    .prop_map(|fields| {
+                        // The parser keeps the first of duplicate keys.
+                        let mut seen = std::collections::BTreeSet::new();
+                        Json::Obj(
+                            fields
+                                .into_iter()
+                                .filter(|(k, _)| seen.insert(k.clone()))
+                                .collect(),
+                        )
+                    })
+                    .boxed(),
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn encode_then_parse_is_the_identity(doc in json(3)) {
+            prop_assert_eq!(parse_json(&encode_json(&doc)), Ok(doc));
+        }
     }
 
     #[test]

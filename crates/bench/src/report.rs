@@ -5,7 +5,7 @@
 //! [`observed`] (or any recorder scope) they are captured and replayable,
 //! so tests and batch drivers can silence or inspect them.
 
-use serde::Serialize;
+use crate::perf::{encode_json, Json};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,23 +26,17 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Serializes a result structure to `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let obs = tm_obs::current();
+/// Writes an exhibit's result to `results/<name>.json` with
+/// [`encode_json`].
+///
+/// # Panics
+/// If the file cannot be written: a run that cannot save its exhibit has
+/// failed.
+pub fn save_json(name: &str, doc: &Json) {
     let path = results_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                obs.log(
-                    Level::Warn,
-                    &format!("could not write {}: {e}", path.display()),
-                );
-            } else {
-                obs.log(Level::Info, &format!("(saved {})", path.display()));
-            }
-        }
-        Err(e) => obs.log(Level::Warn, &format!("could not serialize {name}: {e}")),
-    }
+    fs::write(&path, encode_json(doc))
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+    tm_obs::current().log(Level::Info, &format!("(saved {})", path.display()));
 }
 
 /// Prints a header box for an experiment.

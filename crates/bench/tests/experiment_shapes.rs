@@ -93,8 +93,8 @@ fn fig12_and_fig13_improve_with_tmerge() {
 fn corr_spatial_prior_is_informative() {
     // §IV-C: the spatial prior must be informative — polyonymous pairs
     // concentrate below thr_S far more than distinct pairs (this is the
-    // statistic BetaInit consumes; see the corr_analysis binary's note on
-    // why the global Pearson magnitude differs from the paper's).
+    // statistic BetaInit consumes; see EXPERIMENTS.md's correlation note
+    // on why the global Pearson magnitude differs from the paper's).
     let rows = experiments::corr::corr_analysis(&cfg());
     for r in &rows {
         assert!(

@@ -12,12 +12,11 @@
 //! more than once", §II).
 
 use crate::window::{windows, Window};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tm_types::{Result, TrackId, TrackPair, TrackSet};
 
 /// The pair set of one window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowPairs {
     /// The window these pairs belong to.
     pub window: Window,

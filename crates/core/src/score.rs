@@ -109,8 +109,9 @@ impl<'a> PairBoxes<'a> {
     /// The temporal distance `DisT` (§IV-C footnote 4): frames between the
     /// chronologically earlier track's last box and the later track's first
     /// box. The paper measured it as essentially uncorrelated with the
-    /// score (Pearson < 0.1) and left it out of BetaInit; the
-    /// `corr_analysis` experiment binary reproduces that measurement.
+    /// score (Pearson < 0.1) and left it out of BetaInit; `tm-bench`'s
+    /// `corr_analysis` exhibit (`run_all corr_analysis`) reproduces that
+    /// measurement.
     pub fn temporal_distance(&self) -> Option<i64> {
         let (earlier, later) = if self.a.first_frame() <= self.b.first_frame() {
             (self.a, self.b)

@@ -1,7 +1,6 @@
 //! Query definitions and evaluation over a [`TrackSet`], as tracked or
 //! through a merge relabelling.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tm_types::{BBox, TrackId, TrackSet};
 
@@ -9,7 +8,7 @@ use tm_types::{BBox, TrackId, TrackSet};
 ///
 /// `PartialEq` only (not `Eq`): [`Query::RegionTransit`] carries an
 /// [`BBox`] whose `f64` coordinates rule out total equality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// Objects (tracks) that remain visible across **more than**
     /// `min_frames` frames (§V-H's *Count* query; 200 in the paper's
@@ -39,7 +38,7 @@ pub enum Query {
 }
 
 /// A query result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryAnswer {
     /// The tracks satisfying a [`Query::Count`].
     Count(Vec<TrackId>),

@@ -4,13 +4,12 @@ use crate::feature::Feature;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 use tm_types::{Detection, FrameIdx, GtObjectId};
 
 /// Parameters of the simulated appearance world and ReID model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppearanceConfig {
     /// Feature dimensionality (OSNet uses 512; 32 preserves the geometry
     /// at a fraction of the cost).
@@ -58,10 +57,9 @@ impl Default for AppearanceConfig {
 /// extracting the feature of the same observation twice yields the same
 /// vector, which is what makes the paper's feature-reuse optimization
 /// meaningful (cache hits are exact).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppearanceModel {
     config: AppearanceConfig,
-    #[serde(skip)]
     latents: LatentMemo,
 }
 

@@ -31,12 +31,11 @@
 //! never constructs a plan and is bit-identical to the pre-gating
 //! pipeline (clock, charges, cache, snapshots).
 
-use serde::{Deserialize, Serialize};
 use tm_types::{FrameIdx, Track, TrackBox, TrackId, TrackSet};
 
 /// Tuning knobs for the gate. All signals are pure functions of tracker
 /// state; see the module docs for the decision rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateConfig {
     /// Boxes within this many frames of a track's first observation
     /// always extract (fresh tracks have no trustworthy donor).
@@ -94,7 +93,7 @@ impl GateConfig {
 }
 
 /// Whether a session gates extraction, and how.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GatePolicy {
     /// No gating: bit-identical to the pre-gating pipeline.
     #[default]
@@ -131,7 +130,7 @@ pub enum GateDecision {
 /// Decision counters, accumulated by the session and flushed once per
 /// window (the `AssignStats` pattern: emit non-zero deltas, reset the
 /// high-water mark).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GateStats {
     /// Boxes the gate sent to fresh extraction (including donors
     /// promoted to extraction on behalf of a reuse).
@@ -161,7 +160,7 @@ impl GateStats {
 
 /// Per-track plan state. Serialized verbatim into checkpoints so
 /// resumed sessions decide identically to uninterrupted ones.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrackPlan {
     /// Number of boxes already planned (prefix length).
     pub planned: usize,

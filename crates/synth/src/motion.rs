@@ -7,11 +7,10 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 use tm_types::Point;
 
 /// How an actor's centre moves over its lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MotionModel {
     /// Constant-velocity straight-line motion — highway cars, purposeful
     /// pedestrians.

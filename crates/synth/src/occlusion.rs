@@ -11,11 +11,10 @@
 
 use crate::motion::MotionModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tm_types::{BBox, FrameIdx};
 
 /// A foreground object that hides actors behind it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Occluder {
     /// Fixed scene furniture: a pillar, a parked truck, a kiosk.
     Static {
@@ -76,7 +75,7 @@ impl Occluder {
 }
 
 /// Unfavourable lighting in a region for a stretch of frames.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlareEvent {
     /// The affected region of the camera frame.
     pub region: BBox,

@@ -5,11 +5,10 @@ use crate::motion::MotionModel;
 use crate::occlusion::{union_coverage, GlareEvent, Occluder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tm_types::{BBox, ClassId, FrameIdx, GtObjectId};
 
 /// Camera / video parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneConfig {
     /// Viewport width in pixels.
     pub width: f64,
@@ -40,7 +39,7 @@ impl SceneConfig {
 
 /// A ground-truth actor: one physical object with an identity, size,
 /// lifetime and motion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorSpec {
     /// The actor's true identity.
     pub id: GtObjectId,
@@ -94,7 +93,7 @@ impl ActorSpec {
 ///
 /// [`Scenario::simulate`] is deterministic: the same scenario (including
 /// `seed`) always yields the same [`GroundTruth`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Camera / video parameters.
     pub config: SceneConfig,

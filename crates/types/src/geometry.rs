@@ -5,10 +5,8 @@
 //! defined here. Boxes use the image convention: origin at the top-left,
 //! `y` grows downwards.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in frame coordinates (pixels).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate, grows rightwards.
     pub x: f64,
@@ -50,7 +48,7 @@ impl Point {
 /// extent non-negative; degenerate (zero-area) boxes are allowed and behave
 /// sensibly in [`BBox::iou`] (overlap 0 with everything, including
 /// themselves).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BBox {
     /// Left edge.
     pub x: f64,

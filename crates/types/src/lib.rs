@@ -5,10 +5,10 @@
 //! [`GtObjectId`], [`ClassId`]), per-frame [`Detection`]s and the [`Track`] /
 //! [`TrackSet`] structures every other crate consumes.
 //!
-//! The crate is dependency-light by design (only `serde` for data-type
-//! serialization) so that every layer of the system — world simulator,
-//! detector, trackers, ReID, merging, metrics, queries — speaks the same
-//! types without pulling in each other's machinery.
+//! The crate has no dependencies by design, so that every layer of the
+//! system — world simulator, detector, trackers, ReID, merging, metrics,
+//! queries — speaks the same types without pulling in each other's
+//! machinery.
 //!
 //! ## Conventions
 //!

@@ -1,12 +1,11 @@
 //! Unordered track pairs — the unit TMerge reasons about.
 
 use crate::TrackId;
-use serde::{Deserialize, Serialize};
 
 /// An unordered pair of distinct track IDs, stored canonically
 /// (`lo < hi`), so `{a, b}` and `{b, a}` are the same value — the paper's
 /// `p_{i,j}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TrackPair {
     lo: TrackId,
     hi: TrackId,

@@ -3,11 +3,10 @@
 //! to metrics and query processing.
 
 use crate::{BBox, ClassId, FrameIdx, GtObjectId, Point, Result, TmError, TrackDefect, TrackId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One observation of a track in one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackBox {
     /// Frame of the observation.
     pub frame: FrameIdx,
@@ -59,7 +58,7 @@ impl TrackBox {
 /// The paper denotes a track `t_{c,k}` and its box sequence `B_{t_{c,k}}`
 /// (`Track::boxes` here). Boxes are kept sorted by frame; [`Track::push`]
 /// maintains the invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Track {
     /// The tracking identifier (TID).
     pub id: TrackId,
@@ -187,10 +186,9 @@ impl Track {
 }
 
 /// An indexed collection of tracks, the unit handed between pipeline stages.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrackSet {
     tracks: Vec<Track>,
-    #[serde(skip)]
     index: HashMap<TrackId, usize>,
 }
 
